@@ -3,6 +3,10 @@
 States are opaque string tokens; the library never parses meaning out of them.
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
+
+The adjacency indexes (``by_source``/``by_target``) are unordered. Order is
+applied only where something is output or a tie is broken: ``natural_key``,
+``sorted_states`` and ``sorted_transitions``.
 """
 
 from __future__ import annotations
@@ -22,12 +26,17 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 
 
 def natural_key(text: str) -> tuple:
-    """Sort key that orders digit runs numerically ('2' before '10')."""
-    return tuple(
+    """Sort key that orders digit runs numerically ('2' before '10').
+
+    The raw text is the last tie-break, so distinct strings never share a key
+    ('01' before '1', 'a01' before 'a1').
+    """
+    parts = tuple(
         (0, int(part)) if part.isdigit() else (1, part)
         for part in _DIGIT_RUN.split(text)
         if part != ""
     )
+    return (parts, text)
 
 
 def sort_states(states: Iterable[str]) -> list[str]:
@@ -159,26 +168,21 @@ class Nfa:
     def nonsecret_initial(self) -> frozenset[str]:
         return self.initial - self.secret
 
-    # Forward and backward indexes; enforcement walks the relation both ways.
+    # Forward and backward indexes, in no particular order; enforcement walks
+    # the relation both ways.
     @cached_property
     def by_source(self) -> dict[str, tuple[tuple[str, str], ...]]:
         index: dict[str, list[tuple[str, str]]] = {x: [] for x in self.states}
         for src, event, dst in self.transitions:
             index[src].append((event, dst))
-        return {
-            x: tuple(sorted(pairs, key=lambda p: (natural_key(p[0]), natural_key(p[1]))))
-            for x, pairs in index.items()
-        }
+        return {x: tuple(pairs) for x, pairs in index.items()}
 
     @cached_property
     def by_target(self) -> dict[str, tuple[tuple[str, str], ...]]:
         index: dict[str, list[tuple[str, str]]] = {x: [] for x in self.states}
         for src, event, dst in self.transitions:
             index[dst].append((src, event))
-        return {
-            x: tuple(sorted(pairs, key=lambda p: (natural_key(p[0]), natural_key(p[1]))))
-            for x, pairs in index.items()
-        }
+        return {x: tuple(pairs) for x, pairs in index.items()}
 
     def successors(self, state: str, event: str) -> frozenset[str]:
         return frozenset(dst for ev, dst in self.by_source.get(state, ()) if ev == event)

@@ -34,7 +34,6 @@ from .verification import (
     CSO,
     INF_SSO,
     K_SSO,
-    NOTIONS,
     SCSO,
     SISO,
     Verdict,
@@ -49,6 +48,19 @@ from .verification import (
 USAGE_ERROR = 2
 
 
+def _notion_table() -> dict:
+    """Each notion's verifier, its enforcer and whether both take K, in the
+    order ``--notion`` lists them. Built per call, so the functions are looked
+    up when used (a replaced module function is the one called)."""
+    return {
+        K_SSO: (verify_k_sso, enforce_k_sso, True),
+        CSO: (verify_cso, lambda model: enforce_k_sso(model, 0), False),
+        SCSO: (verify_scso, enforce_scso, False),
+        SISO: (verify_siso, enforce_siso, False),
+        INF_SSO: (verify_inf_sso, enforce_inf_sso, False),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strongopacity",
@@ -57,12 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="decide an opacity notion")
-    verify.add_argument("--notion", required=True, choices=NOTIONS)
+    verify.add_argument("--notion", required=True, choices=tuple(_notion_table()))
     verify.add_argument("--k", type=int, default=None, help="step budget for k-sso")
     verify.add_argument("model", metavar="MODEL")
 
     enforce = sub.add_parser("enforce", help="synthesize a disabled-transition set")
-    enforce.add_argument("--notion", required=True, choices=NOTIONS)
+    enforce.add_argument("--notion", required=True, choices=tuple(_notion_table()))
     enforce.add_argument("--k", type=int, default=None, help="step budget for k-sso")
     enforce.add_argument("--out", default=None, help="write the enforced subsystem model here")
     enforce.add_argument("--emit-ec", default=None, help="write the disabled transitions here")
@@ -86,9 +98,7 @@ def _load_model(path: str) -> Nfa:
         return parse_model(handle.read())
 
 
-def _checked_k(parser: argparse.ArgumentParser, args, model: Nfa) -> int | None:
-    if args.notion != K_SSO:
-        return None
+def _checked_k(parser: argparse.ArgumentParser, args, model: Nfa) -> int:
     if args.k is None:
         parser.error("--k is required for --notion k-sso")
     if args.k < 0:
@@ -151,42 +161,19 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         model = _load_model(args.model)
-        if args.command == "verify":
-            k = _checked_k(parser, args, model)
-            if args.notion == K_SSO:
-                verdict = verify_k_sso(model, k)
-            elif args.notion == CSO:
-                verdict = verify_cso(model)
-            elif args.notion == SCSO:
-                verdict = verify_scso(model)
-            elif args.notion == SISO:
-                verdict = verify_siso(model)
-            else:
-                verdict = verify_inf_sso(model)
-            return _print_verdict(verdict)
-        if args.command == "enforce":
-            k = _checked_k(parser, args, model)
-            if args.notion == K_SSO:
-                outcome = enforce_k_sso(model, k)
-            elif args.notion == CSO:
-                outcome = enforce_k_sso(model, 0)
-            elif args.notion == SCSO:
-                outcome = enforce_scso(model)
-            elif args.notion == SISO:
-                outcome = enforce_siso(model)
-            else:
-                outcome = enforce_inf_sso(model)
-            return _print_outcome(outcome, args)
+        if args.command in ("verify", "enforce"):
+            verifier, enforcer, takes_k = _notion_table()[args.notion]
+            k = (_checked_k(parser, args, model),) if takes_k else ()
+            if args.command == "verify":
+                return _print_verdict(verifier(model, *k))
+            return _print_outcome(enforcer(model, *k), args)
         if args.command == "export":
-            acc = accessible_part(model)
-            if args.structure == "observer":
-                structure = subset_construction(acc)
-            elif args.structure == "cc-hat":
-                structure = cc_hat(acc)
-            elif args.structure == "cc-obs":
-                structure = cc_full_observer(acc)
-            else:
-                structure = cc_dss(acc)
+            structure = {
+                "observer": subset_construction,
+                "cc-hat": cc_hat,
+                "cc-obs": cc_full_observer,
+                "cc-dss": cc_dss,
+            }[args.structure](accessible_part(model))
             with open(args.out, "w", encoding="utf-8") as handle:
                 export_graph(structure, handle)
             return 0

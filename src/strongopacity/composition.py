@@ -14,6 +14,11 @@ observer step collapses the estimate to the empty sink:
 
 A product state whose estimate has collapsed marks a leaking-secret run; the
 empty estimate is absorbing.
+
+The product is explored, and its ``by_source``/``by_target`` indexes are
+built, in no particular order; ``CcState.sort_key`` orders states only where
+they are output (``sorted_states``, ``sorted_transitions``) or where a
+witness tie is broken.
 """
 
 from __future__ import annotations
@@ -105,20 +110,14 @@ class CcAutomaton:
         index: dict[CcState, list[tuple[CcEvent, CcState]]] = {s: [] for s in self.states}
         for src, event, dst in self.transitions:
             index[src].append((event, dst))
-        return {
-            s: tuple(sorted(pairs, key=lambda p: (natural_key(p[0].name), p[1].sort_key())))
-            for s, pairs in index.items()
-        }
+        return {s: tuple(pairs) for s, pairs in index.items()}
 
     @cached_property
     def by_target(self) -> dict[CcState, tuple[tuple[CcState, CcEvent], ...]]:
         index: dict[CcState, list[tuple[CcState, CcEvent]]] = {s: [] for s in self.states}
         for src, event, dst in self.transitions:
             index[dst].append((src, event))
-        return {
-            s: tuple(sorted(pairs, key=lambda p: (p[0].sort_key(), natural_key(p[1].name))))
-            for s, pairs in index.items()
-        }
+        return {s: tuple(pairs) for s, pairs in index.items()}
 
     def is_controllable(self, transition: CcTransition) -> bool:
         return self.left.is_controllable(transition[1].left_event)
@@ -178,7 +177,7 @@ def product(
 
     states: set[CcState] = set(initials)
     transitions: set[CcTransition] = set()
-    todo = deque(sorted(states, key=CcState.sort_key))
+    todo = deque(states)
     while todo:
         src = todo.popleft()
         for sigma, left_dst in left.by_source.get(src.left, ()):
@@ -238,12 +237,18 @@ def cc_hat(nfa: Nfa) -> CcAutomaton:
     none). No such estimate means an empty composition.
     """
     nfa = accessible_part(nfa)
+    return _cc_hat(nfa, subset_construction(nfa) if nfa.secret else None)
+
+
+def _cc_hat(nfa: Nfa, obs: Observer | None) -> CcAutomaton:
+    """``cc_hat`` of an accessible ``nfa`` whose observer ``obs`` the caller
+    already holds. ``obs`` may be None when ``nfa`` has no secret state (an
+    accessible automaton without initial states has none)."""
     ghat = initial_secret_subautomaton(nfa)
-    if not nfa.initial or not ghat.states:
+    if obs is None or not ghat.states:
         return _empty_cc(ghat, _empty_observer(ghat))
-    obs = subset_construction(nfa)
     classes = classify_estimates(obs, nfa.secret)
-    relevant = sorted(q for q, c in classes.items() if c is not EstimateClass.NON_SECRET)
+    relevant = [q for q, c in classes.items() if c is not EstimateClass.NON_SECRET]
     if not relevant:
         return _empty_cc(ghat, _empty_observer(ghat))
     pruned, seeds = nonsecret_subautomaton(nfa, obs)
@@ -267,10 +272,13 @@ def cc_full_observer(nfa: Nfa) -> CcAutomaton:
     the observer step is always defined and no empty sink is needed.
     """
     nfa = accessible_part(nfa)
-    obs = subset_construction(nfa)
+    return _cc_full_observer(nfa, subset_construction(nfa))
+
+
+def _cc_full_observer(nfa: Nfa, obs: Observer) -> CcAutomaton:
+    """``cc_full_observer`` of an accessible ``nfa`` with its observer ``obs``."""
     (q0,) = obs.initials
-    initials = [CcState(x0, q0) for x0 in sorted(nfa.initial, key=natural_key)]
-    return product(nfa, obs, initials, empty_sink=False)
+    return product(nfa, obs, [CcState(x0, q0) for x0 in nfa.initial], empty_sink=False)
 
 
 def cc_dss(nfa: Nfa) -> CcAutomaton:
@@ -290,5 +298,4 @@ def cc_dss(nfa: Nfa) -> CcAutomaton:
     else:
         right = _empty_observer(dss)
         paired = None
-    initials = [CcState(x0, paired) for x0 in sorted(nfa.initial, key=natural_key)]
-    return product(nfa, right, initials, empty_sink=True)
+    return product(nfa, right, [CcState(x0, paired) for x0 in nfa.initial], empty_sink=True)

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .automaton import Nfa, Run, Transition, accessible_part, disable_transitions
-from .composition import CcAutomaton, CcState, CcTransition, cc_dss, cc_full_observer, cc_hat
+from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, cc_dss
 from .errors import InternalInvariantError, InvalidState
+from .observer import subset_construction
 from .search import cc_observable_costs, cc_shortest_path
-from .verification import INF_SSO, SCSO, SISO
+from .verification import INF_SSO, SCSO, SISO, _dss_offenders
 
 
 @dataclass(frozen=True)
@@ -103,20 +104,18 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
     current = accessible_part(nfa)
     disabled: set[Transition] = set()
     for _ in range(len(current.controllable_transitions) + 2):
-        cc = cc_hat(current)
+        obs = subset_construction(current) if current.secret else None
+        cc = _cc_hat(current, obs)
         forward = cc_observable_costs(cc, cc.initials)
         theta = {s for s in cc.empty_states if s in forward and forward[s][0] <= k}
         if not theta:
             return Enforced(frozenset(disabled), current)
 
-        ccobs = cc_full_observer(current)
+        ccobs = _cc_full_observer(current, obs)
         # Initial pairs from which an offending state is reachable by a run
         # with no controllable transition and observable length within K.
         unc_back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)
-        leaky = sorted(
-            (i for i in cc.initials if i in unc_back and unc_back[i][0] <= k),
-            key=CcState.sort_key,
-        )
+        leaky = [i for i in cc.initials if i in unc_back and unc_back[i][0] <= k]
         marked: set[CcState] = set()
         for i in leaky:
             remainder = frozenset(i.right or ())
@@ -141,11 +140,8 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
                     key=CcState.sort_key,
                 )
                 suffix = cc_shortest_path(cc, [anchor], theta, uncontrollable_only=True)
-                witness = Run(
-                    start=prefix.to_left_run().start,
-                    steps=prefix.to_left_run().steps + suffix.to_left_run().steps,
-                )
-                return Impossible(witness)
+                head = prefix.to_left_run()
+                return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
 
         frontier = last_controllable_frontier(cc, theta, budget=k)
         if marked:
@@ -163,14 +159,7 @@ def _enforce_dss(nfa: Nfa, notion: str) -> EnforcementOutcome:
     disabled: set[Transition] = set()
     for _ in range(len(current.controllable_transitions) + 2):
         cc = cc_dss(current)
-        sources = cc.secret_initials if notion == SISO else cc.initials
-        if notion == SCSO:
-            bad = {s for s in cc.empty_states if s.left in current.secret}
-        elif notion == SISO:
-            reachable = cc_observable_costs(cc, sources)
-            bad = {s for s in cc.empty_states if s in reachable}
-        else:
-            bad = set(cc.empty_states)
+        sources, bad, _ = _dss_offenders(cc, notion)
         if not bad:
             return Enforced(frozenset(disabled), current)
         offending = cc_shortest_path(cc, sources, bad, uncontrollable_only=True)

@@ -42,10 +42,11 @@ class TooLarge(OpacityError):
 
 
 class ParseError(OpacityError):
-    """Model document is not syntactically valid. Carries 1-based line/column."""
+    """Model document is not valid. Carries the 1-based line/column of a
+    syntax error; 0/0 for a structural error, whose message names the entry."""
 
     def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
+        super().__init__(f"{message} (line {line}, column {col})" if line else message)
         self.line = line
         self.col = col
 

@@ -9,8 +9,9 @@ The model document is JSON shaped:
       "transitions": [{"from": "0", "event": "a", "to": "1"}, ...]
     }
 
-Flags default to secret=false, initial=false, observable=true,
-controllable=true. Every transition endpoint and event name must be declared.
+Flags are JSON booleans and default to secret=false, initial=false,
+observable=true, controllable=true. Every transition endpoint and event name
+must be declared.
 Graph export emits deterministic DOT text: one node line per state carrying
 its annotations, one edge line per ordered state pair with all its event
 labels merged (self-loops included), nodes and edges in canonical order.
@@ -30,20 +31,37 @@ MODEL_VERSION = 1
 
 
 def _structural(message: str) -> ParseError:
-    # A structurally malformed (but syntactically valid) document; position unknown.
+    # A structurally malformed (but syntactically valid) document; the message
+    # names the offending entry by its JSON path, as position is unknown.
     return ParseError(message, 0, 0)
 
 
-def _coerce_id(value, where: str) -> str:
+def _field_id(entry: dict, key: str, section: str, i: int) -> str:
+    value = entry[key]
     if isinstance(value, str):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    raise _structural(f"{where} must be a string (or integer) identifier")
+    raise _structural(f"{section}[{i}].{key} must be a string (or integer) identifier")
+
+
+def _flag(entry: dict, key: str, default: bool, section: str, i: int) -> bool:
+    value = entry.get(key, default)
+    if not isinstance(value, bool):
+        raise _structural(f"{section}[{i}].{key} must be true or false, not {json.dumps(value)}")
+    return value
+
+
+def _entries(doc: dict, section: str) -> list:
+    entries = doc.get(section, [])
+    if not isinstance(entries, list):
+        raise _structural(f"{section} must be a list")
+    return entries
 
 
 def parse_model(text: Union[bytes, str]) -> Nfa:
-    """Parse and validate a model document into an automaton."""
+    """Parse and validate a model document into an automaton; a structural
+    error names the offending entry by its path, e.g. ``states[3].secret``."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
@@ -53,53 +71,52 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
     if not isinstance(doc, dict):
         raise _structural("top level must be an object")
     version = doc.get("version", MODEL_VERSION)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise _structural("version must be an integer")
+    if type(version) is not int or version != MODEL_VERSION:
+        raise _structural(f"version must be {MODEL_VERSION}, not {json.dumps(version)}")
 
     raw_states = doc.get("states")
     if not isinstance(raw_states, list) or not raw_states:
         raise EmptyModel("model declares no states")
-    states, initial, secret = [], set(), set()
-    for entry in raw_states:
+    states, initial, secret = set(), set(), set()
+    for i, entry in enumerate(raw_states):
         if not isinstance(entry, dict) or "id" not in entry:
-            raise _structural("each state needs an 'id'")
-        sid = _coerce_id(entry["id"], "state id")
+            raise _structural(f"states[{i}] needs an 'id'")
+        sid = _field_id(entry, "id", "states", i)
         if sid in states:
-            raise InvalidState(f"state declared twice: {sid!r}")
-        states.append(sid)
-        if entry.get("initial", False):
+            raise InvalidState(f"state declared twice: {sid!r} (states[{i}])")
+        states.add(sid)
+        if _flag(entry, "initial", False, "states", i):
             initial.add(sid)
-        if entry.get("secret", False):
+        if _flag(entry, "secret", False, "states", i):
             secret.add(sid)
 
     alphabet = []
     seen_events = set()
-    for entry in doc.get("events", []):
+    for i, entry in enumerate(_entries(doc, "events")):
         if not isinstance(entry, dict) or "name" not in entry:
-            raise _structural("each event needs a 'name'")
-        name = _coerce_id(entry["name"], "event name")
+            raise _structural(f"events[{i}] needs a 'name'")
+        name = _field_id(entry, "name", "events", i)
         if name in seen_events:
-            raise InvalidEvent(f"event declared twice: {name!r}")
+            raise InvalidEvent(f"event declared twice: {name!r} (events[{i}])")
         seen_events.add(name)
         alphabet.append(
             Event(
                 name=name,
-                observable=bool(entry.get("observable", True)),
-                controllable=bool(entry.get("controllable", True)),
+                observable=_flag(entry, "observable", True, "events", i),
+                controllable=_flag(entry, "controllable", True, "events", i),
             )
         )
 
     transitions = set()
-    known = set(states)
-    for entry in doc.get("transitions", []):
+    for i, entry in enumerate(_entries(doc, "transitions")):
         if not isinstance(entry, dict) or not {"from", "event", "to"} <= entry.keys():
-            raise _structural("each transition needs 'from', 'event' and 'to'")
-        src = _coerce_id(entry["from"], "transition source")
-        dst = _coerce_id(entry["to"], "transition target")
-        name = _coerce_id(entry["event"], "transition event")
-        if src not in known:
+            raise _structural(f"transitions[{i}] needs 'from', 'event' and 'to'")
+        src = _field_id(entry, "from", "transitions", i)
+        dst = _field_id(entry, "to", "transitions", i)
+        name = _field_id(entry, "event", "transitions", i)
+        if src not in states:
             raise UnknownReference(src, kind="state")
-        if dst not in known:
+        if dst not in states:
             raise UnknownReference(dst, kind="state")
         if name not in seen_events:
             raise UnknownReference(name, kind="event")

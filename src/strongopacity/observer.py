@@ -61,7 +61,7 @@ class Observer:
 
 
 def _close_and_explore(nfa: Nfa, initials: list[Estimate]) -> Observer:
-    observable = sorted(nfa.observable_events, key=natural_key)
+    observable = nfa.observable_events
     delta: dict[tuple[Estimate, str], Estimate] = {}
     seen: set[Estimate] = set(initials)
     todo = deque(initials)

@@ -46,7 +46,7 @@ class BoundedRunSet:
     @classmethod
     def enumerate(cls, nfa: Nfa, cap: int) -> "BoundedRunSet":
         runs: list[Run] = []
-        stack = [Run(start=x) for x in sorted(nfa.initial, key=natural_key)]
+        stack = [Run(start=x) for x in nfa.initial]
         while stack:
             run = stack.pop()
             runs.append(run)
@@ -62,22 +62,22 @@ def _unobservable_edges(nfa: Nfa) -> list[tuple[str, str]]:
     return [(src, dst) for src, event, dst in nfa.transitions if event in unobs]
 
 
-def _has_cycle(states: Iterable[str], edges: list[tuple[str, str]]) -> bool:
+def _topological_order(states: Iterable[str], edges: list[tuple[str, str]]) -> list[str] | None:
+    """The states with every edge going forward (Kahn's algorithm), or None
+    when the edges form a cycle. Iterative, so chains of any length work."""
+    states = set(states)
     adjacency: dict[str, list[str]] = {}
+    indegree = dict.fromkeys(states, 0)
     for src, dst in edges:
         adjacency.setdefault(src, []).append(dst)
-    color: dict[str, int] = {}
-
-    def visit(x: str) -> bool:
-        color[x] = 1
+        indegree[dst] += 1
+    order = [x for x, n in indegree.items() if n == 0]
+    for x in order:  # grows while it is walked
         for y in adjacency.get(x, ()):
-            c = color.get(y, 0)
-            if c == 1 or (c == 0 and visit(y)):
-                return True
-        color[x] = 2
-        return False
-
-    return any(color.get(x, 0) == 0 and visit(x) for x in states)
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                order.append(y)
+    return order if len(order) == len(states) else None
 
 
 def _longest_chain(states: Iterable[str], edges: list[tuple[str, str]]) -> int:
@@ -85,15 +85,10 @@ def _longest_chain(states: Iterable[str], edges: list[tuple[str, str]]) -> int:
     adjacency: dict[str, list[str]] = {}
     for src, dst in edges:
         adjacency.setdefault(src, []).append(dst)
-    memo: dict[str, int] = {}
-
-    def depth(x: str) -> int:
-        if x not in memo:
-            memo[x] = 0  # pre-mark; the subgraph is acyclic so this never reads back
-            memo[x] = max((1 + depth(y) for y in adjacency.get(x, ())), default=0)
-        return memo[x]
-
-    return max((depth(x) for x in states), default=0)
+    depth: dict[str, int] = {}
+    for x in reversed(_topological_order(states, edges)):
+        depth[x] = max((1 + depth[y] for y in adjacency.get(x, ())), default=0)
+    return max(depth.values(), default=0)
 
 
 def certified_horizon(nfa: Nfa, cap: int) -> Optional[int]:
@@ -103,10 +98,10 @@ def certified_horizon(nfa: Nfa, cap: int) -> Optional[int]:
     most ``cap`` transitions), so no horizon restriction applies at all.
     """
     unobs = _unobservable_edges(nfa)
-    if _has_cycle(nfa.states, unobs):
+    if _topological_order(nfa.states, unobs) is None:
         raise OracleUnsound("unobservable transition cycle; bounded enumeration undecidable")
     all_edges = [(src, dst) for src, _, dst in nfa.transitions]
-    if not _has_cycle(nfa.states, all_edges) and cap >= max(len(nfa.states) - 1, 0):
+    if _topological_order(nfa.states, all_edges) is not None and cap >= max(len(nfa.states) - 1, 0):
         return None
     chain = _longest_chain(nfa.states, unobs)
     horizon = None
@@ -213,6 +208,16 @@ def oracle_inf_sso(nfa: Nfa, cap: int) -> bool:
     return True
 
 
+# Each notion's oracle as (subsystem, cap, K); K is read by k-sso only.
+_ORACLES = {
+    "k-sso": lambda sub, cap, k: oracle_k_sso(sub, k, cap),
+    "cso": lambda sub, cap, k: oracle_k_sso(sub, 0, cap),
+    "scso": lambda sub, cap, k: oracle_scso(sub, cap),
+    "siso": lambda sub, cap, k: oracle_siso(sub, cap),
+    "inf-sso": lambda sub, cap, k: oracle_inf_sso(sub, cap),
+}
+
+
 def oracle_enforceable(
     nfa: Nfa, notion: str, cap: int, k: int | None = None
 ) -> Optional[frozenset[Transition]]:
@@ -225,22 +230,13 @@ def oracle_enforceable(
     )
     if len(candidates) > MAX_ENFORCEMENT_CHOICES:
         raise TooLarge(f"{len(candidates)} controllable transitions; refusing enumeration")
-    if notion == "k-sso":
-        if k is None:
-            raise ValueError("k-sso enforcement search needs K")
-        check = lambda sub: oracle_k_sso(sub, k, cap)
-    elif notion == "cso":
-        check = lambda sub: oracle_k_sso(sub, 0, cap)
-    elif notion == "scso":
-        check = lambda sub: oracle_scso(sub, cap)
-    elif notion == "siso":
-        check = lambda sub: oracle_siso(sub, cap)
-    elif notion == "inf-sso":
-        check = lambda sub: oracle_inf_sso(sub, cap)
-    else:
+    if notion not in _ORACLES:
         raise ValueError(f"unknown notion: {notion!r}")
+    if notion == "k-sso" and k is None:
+        raise ValueError("k-sso enforcement search needs K")
+    check = _ORACLES[notion]
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            if check(disable_transitions(acc, combo)):
+            if check(disable_transitions(acc, combo), cap, k):
                 return frozenset(combo)
     return None

@@ -2,25 +2,30 @@
 
 Costs are (observable length, transition count) pairs added componentwise and
 compared lexicographically, so a minimal path is shortest by observable steps
-first and by transition count second. Ties between equally cheap paths are
-broken by natural state-name order, which pins witness extraction to a single
-reproducible answer.
+first and by transition count second.
+
+There is one search, ``cc_observable_costs``; it visits states in whatever
+order the unordered indexes give. A path is read back from its cost map: the
+cheapest target, ties by ``sort_key()``, then at each step the cheapest
+in-edge least by (predecessor ``sort_key()``, event name in natural order).
+Neither rule depends on visit order, so witnesses are reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable
 
 from .automaton import Run, natural_key
-from .composition import CcAutomaton, CcState, CcTransition
+from .composition import CcAutomaton, CcEvent, CcState, CcTransition
 
 Cost = tuple[int, int]
 
 
-def _edge_cost(observable: bool) -> Cost:
-    return (1, 1) if observable else (0, 1)
+def _plus(cost: Cost, event: CcEvent) -> Cost:
+    return (cost[0] + 1, cost[1] + 1) if event.observable else (cost[0], cost[1] + 1)
 
 
 def cc_observable_costs(
@@ -37,26 +42,28 @@ def cc_observable_costs(
     is uncontrollable.
     """
     dist: dict[CcState, Cost] = {}
-    heap: list[tuple[Cost, tuple, CcState]] = []
+    # Heap ties are broken by insertion order: the cost map does not depend
+    # on which of two equally cheap states is settled first.
+    order = count()
+    heap: list[tuple[Cost, int, CcState]] = []
     for s in sources:
         if s in cc.states and s not in dist:
             dist[s] = (0, 0)
-            heapq.heappush(heap, ((0, 0), s.sort_key(), s))
+            heapq.heappush(heap, ((0, 0), next(order), s))
     adjacency = cc.by_target if backward else cc.by_source
     while heap:
         cost, _, here = heapq.heappop(heap)
-        if cost > dist.get(here, cost):
+        if cost > dist[here]:
             continue
         for first, second in adjacency.get(here, ()):
             event = second if backward else first
             nxt = first if backward else second
             if uncontrollable_only and cc.left.is_controllable(event.left_event):
                 continue
-            step = _edge_cost(event.observable)
-            nc = (cost[0] + step[0], cost[1] + step[1])
+            nc = _plus(cost, event)
             if nxt not in dist or nc < dist[nxt]:
                 dist[nxt] = nc
-                heapq.heappush(heap, (nc, nxt.sort_key(), nxt))
+                heapq.heappush(heap, (nc, next(order), nxt))
     return dist
 
 
@@ -73,9 +80,6 @@ class CcPath:
     def end(self) -> CcState:
         return self.edges[-1][2] if self.edges else self.start
 
-    def observable_length(self) -> int:
-        return sum(1 for _, event, _ in self.edges if event.observable)
-
     def to_run(self) -> Run:
         return Run(
             start=self.start.name,
@@ -87,6 +91,38 @@ class CcPath:
             start=self.start.left,
             steps=tuple((event.left_event, dst.left) for _, event, dst in self.edges),
         )
+
+
+def _walk_back(
+    cc: CcAutomaton,
+    dist: dict[CcState, Cost],
+    targets: Iterable[CcState],
+    *,
+    uncontrollable_only: bool = False,
+) -> CcPath | None:
+    """The canonical cheapest path to any of ``targets``, read from the cost
+    map ``dist`` that ``cc_observable_costs`` returned for the same sources
+    and transition filter. None when no target is in the map."""
+    hit = [t for t in targets if t in dist]
+    if not hit:
+        return None
+    here = min(hit, key=lambda t: (dist[t], t.sort_key()))
+    edges: list[CcTransition] = []
+    while dist[here] != (0, 0):  # every transition costs, so only sources are free
+        cost = dist[here]
+        best = None
+        for pred, event in cc.by_target[here]:
+            if uncontrollable_only and cc.left.is_controllable(event.left_event):
+                continue
+            if pred not in dist or _plus(dist[pred], event) != cost:
+                continue
+            tie = (pred.sort_key(), natural_key(event.name))
+            if best is None or tie < best[0]:
+                best = (tie, (pred, event, here))
+        edges.append(best[1])
+        here = best[1][0]
+    edges.reverse()
+    return CcPath(start=here, edges=tuple(edges))
 
 
 def cc_shortest_path(
@@ -101,41 +137,5 @@ def cc_shortest_path(
     Returns None when no target is reachable (under the transition filter).
     An empty path is returned when a source is itself a target.
     """
-    targets = set(targets)
-    dist: dict[CcState, Cost] = {}
-    parent: dict[CcState, tuple[tuple, CcTransition] | None] = {}
-    heap: list[tuple[Cost, tuple, CcState]] = []
-    for s in sorted(set(sources), key=CcState.sort_key):
-        if s in cc.states:
-            dist[s] = (0, 0)
-            parent[s] = None
-            heapq.heappush(heap, ((0, 0), s.sort_key(), s))
-    while heap:
-        cost, _, here = heapq.heappop(heap)
-        if cost > dist.get(here, cost):
-            continue
-        for event, nxt in cc.by_source.get(here, ()):
-            if uncontrollable_only and cc.left.is_controllable(event.left_event):
-                continue
-            step = _edge_cost(event.observable)
-            nc = (cost[0] + step[0], cost[1] + step[1])
-            tie = (here.sort_key(), natural_key(event.name))
-            if nxt not in dist or nc < dist[nxt]:
-                dist[nxt] = nc
-                parent[nxt] = (tie, (here, event, nxt))
-                heapq.heappush(heap, (nc, nxt.sort_key(), nxt))
-            elif nc == dist[nxt] and parent.get(nxt) is not None:
-                if tie < parent[nxt][0]:
-                    parent[nxt] = (tie, (here, event, nxt))
-    hit = [t for t in targets if t in dist]
-    if not hit:
-        return None
-    goal = min(hit, key=lambda t: (dist[t], t.sort_key()))
-    edges: list[CcTransition] = []
-    here = goal
-    while parent[here] is not None:
-        edge = parent[here][1]
-        edges.append(edge)
-        here = edge[0]
-    edges.reverse()
-    return CcPath(start=here, edges=tuple(edges))
+    dist = cc_observable_costs(cc, sources, uncontrollable_only=uncontrollable_only)
+    return _walk_back(cc, dist, targets, uncontrollable_only=uncontrollable_only)

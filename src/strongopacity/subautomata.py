@@ -39,19 +39,7 @@ def nonsecret_subautomaton(nfa: Nfa, obs: Observer) -> tuple[Nfa, frozenset[froz
     """
     classes = classify_estimates(obs, nfa.secret)
     hybrid = [q for q, c in classes.items() if c is EstimateClass.HYBRID]
-    roots = frozenset(x for q in hybrid for x in q if x not in nfa.secret)
-    kept = nfa.nonsecret
-    pruned = accessible_part(
-        Nfa(
-            states=kept,
-            alphabet=nfa.alphabet,
-            transitions=frozenset(
-                t for t in nfa.transitions if t[0] in kept and t[2] in kept
-            ),
-            initial=roots,
-            secret=frozenset(),
-        )
-    )
+    pruned = _without_secrets(nfa, frozenset(x for q in hybrid for x in q if x not in nfa.secret))
     seeds = set()
     for q in hybrid:
         seed = frozenset(q) & pruned.states - nfa.secret
@@ -62,15 +50,19 @@ def nonsecret_subautomaton(nfa: Nfa, obs: Observer) -> tuple[Nfa, frozenset[froz
 
 def dss_subautomaton(nfa: Nfa) -> Nfa:
     """Delete all secret states and restart from the non-secret initial states."""
+    return _without_secrets(nfa, nfa.nonsecret_initial)
+
+
+def _without_secrets(nfa: Nfa, initial: frozenset[str]) -> Nfa:
+    """The accessible part, from ``initial``, of ``nfa`` with every secret
+    state and every transition touching one deleted."""
     kept = nfa.nonsecret
     return accessible_part(
         Nfa(
             states=kept,
             alphabet=nfa.alphabet,
-            transitions=frozenset(
-                t for t in nfa.transitions if t[0] in kept and t[2] in kept
-            ),
-            initial=nfa.nonsecret_initial,
+            transitions=frozenset(t for t in nfa.transitions if t[0] in kept and t[2] in kept),
+            initial=initial,
             secret=frozenset(),
         )
     )

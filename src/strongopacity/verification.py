@@ -12,7 +12,8 @@ component, an empty-estimate state reachable from a secret initial pair, or
 any empty-estimate state at all, respectively.
 
 Negative verdicts carry one shortest leaking run (observable length first,
-then transition count, ties by state-name order).
+then transition count, ties by state-name order). The current-state witness
+is a breadth-first observer path instead, ties going to the first discovered.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automaton import Nfa, Run, accessible_part
-from .composition import CcAutomaton, CcState, cc_dss, cc_hat
-from .observer import EstimateClass, classify_estimates, estimate_name, subset_construction
-from .search import cc_observable_costs, cc_shortest_path
+from .composition import CcAutomaton, CcState, _cc_hat, cc_dss
+from .observer import EstimateClass, Observer, classify_estimates, estimate_name, subset_construction
+from .search import _walk_back, cc_observable_costs, cc_shortest_path
 from .subautomata import initial_secret_subautomaton
 
 K_SSO = "k-sso"
@@ -31,8 +32,6 @@ CSO = "cso"
 SCSO = "scso"
 SISO = "siso"
 INF_SSO = "inf-sso"
-
-NOTIONS = (K_SSO, CSO, SCSO, SISO, INF_SSO)
 
 
 @dataclass(frozen=True)
@@ -67,27 +66,28 @@ def observational_reach_within(cc: CcAutomaton, budget: int) -> dict[CcState, in
     return {s: c[0] for s, c in costs.items() if c[0] <= budget}
 
 
-def _observer_witness(nfa: Nfa, offenders: list) -> Run:
-    """Deterministic shortest observer path from the initial estimate to the
-    nearest all-secret estimate."""
-    obs = subset_construction(nfa)
+def _cso_witness(obs: Observer, secret: frozenset[str]) -> Run | None:
+    """Breadth-first observer path from the initial estimate to the nearest
+    all-secret estimate (ties by estimate), each step the one on which the
+    search first discovered its estimate; None when no estimate is all-secret."""
+    classes = classify_estimates(obs, secret)
+    offenders = [q for q, c in classes.items() if c is EstimateClass.SECRET]
+    if not offenders:
+        return None
     (start,) = obs.initials
-    adjacency: dict = {}
-    for q1, event, q2 in obs.sorted_edges():
-        adjacency.setdefault(q1, []).append((event, q2))
     parent = {start: None}
     order = {start: 0}
     todo = deque([start])
     while todo:
         q = todo.popleft()
-        for event, q2 in adjacency.get(q, ()):
-            if q2 in parent:
+        for event in obs.events:  # natural order, as the alphabet is kept
+            q2 = obs.step(q, event.name)
+            if q2 is None or q2 in parent:
                 continue
-            parent[q2] = (q, event)
+            parent[q2] = (q, event.name)
             order[q2] = order[q] + 1
             todo.append(q2)
-    reached = [q for q in offenders if q in parent]
-    goal = min(reached, key=lambda q: (order[q], q))
+    goal = min((q for q in offenders if q in parent), key=lambda q: (order[q], q))
     steps = []
     here = goal
     while parent[here] is not None:
@@ -103,12 +103,8 @@ def verify_cso(nfa: Nfa) -> Verdict:
     acc = accessible_part(nfa)
     if not acc.initial:
         return Verdict(True, CSO)
-    obs = subset_construction(acc)
-    classes = classify_estimates(obs, acc.secret)
-    offenders = sorted(q for q, c in classes.items() if c is EstimateClass.SECRET)
-    if not offenders:
-        return Verdict(True, CSO)
-    return Verdict(False, CSO, witness=_observer_witness(acc, offenders))
+    witness = _cso_witness(subset_construction(acc), acc.secret)
+    return Verdict(witness is None, CSO, witness=witness)
 
 
 def verify_k_sso(nfa: Nfa, k: int) -> Verdict:
@@ -118,17 +114,29 @@ def verify_k_sso(nfa: Nfa, k: int) -> Verdict:
     acc = accessible_part(nfa)
     if not acc.initial:
         return Verdict(True, K_SSO, k)
-    pre = verify_cso(acc)
-    if not pre.opaque:
-        return Verdict(False, K_SSO, k, witness=pre.witness)
-    cc = cc_hat(acc)
+    obs = subset_construction(acc)
+    witness = _cso_witness(obs, acc.secret)
+    if witness is not None:
+        return Verdict(False, K_SSO, k, witness=witness)
+    cc = _cc_hat(acc, obs)
     budget = min(k, effective_k_bound(acc))
-    reach = observational_reach_within(cc, budget)
-    bad = [s for s in reach if s.is_empty]
+    costs = cc_observable_costs(cc, cc.initials)
+    bad = [s for s, c in costs.items() if s.is_empty and c[0] <= budget]
     if not bad:
         return Verdict(True, K_SSO, k)
-    path = cc_shortest_path(cc, cc.initials, bad)
-    return Verdict(False, K_SSO, k, witness=path.to_run())
+    return Verdict(False, K_SSO, k, witness=_walk_back(cc, costs, bad).to_run())
+
+
+def _dss_offenders(cc: CcAutomaton, notion: str):
+    """The sources and the offending empty-estimate states of ``notion`` in a
+    deleted-secret-states composition, plus, for siso, the sources' cost map
+    (reachability from the secret initials decides which states offend)."""
+    if notion == SISO:
+        costs = cc_observable_costs(cc, cc.secret_initials)
+        return cc.secret_initials, {s for s in cc.empty_states if s in costs}, costs
+    if notion == SCSO:
+        return cc.initials, {s for s in cc.empty_states if s.left in cc.left.secret}, None
+    return cc.initials, set(cc.empty_states), None
 
 
 def _dss_verdict(nfa: Nfa, notion: str) -> Verdict:
@@ -136,17 +144,10 @@ def _dss_verdict(nfa: Nfa, notion: str) -> Verdict:
     if not acc.initial:
         return Verdict(True, notion)
     cc = cc_dss(acc)
-    sources = cc.secret_initials if notion == SISO else cc.initials
-    if notion == SCSO:
-        bad = {s for s in cc.empty_states if s.left in acc.secret}
-    elif notion == SISO:
-        reachable = cc_observable_costs(cc, sources)
-        bad = {s for s in cc.empty_states if s in reachable}
-    else:
-        bad = cc.empty_states
+    sources, bad, costs = _dss_offenders(cc, notion)
     if not bad:
         return Verdict(True, notion)
-    path = cc_shortest_path(cc, sources, bad)
+    path = cc_shortest_path(cc, sources, bad) if costs is None else _walk_back(cc, costs, bad)
     return Verdict(False, notion, witness=path.to_run())
 
 

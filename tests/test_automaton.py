@@ -12,9 +12,21 @@ from strongopacity import (
     natural_projection,
     unobservable_reach,
 )
+from strongopacity.automaton import natural_key, sort_states
 from strongopacity.subautomata import dss_subautomaton
 
 from conftest import build_nfa
+
+
+class TestNaturalOrder:
+    def test_digit_runs_compare_numerically(self):
+        assert sort_states(["10", "2", "a10", "a2", "b"]) == ["2", "10", "a2", "a10", "b"]
+
+    def test_total_order(self):
+        # names equal as numbers still get distinct keys, raw text deciding
+        assert sort_states(["1", "01"]) == sort_states(["01", "1"]) == ["01", "1"]
+        assert sort_states(["a1", "a01"]) == sort_states(["a01", "a1"])
+        assert natural_key("1") != natural_key("01")
 
 
 class TestNaturalProjection:

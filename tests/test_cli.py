@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ DELAYED = str(MODELS / "delayed_leak.json")
 TWO_INITIALS = str(MODELS / "two_initials.json")
 UNFIXABLE = str(MODELS / "unfixable_two_step.json")
 K_SAFE = str(MODELS / "k_safe_not_inf.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestVerifyCommand:
@@ -147,3 +152,67 @@ class TestBoundCommand:
         assert run_cli(["verify", "--notion", "scso", TWO_INITIALS]) == 1
         assert run_cli(["bogus"]) == 2
         capsys.readouterr()
+
+
+ZERO_PADDED = str(MODELS / "zero_padded.json")
+
+# Runs every command on the zero-padded model in one process and prints what
+# each printed and wrote, so two hash seeds can be compared.
+_HASH_PROBE = """
+import contextlib, io, sys
+from strongopacity.cli import run_cli
+model, dot = sys.argv[1], sys.argv[2]
+for argv in (
+    ["verify", "--notion", "cso", model],
+    ["verify", "--notion", "scso", model],
+    ["verify", "--notion", "inf-sso", model],
+    ["verify", "--notion", "k-sso", "--k", "1", model],
+    ["enforce", "--notion", "inf-sso", model],
+    ["export", "--structure", "cc-dss", model, "--out", dot],
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_cli(argv)
+    print(argv[:3], code, out.getvalue())
+print(open(dot, encoding="utf-8").read())
+"""
+
+
+class TestHashSeedIndependence:
+    """State names that differ only by leading zeros ('1' and '01') have
+    distinct natural-order keys, so no output depends on set iteration order."""
+
+    def _probe(self, hash_seed: str, tmp_path) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_PROBE, ZERO_PADDED, str(tmp_path / f"{hash_seed}.dot")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        return done.stdout
+
+    def test_outputs_identical_under_hash_seeds(self, tmp_path):
+        first = self._probe("0", tmp_path)
+        assert "['verify', '--notion', 'cso'] 1 NOT OPAQUE\nwitness: {0} -(a)-> {01,1}" in first
+        assert "['verify', '--notion', 'scso'] 1 NOT OPAQUE" in first
+        for hash_seed in ("1", "2", "3", "4", "5"):
+            assert self._probe(hash_seed, tmp_path) == first, f"PYTHONHASHSEED={hash_seed}"
+
+    def test_no_crash_on_tied_names(self, capsys):
+        assert run_cli(["verify", "--notion", "scso", ZERO_PADDED]) == 1
+        assert run_cli(["verify", "--notion", "inf-sso", ZERO_PADDED]) == 1
+        assert run_cli(["enforce", "--notion", "inf-sso", ZERO_PADDED]) in (0, 1)
+        out = capsys.readouterr().out
+        assert out.count("witness: (0,{0}) -((a,a))-> ") == 2
+
+
+class TestNotionOption:
+    def test_choices_and_usage_unchanged(self, capsys):
+        for command in ("verify", "enforce"):
+            assert run_cli([command, "--help"]) == 0
+            usage = capsys.readouterr().out
+            assert "--notion {k-sso,cso,scso,siso,inf-sso}" in usage

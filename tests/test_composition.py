@@ -33,7 +33,8 @@ def sample_paths(cc, rng, count=40, length=6):
         here = rng.choice(initials)
         path = []
         for _ in range(rng.randint(0, length)):
-            options = cc.by_source.get(here, ())
+            # the index is unordered; sort so the seeded walk is reproducible
+            options = sorted(cc.by_source.get(here, ()), key=lambda p: (p[0].name, p[1].sort_key()))
             if not options:
                 break
             event, nxt = rng.choice(options)

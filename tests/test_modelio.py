@@ -1,5 +1,7 @@
 import io
 import json
+import re
+import time
 
 import pytest
 
@@ -104,6 +106,49 @@ class TestParseModel:
         for payload in (b"[]", b'{"states": [{}]}', b'{"states": [{"id": "x"}], "version": "one"}'):
             with pytest.raises((ParseError, EmptyModel)):
                 parse_model(payload)
+
+
+    @pytest.mark.parametrize(
+        "entry, path",
+        [
+            ('"states": [{"id": "x", "secret": "false"}]', "states[0].secret"),
+            ('"states": [{"id": "x"}, {"id": "y", "initial": 1}]', "states[1].initial"),
+            ('"states": [{"id": "x"}], "events": [{"name": "a", "observable": "false"}]', "events[0].observable"),
+            ('"states": [{"id": "x"}], "events": [{"name": "a", "controllable": null}]', "events[0].controllable"),
+        ],
+    )
+    def test_non_boolean_flag_rejected(self, entry, path):
+        with pytest.raises(ParseError, match="^" + re.escape(path) + " must be true or false"):
+            parse_model("{" + entry + "}")
+
+    @pytest.mark.parametrize("version", ["99", "0", "true", "1.0", '"1"'])
+    def test_unsupported_version_rejected(self, version):
+        with pytest.raises(ParseError, match="version must be 1"):
+            parse_model('{"version": ' + version + ', "states": [{"id": "x"}]}')
+
+    def test_structural_error_names_entry(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_model('{"states": [{"id": "x"}, {"id": "y"}, {"id": "z"}, {"id": ["w"]}]}')
+        assert str(excinfo.value) == "states[3].id must be a string (or integer) identifier"
+        with pytest.raises(ParseError, match=r"^transitions\[0\] needs 'from'"):
+            parse_model('{"states": [{"id": "x"}], "transitions": [{"from": "x"}]}')
+
+    @pytest.mark.parametrize("field", ["events", "transitions"])
+    def test_non_list_section_rejected(self, field):
+        with pytest.raises(ParseError, match=f"{field} must be a list"):
+            parse_model('{"states": [{"id": "x"}], "' + field + '": null}')
+
+    def test_many_states_parse_in_linear_time(self):
+        # a list membership check per state made this quadratic: about 25x
+        # the time of json.loads at 6,000 states, and growing with the count
+        n = 20000
+        text = json.dumps({"states": [{"id": str(i)} for i in range(n)]})
+        start = time.perf_counter()
+        json.loads(text)
+        baseline = time.perf_counter() - start
+        start = time.perf_counter()
+        assert len(parse_model(text).states) == n
+        assert time.perf_counter() - start < 30 * baseline + 0.5
 
 
 class TestRoundTrip:

@@ -55,6 +55,19 @@ class TestCertifiedHorizon:
     def test_cyclic_system_gets_finite_horizon(self, delayed_leak):
         assert certified_horizon(delayed_leak, 12) == 5
 
+    def test_long_unobservable_chain(self):
+        # 3,000 states chained by an unobservable event: the cycle check and
+        # the longest-chain measure must not recurse once per state.
+        n = 3000
+        states = [str(i) for i in range(n)]
+        chain = [(states[i], "u", states[i + 1]) for i in range(n - 1)]
+        acyclic = build_nfa(states, ["a", "u"], chain, ["0"], [], unobservable=["u"])
+        assert certified_horizon(acyclic, n) is None
+        looping = acyclic.replace(transitions=frozenset(chain + [(states[-1], "a", states[-1])]))
+        assert certified_horizon(looping, 2 * n) == 1  # 1 + 2 * 2999 <= 6000 < 2 + 3 * 2999
+        with pytest.raises(OracleUnsound):
+            certified_horizon(looping, n - 2)  # the chain alone needs n - 1
+
     def test_too_small_cap_is_unsound(self, k_safe_not_inf):
         # longest unobservable chain is 2, so even a zero-length observation
         # needs three transitions of room
