@@ -7,6 +7,11 @@ function of its inputs, so everything here is safe to share across threads.
 The adjacency indexes (``by_source``/``by_target``) are unordered. Order is
 applied only where something is output or a tie is broken: ``natural_key``,
 ``sorted_states`` and ``sorted_transitions``.
+
+Each ``Nfa`` also caches a private dense index (``_dense``): its states
+numbered in natural order, and per state bitmasks over those numbers for its
+unobservable reach and its reach-closed successors under each observable
+event. The observer and the product run on it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidEvent, InvalidState, UncontrollableCut
 
@@ -205,14 +210,111 @@ class Nfa:
         fields.update(changes)
         return Nfa(**fields)
 
+    @cached_property
+    def _dense(self) -> "_Dense":
+        return _dense_index(self)
+
     def sorted_states(self) -> list[str]:
-        return sort_states(self.states)
+        return list(self._dense.order)
 
     def sorted_transitions(self) -> list[Transition]:
-        return sorted(
-            self.transitions,
-            key=lambda t: (natural_key(t[0]), natural_key(t[1]), natural_key(t[2])),
-        )
+        # Dense positions and alphabet positions are natural-order ranks.
+        rank = self._dense.position
+        event_rank = {e.name: i for i, e in enumerate(self.alphabet)}
+        return sorted(self.transitions, key=lambda t: (rank[t[0]], event_rank[t[1]], rank[t[2]]))
+
+
+class _Dense(NamedTuple):
+    """The states of an ``Nfa`` numbered in natural order, and its relations
+    as bitmasks over those numbers (bit ``i`` stands for ``order[i]``).
+
+    ``reach[i]`` is the unobservable reach of state ``i``. For an observable
+    ``sigma``, ``step[sigma][i]`` is the unobservable reach of the
+    ``sigma``-successors of state ``i``; one observer step from an estimate
+    is the OR of ``step[sigma]`` over the estimate's bits.
+    """
+
+    order: tuple[str, ...]
+    position: dict[str, int]
+    reach: list[int]
+    step: dict[str, list[int]]
+
+
+def _dense_index(nfa: Nfa) -> _Dense:
+    order = tuple(sort_states(nfa.states))
+    position = {x: i for i, x in enumerate(order)}
+    by_source = nfa.by_source
+    moves = [by_source[x] for x in order]
+    unobs = nfa.unobservable_events
+    silent = [[position[dst] for event, dst in pairs if event in unobs] for pairs in moves]
+    reach = _closures(silent)
+    step = {e.name: [0] * len(order) for e in nfa.alphabet if e.observable}
+    for i, pairs in enumerate(moves):
+        for event, dst in pairs:
+            row = step.get(event)
+            if row is not None:
+                row[i] |= reach[position[dst]]
+    return _Dense(order, position, reach, step)
+
+
+def _closures(edges: list[list[int]]) -> list[int]:
+    """Per node ``i`` of the graph ``edges`` (``edges[i]`` lists the targets
+    of ``i``), the bitmask of nodes reachable from ``i``, itself included.
+
+    Iterative Tarjan: a strongly connected component is closed once every
+    component it reaches is, so it shares one mask and each edge is read once
+    to find components and once to close them.
+    """
+    n = len(edges)
+    reach = [0] * n
+    number = [0] * n  # discovery number, 0 while unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        counter += 1
+        number[root] = low[root] = counter
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(edges[root]))]
+        while work:
+            x, todo = work[-1]
+            for y in todo:
+                if not number[y]:
+                    counter += 1
+                    number[y] = low[y] = counter
+                    stack.append(y)
+                    on_stack[y] = True
+                    work.append((y, iter(edges[y])))
+                    break
+                if on_stack[y] and number[y] < low[x]:
+                    low[x] = number[y]
+            else:
+                work.pop()
+                if work and low[x] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[x]
+                if low[x] != number[x]:
+                    continue
+                members = []
+                mask = 0
+                while True:
+                    y = stack.pop()
+                    on_stack[y] = False
+                    members.append(y)
+                    mask |= 1 << y
+                    if y == x:
+                        break
+                # Components reached from this one are closed already; this
+                # one's own members still read 0.
+                for y in members:
+                    for z in edges[y]:
+                        mask |= reach[z]
+                for y in members:
+                    reach[y] = mask
+    return reach
 
 
 def natural_projection(word: Iterable[str], alphabet: Iterable[Event]) -> tuple[str, ...]:

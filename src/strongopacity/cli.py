@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Sequence
 
 from .automaton import Nfa, Run, accessible_part, natural_key
@@ -127,11 +128,10 @@ def _print_verdict(verdict: Verdict) -> int:
 
 
 def _transition_lines(transitions) -> list[str]:
+    key = cache(natural_key)  # one key per distinct name
     return [
         f"{src} -{event}-> {dst}"
-        for src, event, dst in sorted(
-            transitions, key=lambda t: (natural_key(t[0]), natural_key(t[1]), natural_key(t[2]))
-        )
+        for src, event, dst in sorted(transitions, key=lambda t: (key(t[0]), key(t[1]), key(t[2])))
     ]
 
 

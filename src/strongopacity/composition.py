@@ -15,10 +15,13 @@ observer step collapses the estimate to the empty sink:
 A product state whose estimate has collapsed marks a leaking-secret run; the
 empty estimate is absorbing.
 
-The product is explored, and its ``by_source``/``by_target`` indexes are
-built, in no particular order; ``CcState.sort_key`` orders states only where
-they are output (``sorted_states``, ``sorted_transitions``) or where a
-witness tie is broken.
+The product is explored over int keys, a left state's dense natural-order
+position paired with an estimate's id in the observer's transition table, and
+renders each reached key into its public ``CcState`` once; states share the
+observer's estimate tuples and cache their hash. The exploration and the
+``by_source``/``by_target`` indexes are in no particular order;
+``CcState.sort_key`` orders states only where they are output
+(``sorted_states``, ``sorted_transitions``) or where a witness tie is broken.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .observer import (
     EstimateClass,
     Observer,
     classify_estimates,
-    make_estimate,
     multi_initial_observer,
     subset_construction,
 )
@@ -51,10 +53,23 @@ EPSILON_MARK = "ε"  # rendered silent right component
 
 @dataclass(frozen=True)
 class CcState:
-    """A product state: concrete state on the left, estimate (or None) on the right."""
+    """A product state: concrete state on the left, estimate (or None) on the right.
+
+    The hash is computed once, at construction; it is not pickled, so a
+    state loaded in another process hashes afresh.
+    """
 
     left: str
     right: Estimate | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (CcState, (self.left, self.right))
 
     @property
     def is_empty(self) -> bool:
@@ -134,19 +149,19 @@ class CcAutomaton:
         return sorted(self.states, key=CcState.sort_key)
 
     def sorted_transitions(self) -> list[CcTransition]:
+        keys = {s: s.sort_key() for s in self.states}
+        event_keys = {e: natural_key(e.name) for e in self.events}
         return sorted(
             self.transitions,
-            key=lambda t: (t[0].sort_key(), natural_key(t[1].name), t[2].sort_key()),
+            key=lambda t: (keys[t[0]], event_keys[t[1]], keys[t[2]]),
         )
 
     def state_names(self) -> frozenset[str]:
         return frozenset(s.name for s in self.states)
 
 
-def _paired_events(left: Nfa) -> frozenset[CcEvent]:
-    return frozenset(
-        CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet
-    )
+def _paired_events(left: Nfa) -> dict[str, CcEvent]:
+    return {e.name: CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet}
 
 
 def product(
@@ -162,6 +177,11 @@ def product(
     and ``empty_sink`` holds, and dropping the pair transition otherwise); an
     unobservable event moves the left side only. Once empty, the right side
     stays empty while the left moves freely.
+
+    The search runs over int keys: a left state's dense position and an
+    estimate's id in the observer's ``_table`` (0 for the empty estimate,
+    id + 1 otherwise). Each ``CcState`` and each ``CcEvent`` is created
+    once, and every state shares the observer's estimate tuples.
     """
     right_names = {e.name for e in right.events}
     if not right_names <= left.observable_events:
@@ -175,36 +195,58 @@ def product(
         if s.right is not None and s.right not in right.estimates:
             raise AlphabetMismatch(f"initial right component is not an estimate: {s.right}")
 
-    states: set[CcState] = set(initials)
-    transitions: set[CcTransition] = set()
-    todo = deque(states)
+    order, position = left._dense.order, left._dense.position
+    table = right._table
+    rights = [None] + table.estimates  # slot -> right component
+    steps = [None] + table.step  # slot -> event -> estimate id
+    events = _paired_events(left)
+    observable = left.observable_events
+    # Per left position: (paired event, observable event name or None, target position).
+    moves = [
+        [
+            (events[sigma], sigma if sigma in observable else None, position[dst])
+            for sigma, dst in left.by_source[x]
+        ]
+        for x in order
+    ]
+    width = len(rights)
+    states: dict[int, CcState] = {}
+    todo: deque[tuple[CcState, int, int]] = deque()
+    for s in initials:
+        pos, slot = position[s.left], 0 if s.right is None else table.ids[s.right] + 1
+        if pos * width + slot not in states:
+            state = states[pos * width + slot] = CcState(order[pos], rights[slot])
+            todo.append((state, pos, slot))
+    start = list(states.values())
+    transitions: list[CcTransition] = []
     while todo:
-        src = todo.popleft()
-        for sigma, left_dst in left.by_source.get(src.left, ()):
-            if left.is_observable(sigma):
-                if src.right is None:
-                    dst_right: Estimate | None = None
+        src, pos, slot = todo.popleft()
+        row = steps[slot]
+        for event, sigma, dst_pos in moves[pos]:
+            dst_slot = slot
+            if sigma is not None and slot:
+                nxt = row.get(sigma)
+                if nxt is not None:
+                    dst_slot = nxt + 1
+                elif empty_sink:
+                    dst_slot = 0
                 else:
-                    stepped = right.step(src.right, sigma)
-                    if stepped is None and not empty_sink:
-                        continue
-                    dst_right = stepped
-                event = CcEvent(sigma, sigma)
-            else:
-                dst_right = src.right
-                event = CcEvent(sigma, None)
-            dst = CcState(left_dst, dst_right)
-            transitions.add((src, event, dst))
-            if dst not in states:
-                states.add(dst)
-                todo.append(dst)
+                    continue
+            key = dst_pos * width + dst_slot
+            dst = states.get(key)
+            if dst is None:
+                dst = states[key] = CcState(order[dst_pos], rights[dst_slot])
+                todo.append((dst, dst_pos, dst_slot))
+            # Each state is expanded once and its left moves are distinct,
+            # so no transition is produced twice.
+            transitions.append((src, event, dst))
     return CcAutomaton(
         left=left,
         right=right,
-        states=frozenset(states),
-        events=_paired_events(left),
+        states=frozenset(states.values()),
+        events=frozenset(events.values()),
         transitions=frozenset(transitions),
-        initials=frozenset(initials),
+        initials=frozenset(start),
     )
 
 
@@ -222,7 +264,7 @@ def _empty_cc(left: Nfa, right: Observer) -> CcAutomaton:
         left=left,
         right=right,
         states=frozenset(),
-        events=_paired_events(left),
+        events=frozenset(_paired_events(left).values()),
         transitions=frozenset(),
         initials=frozenset(),
     )
@@ -255,7 +297,7 @@ def _cc_hat(nfa: Nfa, obs: Observer | None) -> CcAutomaton:
     right = multi_initial_observer(pruned, seeds) if seeds else _empty_observer(pruned)
     initials = []
     for q in relevant:
-        remainder = make_estimate(x for x in q if x not in nfa.secret)
+        remainder = tuple(x for x in q if x not in nfa.secret)  # q is in natural order
         paired: Estimate | None = remainder if remainder else None
         if paired is not None and paired not in right.initials:
             raise InternalInvariantError(f"hybrid remainder missing from observer initials: {paired}")

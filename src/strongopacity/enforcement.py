@@ -28,7 +28,7 @@ from .automaton import Nfa, Run, Transition, accessible_part, disable_transition
 from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, cc_dss
 from .errors import InternalInvariantError, InvalidState
 from .observer import subset_construction
-from .search import cc_observable_costs, cc_shortest_path
+from .search import Cost, cc_observable_costs, cc_shortest_path
 from .verification import INF_SSO, SCSO, SISO, _dss_offenders
 
 
@@ -76,6 +76,18 @@ def last_controllable_frontier(
         return frozenset()
     src_costs = cc_observable_costs(cc, cc.initials if sources is None else sources)
     bad_costs = cc_observable_costs(cc, bad, uncontrollable_only=True, backward=True)
+    return _frontier(cc, src_costs, bad_costs, budget)
+
+
+def _frontier(
+    cc: CcAutomaton,
+    src_costs: dict[CcState, Cost],
+    bad_costs: dict[CcState, Cost],
+    budget: int | None,
+) -> frozenset[CcTransition]:
+    """``last_controllable_frontier`` from cost maps the caller already
+    holds: ``src_costs`` from the sources, and ``bad_costs`` into the
+    offending states through uncontrollable transitions."""
     frontier = set()
     for transition in cc.transitions:
         src, event, dst = transition
@@ -143,7 +155,7 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
                 head = prefix.to_left_run()
                 return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
 
-        frontier = last_controllable_frontier(cc, theta, budget=k)
+        frontier = _frontier(cc, forward, unc_back, budget=k)
         if marked:
             frontier |= last_controllable_frontier(ccobs, marked, budget=None)
         cut = _left_cut(frontier, current)
@@ -159,13 +171,17 @@ def _enforce_dss(nfa: Nfa, notion: str) -> EnforcementOutcome:
     disabled: set[Transition] = set()
     for _ in range(len(current.controllable_transitions) + 2):
         cc = cc_dss(current)
-        sources, bad, _ = _dss_offenders(cc, notion)
+        sources, bad, costs = _dss_offenders(cc, notion)
         if not bad:
             return Enforced(frozenset(disabled), current)
         offending = cc_shortest_path(cc, sources, bad, uncontrollable_only=True)
         if offending is not None:
             return Impossible(offending.to_left_run())
-        omega = last_controllable_frontier(cc, bad, budget=None, sources=sources)
+        if costs is None:
+            omega = last_controllable_frontier(cc, bad, budget=None, sources=sources)
+        else:
+            bad_costs = cc_observable_costs(cc, bad, uncontrollable_only=True, backward=True)
+            omega = _frontier(cc, costs, bad_costs, budget=None)
         cut = _left_cut(omega, current)
         if not cut:
             raise InternalInvariantError("enforcement round made no progress")

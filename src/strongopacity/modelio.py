@@ -20,6 +20,7 @@ labels merged (self-loops included), nodes and edges in canonical order.
 from __future__ import annotations
 
 import json
+from functools import cache
 from typing import IO, Union
 
 from .automaton import Event, Nfa, natural_key
@@ -159,11 +160,12 @@ def _merged_edges(edges) -> list[str]:
     grouped: dict[tuple[str, str], list[str]] = {}
     for src, label, dst in edges:
         grouped.setdefault((src, dst), []).append(label)
+    key = cache(natural_key)  # one key per distinct name or label
+
     lines = []
-    for (src, dst), labels in sorted(
-        grouped.items(), key=lambda kv: (natural_key(kv[0][0]), natural_key(kv[0][1]))
-    ):
-        joined = ",".join(sorted(set(labels), key=natural_key))
+    ordered = sorted(grouped.items(), key=lambda kv: (key(kv[0][0]), key(kv[0][1])))
+    for (src, dst), labels in ordered:
+        joined = ",".join(sorted(set(labels), key=key))
         lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(joined)}];")
     return lines
 
@@ -180,24 +182,25 @@ def _nfa_lines(nfa: Nfa) -> list[str]:
 
 def _observer_lines(obs: Observer) -> list[str]:
     lines = ["digraph observer {"]
+    names = {q: estimate_name(q) for q in obs.estimates}
     for q in obs.sorted_estimates():
         flag = "true" if q in obs.initials else "false"
-        lines.append(f"  {_quote(estimate_name(q))} [initial={flag}];")
-    lines += _merged_edges(
-        (estimate_name(q1), event, estimate_name(q2)) for q1, event, q2 in obs.sorted_edges()
-    )
+        lines.append(f"  {_quote(names[q])} [initial={flag}];")
+    lines += _merged_edges((names[q1], event, names[q2]) for q1, event, q2 in obs.sorted_edges())
     lines.append("}")
     return lines
 
 
 def _composition_lines(cc: CcAutomaton) -> list[str]:
     lines = ["digraph composition {"]
+    names = {s: s.name for s in cc.states}
+    event_names = {e: e.name for e in cc.events}
     for s in cc.sorted_states():
         init = "true" if s in cc.initials else "false"
         empty = "true" if s.is_empty else "false"
-        lines.append(f"  {_quote(s.name)} [initial={init}, empty={empty}];")
+        lines.append(f"  {_quote(names[s])} [initial={init}, empty={empty}];")
     lines += _merged_edges(
-        (src.name, event.name, dst.name) for src, event, dst in cc.sorted_transitions()
+        (names[src], event_names[event], names[dst]) for src, event, dst in cc.sorted_transitions()
     )
     lines.append("}")
     return lines

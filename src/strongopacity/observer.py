@@ -3,6 +3,15 @@
 An estimate is a nonempty, unobservable-reach-closed set of source states,
 canonicalized as a naturally-sorted tuple so that set identity is syntactic
 and estimates can name product states downstream.
+
+The construction runs on the system's dense index (``Nfa._dense``): an
+estimate is a bitmask over the states' natural-order positions, and one step
+is the OR of the precomputed reach-closed successor masks of its bits. Each
+distinct mask is rendered into its public tuple once, by reading its bits in
+ascending order, which is natural order already; that one tuple object is
+the estimate everywhere in ``estimates``, ``delta`` and ``initials``. Beside
+the public ``delta`` an observer carries ``_table``, the same transition
+function over estimate ids, which the product runs on.
 """
 
 from __future__ import annotations
@@ -10,10 +19,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
-from .automaton import Event, Nfa, natural_key, unobservable_reach
-from .errors import EmptyEstimate, EmptyInitial, InternalInvariantError
+from .automaton import Event, Nfa, natural_key
+from .errors import EmptyEstimate, EmptyInitial, InternalInvariantError, InvalidState
 
 #: Canonical estimate: naturally-sorted tuple of state ids.
 Estimate = tuple[str, ...]
@@ -33,6 +43,16 @@ class EstimateClass(Enum):
     HYBRID = "Hybrid"
 
 
+class _Table(NamedTuple):
+    """An observer's transition function over estimate ids: ``estimates[i]``
+    is the estimate with id ``i``, ``ids`` maps it back, and ``step[i]`` maps
+    an event to the id it reaches."""
+
+    estimates: list[Estimate]
+    ids: dict[Estimate, int]
+    step: list[dict[str, int]]
+
+
 @dataclass(frozen=True, eq=False)
 class Observer:
     """A deterministic automaton over state estimates.
@@ -47,6 +67,17 @@ class Observer:
     delta: Mapping[tuple[Estimate, str], Estimate]
     initials: frozenset[Estimate]
 
+    @cached_property
+    def _table(self) -> _Table:
+        # Derived from ``delta`` for an observer built by hand; the subset
+        # construction sets it directly.
+        estimates = list(self.estimates)
+        ids = {q: i for i, q in enumerate(estimates)}
+        step: list[dict[str, int]] = [{} for _ in estimates]
+        for (q, event), q2 in self.delta.items():
+            step[ids[q]][event] = ids[q2]
+        return _Table(estimates, ids, step)
+
     def step(self, estimate: Estimate, event: str) -> Estimate | None:
         return self.delta.get((estimate, event))
 
@@ -60,38 +91,70 @@ class Observer:
         )
 
 
-def _close_and_explore(nfa: Nfa, initials: list[Estimate]) -> Observer:
-    observable = nfa.observable_events
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _close_and_explore(nfa: Nfa, starts: list[int]) -> Observer:
+    """The observer reached from the distinct closed estimate masks ``starts``."""
+    dense = nfa._dense
+    order = dense.order
+    rows = [(e.name, dense.step[e.name]) for e in nfa.alphabet if e.observable]
+    ids: dict[int, int] = {}  # mask -> estimate id, ids in discovery order
+    estimates: list[Estimate] = []
+    todo: deque[list[int]] = deque()  # bits of the discovered, unexpanded estimates
+
+    def discover(mask: int) -> int:
+        bits = _bits(mask)
+        ids[mask] = len(estimates)
+        estimates.append(tuple([order[b] for b in bits]))
+        todo.append(bits)
+        return ids[mask]
+
+    initials = [discover(m) for m in starts]
+    step: list[dict[str, int]] = []
     delta: dict[tuple[Estimate, str], Estimate] = {}
-    seen: set[Estimate] = set(initials)
-    todo = deque(initials)
     while todo:
-        q = todo.popleft()
-        for sigma in observable:
-            moved = set()
-            for x in q:
-                moved.update(nfa.successors(x, sigma))
-            if not moved:
+        bits = todo.popleft()  # expanded in id order, so its id is len(step)
+        q = estimates[len(step)]
+        moves = {}
+        for sigma, row in rows:
+            mask = 0
+            for b in bits:
+                mask |= row[b]
+            if not mask:
                 continue
-            q2 = make_estimate(unobservable_reach(nfa, moved))
-            delta[(q, sigma)] = q2
-            if q2 not in seen:
-                seen.add(q2)
-                todo.append(q2)
-    events = tuple(e for e in nfa.alphabet if e.observable)
-    return Observer(
-        estimates=frozenset(seen),
-        events=events,
+            j = ids.get(mask)
+            if j is None:
+                j = discover(mask)
+            moves[sigma] = j
+            delta[(q, sigma)] = estimates[j]
+        step.append(moves)
+    table = _Table(estimates, {q: i for i, q in enumerate(estimates)}, step)
+    obs = Observer(
+        estimates=frozenset(table.ids),
+        events=tuple(e for e in nfa.alphabet if e.observable),
         delta=delta,
-        initials=frozenset(initials),
+        initials=frozenset(estimates[i] for i in initials),
     )
+    object.__setattr__(obs, "_table", table)
+    return obs
 
 
 def subset_construction(nfa: Nfa) -> Observer:
     """The standard observer: one initial estimate, the unobservable reach of X0."""
     if not nfa.initial:
         raise EmptyInitial("observer of an automaton with no initial states")
-    start = make_estimate(unobservable_reach(nfa, nfa.initial))
+    dense = nfa._dense
+    start = 0
+    for x in nfa.initial:
+        start |= dense.reach[dense.position[x]]
     return _close_and_explore(nfa, [start])
 
 
@@ -103,16 +166,25 @@ def multi_initial_observer(nfa: Nfa, seeds: Iterable[Iterable[str]]) -> Observer
     violation means the caller's construction is wrong. Seeds that are subsets
     of one another are deliberately not merged.
     """
-    unique: list[Estimate] = []
+    dense = nfa._dense
+    starts: dict[int, None] = {}  # distinct seed masks, in first-seen order
     for seed in seeds:
-        est = make_estimate(seed)
-        if not est:
+        members = set(seed)
+        if not members:
             raise EmptyEstimate("empty observer seed")
-        if frozenset(est) != unobservable_reach(nfa, est):
-            raise InternalInvariantError(f"seed not closed under unobservable reach: {est}")
-        if est not in unique:
-            unique.append(est)
-    return _close_and_explore(nfa, unique)
+        mask = closed = 0
+        for x in members:
+            i = dense.position.get(x)
+            if i is None:
+                raise InvalidState(f"not a state: {x!r}")
+            mask |= 1 << i
+            closed |= dense.reach[i]
+        if closed != mask:
+            raise InternalInvariantError(
+                f"seed not closed under unobservable reach: {make_estimate(members)}"
+            )
+        starts[mask] = None
+    return _close_and_explore(nfa, list(starts))
 
 
 def classify_estimates(obs: Observer, secret: Iterable[str]) -> dict[Estimate, EstimateClass]:

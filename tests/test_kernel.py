@@ -1,0 +1,294 @@
+"""The integer kernel under the observer and the product, checked against
+plain set-based references written here.
+
+The random automata have unobservable cycles and self-loops, which the golden
+corpus (forward unobservable edges only) does not exercise.
+"""
+
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import strongopacity
+from strongopacity import (
+    CcEvent,
+    CcState,
+    EmptyEstimate,
+    Event,
+    InternalInvariantError,
+    InvalidState,
+    Nfa,
+    Observer,
+    multi_initial_observer,
+    product,
+    subset_construction,
+)
+from strongopacity.automaton import natural_key
+
+# Names whose natural order differs from their string order.
+NAMES = ["0", "1", "2", "9", "10", "11", "x2", "x10"]
+OBSERVABLE = ["a", "b"]
+UNOBSERVABLE = ["u", "v"]
+
+
+@st.composite
+def cyclic_nfas(draw):
+    n = draw(st.integers(1, len(NAMES)))
+    states = NAMES[:n]
+    state = st.sampled_from(states)
+    event = st.sampled_from(OBSERVABLE + UNOBSERVABLE)
+    transitions = set(draw(st.lists(st.tuples(state, event, state), max_size=16)))
+    # An unobservable cycle through distinct states (a self-loop when it has one).
+    cycle = draw(st.lists(state, min_size=1, max_size=n, unique=True))
+    transitions |= {(x, "u", y) for x, y in zip(cycle, cycle[1:] + cycle[:1])}
+    return Nfa(
+        states=frozenset(states),
+        alphabet=tuple(Event(e) for e in OBSERVABLE)
+        + tuple(Event(e, observable=False) for e in UNOBSERVABLE),
+        transitions=frozenset(transitions),
+        initial=frozenset(draw(st.sets(state, min_size=1, max_size=3))),
+        secret=frozenset(draw(st.sets(state, max_size=n))),
+    )
+
+
+def closure(nfa, states):
+    seen = set(states)
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for src, event, dst in nfa.transitions:
+            if src == x and event in UNOBSERVABLE and dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return frozenset(seen)
+
+
+def reference_observer(nfa, seeds):
+    """Estimates, delta and initials as frozensets, by the textbook construction."""
+    initials = {closure(nfa, seed) for seed in seeds}
+    estimates, delta, todo = set(initials), {}, list(initials)
+    while todo:
+        q = todo.pop()
+        for sigma in OBSERVABLE:
+            moved = {dst for src, event, dst in nfa.transitions if src in q and event == sigma}
+            if moved:
+                q2 = delta[(q, sigma)] = closure(nfa, moved)
+                if q2 not in estimates:
+                    estimates.add(q2)
+                    todo.append(q2)
+    return estimates, delta, initials
+
+
+def as_sets(obs):
+    return (
+        {frozenset(q) for q in obs.estimates},
+        {(frozenset(q), sigma): frozenset(q2) for (q, sigma), q2 in obs.delta.items()},
+        {frozenset(q) for q in obs.initials},
+    )
+
+
+def check_canonical(obs):
+    """Estimates are naturally sorted, each one a single tuple object, and the
+    private id table is the public ``delta``."""
+    canon = {q: q for q in obs.estimates}
+    for q in obs.estimates:
+        assert list(q) == sorted(q, key=natural_key)
+    for (q, _), q2 in obs.delta.items():
+        assert canon[q] is q and canon[q2] is q2
+    assert all(canon[q] is q for q in obs.initials)
+    table = obs._table
+    assert sorted(table.estimates) == sorted(obs.estimates)
+    steps = {
+        (q, sigma): table.estimates[j]
+        for q, moves in zip(table.estimates, table.step)
+        for sigma, j in moves.items()
+    }
+    assert steps == dict(obs.delta)
+
+
+@given(cyclic_nfas())
+@settings(max_examples=150, deadline=None)
+def test_subset_construction_matches_reference(nfa):
+    obs = subset_construction(nfa)
+    assert as_sets(obs) == reference_observer(nfa, [nfa.initial])
+    check_canonical(obs)
+    for x in nfa.states:
+        assert frozenset(subset_construction(nfa.replace(initial={x})).initials) == {
+            tuple(sorted(closure(nfa, {x}), key=natural_key))
+        }
+
+
+@given(cyclic_nfas(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_multi_initial_observer_matches_reference(nfa, data):
+    subsets = st.sets(st.sampled_from(sorted(nfa.states)), min_size=1)
+    raw = data.draw(st.lists(subsets, min_size=1, max_size=4))
+    seeds = [closure(nfa, seed) for seed in raw]
+    obs = multi_initial_observer(nfa, seeds)
+    assert as_sets(obs) == reference_observer(nfa, seeds)
+    check_canonical(obs)
+
+
+def test_dense_reach_on_cycles_and_self_loops():
+    nfa = Nfa(
+        states=frozenset(NAMES),
+        alphabet=(Event("a"), Event("u", observable=False)),
+        transitions=frozenset(
+            {("0", "u", "1"), ("1", "u", "2"), ("2", "u", "0"), ("2", "u", "9"), ("9", "u", "9"),
+             ("10", "u", "11"), ("11", "u", "10"), ("x2", "a", "x10"), ("x10", "u", "0")}
+        ),
+        initial=frozenset({"0"}),
+    )
+    dense = nfa._dense
+    assert list(dense.order) == sorted(NAMES, key=natural_key)
+    for x in NAMES:
+        mask = dense.reach[dense.position[x]]
+        assert {y for i, y in enumerate(dense.order) if mask >> i & 1} == closure(nfa, {x})
+    assert set(subset_construction(nfa.replace(initial={"x2"})).delta.values()) == {
+        ("0", "1", "2", "9", "x10")
+    }
+
+
+class TestMultiInitialErrors:
+    def test_empty_seed(self):
+        nfa = Nfa(frozenset({"0"}), (Event("a"),), frozenset(), frozenset({"0"}))
+        with pytest.raises(EmptyEstimate):
+            multi_initial_observer(nfa, [set()])
+
+    def test_non_state(self):
+        nfa = Nfa(frozenset({"0"}), (Event("a"),), frozenset(), frozenset({"0"}))
+        with pytest.raises(InvalidState):
+            multi_initial_observer(nfa, [{"0", "7"}])
+
+    def test_seed_not_closed(self):
+        nfa = Nfa(
+            frozenset({"0", "1"}),
+            (Event("u", observable=False),),
+            frozenset({("1", "u", "0"), ("0", "u", "1")}),
+            frozenset({"0"}),
+        )
+        with pytest.raises(InternalInvariantError):
+            multi_initial_observer(nfa, [{"0"}])
+
+
+def reference_product(left, obs, initials, empty_sink):
+    states, transitions, todo = set(initials), set(), list(initials)
+    while todo:
+        here = todo.pop()
+        for src, sigma, dst in left.transitions:
+            if src != here.left:
+                continue
+            if left.is_observable(sigma):
+                right = None if here.right is None else obs.delta.get((here.right, sigma))
+                if here.right is not None and right is None and not empty_sink:
+                    continue
+                event = CcEvent(sigma, sigma)
+            else:
+                right, event = here.right, CcEvent(sigma, None)
+            there = CcState(dst, right)
+            transitions.add((here, event, there))
+            if there not in states:
+                states.add(there)
+                todo.append(there)
+    return states, transitions
+
+
+@given(cyclic_nfas(), st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_reference(nfa, data, empty_sink):
+    # The observer of a thinned copy, so that some observer steps are undefined.
+    kept = set()
+    if nfa.transitions:
+        kept = data.draw(st.sets(st.sampled_from(sorted(nfa.transitions))))
+    obs = subset_construction(nfa.replace(transitions=kept))
+    estimates = sorted(obs.estimates)
+    pair = st.tuples(st.sampled_from(sorted(nfa.states)), st.sampled_from(estimates + [None]))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
+    initials = [CcState(x, q) for x, q in pairs]
+    cc = product(nfa, obs, initials, empty_sink=empty_sink)
+    states, transitions = reference_product(nfa, obs, initials, empty_sink)
+    assert cc.states == states
+    assert cc.transitions == transitions
+    assert cc.initials == set(initials)
+    assert cc.events == {CcEvent(e.name, e.name if e.observable else None) for e in nfa.alphabet}
+    canon = {q: q for q in obs.estimates}
+    assert all(s.right is None or canon[s.right] is s.right for s in cc.states)
+    assert cc.sorted_transitions() == sorted(
+        cc.transitions, key=lambda t: (t[0].sort_key(), natural_key(t[1].name), t[2].sort_key())
+    )
+
+
+@given(cyclic_nfas())
+@settings(max_examples=60, deadline=None)
+def test_sorted_transitions_is_natural_order(nfa):
+    assert nfa.sorted_transitions() == sorted(
+        nfa.transitions, key=lambda t: tuple(natural_key(x) for x in t)
+    )
+    assert nfa.sorted_states() == sorted(nfa.states, key=natural_key)
+
+
+def test_hand_built_observer_derives_its_table():
+    q0, q1 = ("0",), ("1", "2")
+    obs = Observer(
+        estimates=frozenset({q0, q1}),
+        events=(Event("a"),),
+        delta={(q0, "a"): q1, (q1, "a"): q1},
+        initials=frozenset({q0}),
+    )
+    check_canonical(obs)
+    nfa = Nfa(
+        frozenset({"0", "1", "2", "3"}),
+        (Event("a"),),
+        frozenset({("0", "a", "1"), ("1", "a", "3")}),
+        frozenset({"0"}),
+    )
+    cc = product(nfa, obs, [CcState("0", q0)], empty_sink=True)
+    assert {s.name for s in cc.states} == {"(0,{0})", "(1,{1,2})", "(3,{1,2})"}
+
+
+class TestCachedHash:
+    def test_replace_recomputes_the_hash(self):
+        state = CcState("1", ("2", "10"))
+        moved = dataclasses.replace(state, left="3")
+        assert hash(moved) == hash(CcState("3", ("2", "10")))
+        assert moved in {CcState("3", ("2", "10"))}
+        assert dataclasses.replace(moved, right=None) in {CcState("3", None)}
+
+    def test_pickle_round_trip_in_process(self):
+        state = CcState("1", ("2", "10"))
+        assert pickle.loads(pickle.dumps(state)) in {state}
+
+    def test_hash_does_not_outlive_the_process(self, tmp_path):
+        src = str(Path(strongopacity.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        blob = tmp_path / "states.pickle"
+        dump = (
+            "import pickle, sys\n"
+            "from strongopacity import CcState\n"
+            "states = [CcState('1', ('2', '10')), CcState('x', None)]\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps((states, set(states))))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from strongopacity import CcState\n"
+            "states, pool = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "fresh = {CcState('1', ('2', '10')), CcState('x', None)}\n"
+            "assert all(s in fresh for s in states), 'loaded state not found'\n"
+            "assert fresh <= pool, 'fresh state not found in the loaded set'\n"
+        )
+        for seed, script in (("1", dump), ("2", load)):
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(blob)],
+                env=dict(env, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
