@@ -11,13 +11,12 @@ applied only where something is output or a tie is broken: ``natural_key``,
 Each ``Nfa`` also caches a private dense index (``_dense``): its states
 numbered in natural order, and per state bitmasks over those numbers for its
 unobservable reach and its reach-closed successors under each observable
-event. The observer and the product run on it.
+event. The observer, the product and ``unobservable_reach`` run on it.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -240,6 +239,16 @@ class _Dense(NamedTuple):
     step: dict[str, list[int]]
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _dense_index(nfa: Nfa) -> _Dense:
     order = tuple(sort_states(nfa.states))
     position = {x: i for i, x in enumerate(order)}
@@ -335,43 +344,26 @@ def natural_projection(word: Iterable[str], alphabet: Iterable[Event]) -> tuple[
 
 def unobservable_reach(nfa: Nfa, sources: Iterable[str]) -> frozenset[str]:
     """Least fixed point of ``sources`` under unobservable transitions."""
-    todo = deque()
-    seen = set()
+    dense = nfa._dense
+    mask = 0
     for x in sources:
-        if x not in nfa.states:
+        if x not in dense.position:
             raise InvalidState(f"not a state: {x!r}")
-        if x not in seen:
-            seen.add(x)
-            todo.append(x)
-    unobs = nfa.unobservable_events
-    while todo:
-        x = todo.popleft()
-        for event, dst in nfa.by_source.get(x, ()):
-            if event in unobs and dst not in seen:
-                seen.add(dst)
-                todo.append(dst)
-    return frozenset(seen)
-
-
-def _reachable(states: frozenset[str], transitions: Iterable[Transition], roots: Iterable[str]) -> frozenset[str]:
-    adjacency: dict[str, list[str]] = {}
-    for src, _, dst in transitions:
-        adjacency.setdefault(src, []).append(dst)
-    seen = set(r for r in roots if r in states)
-    todo = deque(seen)
-    while todo:
-        x = todo.popleft()
-        for dst in adjacency.get(x, ()):
-            if dst not in seen:
-                seen.add(dst)
-                todo.append(dst)
-    return frozenset(seen)
+        mask |= dense.reach[dense.position[x]]
+    return frozenset(dense.order[i] for i in _bits(mask))
 
 
 def accessible_part(nfa: Nfa) -> Nfa:
     """The sub-NFA induced by states reachable from the initial set."""
-    alive = _reachable(nfa.states, nfa.transitions, nfa.initial)
-    if alive == nfa.states:
+    by_source = nfa.by_source
+    alive = set(nfa.initial)
+    todo = list(alive)
+    while todo:
+        for _, dst in by_source[todo.pop()]:
+            if dst not in alive:
+                alive.add(dst)
+                todo.append(dst)
+    if len(alive) == len(nfa.states):
         return nfa
     return Nfa(
         states=alive,

@@ -18,10 +18,13 @@ empty estimate is absorbing.
 The product is explored over int keys, a left state's dense natural-order
 position paired with an estimate's id in the observer's transition table, and
 renders each reached key into its public ``CcState`` once; states share the
-observer's estimate tuples and cache their hash. The exploration and the
-``by_source``/``by_target`` indexes are in no particular order;
-``CcState.sort_key`` orders states only where they are output
-(``sorted_states``, ``sorted_transitions``) or where a witness tie is broken.
+observer's estimate tuples and cache their hash. Each state is expanded once,
+and its out-edges, recorded as it is expanded, are the composition's only
+stored edge relation: the state set, the transition set and the
+``by_source``/``by_target`` indexes are views of them. The exploration and
+the indexes are in no particular order; ``CcState.sort_key`` orders states
+only where they are output (``sorted_states``, ``sorted_transitions``) or
+where a witness tie is broken.
 """
 
 from __future__ import annotations
@@ -109,29 +112,37 @@ CcTransition = tuple[CcState, CcEvent, CcState]
 class CcAutomaton:
     """The reachable part of a concurrent composition.
 
-    Keeps references to its operands so downstream code can interrogate
-    controllability and secrecy of the left components.
+    ``edges`` maps every state to its out-edges, each an (event, target)
+    pair listed once. It is the only stored edge relation: ``states``,
+    ``transitions``, ``by_source`` and ``by_target`` are views of it, each
+    built on first use. Keeps references to its operands so downstream code
+    can interrogate controllability and secrecy of the left components.
     """
 
     left: Nfa
     right: Observer
-    states: frozenset[CcState]
     events: frozenset[CcEvent]
-    transitions: frozenset[CcTransition]
     initials: frozenset[CcState]
+    edges: dict[CcState, tuple[tuple[CcEvent, CcState], ...]]
+
+    @cached_property
+    def states(self) -> frozenset[CcState]:
+        return frozenset(self.edges)
+
+    @cached_property
+    def transitions(self) -> frozenset[CcTransition]:
+        return frozenset((src, event, dst) for src, pairs in self.edges.items() for event, dst in pairs)
 
     @cached_property
     def by_source(self) -> dict[CcState, tuple[tuple[CcEvent, CcState], ...]]:
-        index: dict[CcState, list[tuple[CcEvent, CcState]]] = {s: [] for s in self.states}
-        for src, event, dst in self.transitions:
-            index[src].append((event, dst))
-        return {s: tuple(pairs) for s, pairs in index.items()}
+        return self.edges
 
     @cached_property
     def by_target(self) -> dict[CcState, tuple[tuple[CcState, CcEvent], ...]]:
-        index: dict[CcState, list[tuple[CcState, CcEvent]]] = {s: [] for s in self.states}
-        for src, event, dst in self.transitions:
-            index[dst].append((src, event))
+        index: dict[CcState, list[tuple[CcState, CcEvent]]] = {s: [] for s in self.edges}
+        for src, pairs in self.edges.items():
+            for event, dst in pairs:
+                index[dst].append((src, event))
         return {s: tuple(pairs) for s, pairs in index.items()}
 
     def is_controllable(self, transition: CcTransition) -> bool:
@@ -139,7 +150,7 @@ class CcAutomaton:
 
     @cached_property
     def empty_states(self) -> frozenset[CcState]:
-        return frozenset(s for s in self.states if s.is_empty)
+        return frozenset(s for s in self.edges if s.is_empty)
 
     @cached_property
     def secret_initials(self) -> frozenset[CcState]:
@@ -181,7 +192,8 @@ def product(
     The search runs over int keys: a left state's dense position and an
     estimate's id in the observer's ``_table`` (0 for the empty estimate,
     id + 1 otherwise). Each ``CcState`` and each ``CcEvent`` is created
-    once, and every state shares the observer's estimate tuples.
+    once, every state shares the observer's estimate tuples, and each
+    state's out-edges are recorded once, as it is expanded.
     """
     right_names = {e.name for e in right.events}
     if not right_names <= left.observable_events:
@@ -218,10 +230,11 @@ def product(
             state = states[pos * width + slot] = CcState(order[pos], rights[slot])
             todo.append((state, pos, slot))
     start = list(states.values())
-    transitions: list[CcTransition] = []
+    edges: dict[CcState, tuple[tuple[CcEvent, CcState], ...]] = {}
     while todo:
         src, pos, slot = todo.popleft()
         row = steps[slot]
+        out = []
         for event, sigma, dst_pos in moves[pos]:
             dst_slot = slot
             if sigma is not None and slot:
@@ -237,16 +250,16 @@ def product(
             if dst is None:
                 dst = states[key] = CcState(order[dst_pos], rights[dst_slot])
                 todo.append((dst, dst_pos, dst_slot))
-            # Each state is expanded once and its left moves are distinct,
-            # so no transition is produced twice.
-            transitions.append((src, event, dst))
+            out.append((event, dst))
+        # Each state is expanded once and its left moves are distinct, so
+        # every edge is listed once.
+        edges[src] = tuple(out)
     return CcAutomaton(
         left=left,
         right=right,
-        states=frozenset(states.values()),
         events=frozenset(events.values()),
-        transitions=frozenset(transitions),
         initials=frozenset(start),
+        edges=edges,
     )
 
 
@@ -263,10 +276,9 @@ def _empty_cc(left: Nfa, right: Observer) -> CcAutomaton:
     return CcAutomaton(
         left=left,
         right=right,
-        states=frozenset(),
         events=frozenset(_paired_events(left).values()),
-        transitions=frozenset(),
         initials=frozenset(),
+        edges={},
     )
 
 

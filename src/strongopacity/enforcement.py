@@ -70,7 +70,7 @@ def last_controllable_frontier(
     """
     bad = set(bad)
     for s in bad:
-        if s not in cc.states:
+        if s not in cc.by_source:
             raise InvalidState(f"not a composition state: {s.name}")
     if not bad:
         return frozenset()
@@ -89,17 +89,17 @@ def _frontier(
     holds: ``src_costs`` from the sources, and ``bad_costs`` into the
     offending states through uncontrollable transitions."""
     frontier = set()
-    for transition in cc.transitions:
-        src, event, dst = transition
-        if not cc.left.is_controllable(event.left_event):
+    for src, pairs in cc.by_source.items():
+        if src not in src_costs:
             continue
-        if src not in src_costs or dst not in bad_costs:
-            continue
-        if budget is not None:
-            length = src_costs[src][0] + (1 if event.observable else 0) + bad_costs[dst][0]
-            if length > budget:
+        for event, dst in pairs:
+            if not cc.left.is_controllable(event.left_event) or dst not in bad_costs:
                 continue
-        frontier.add(transition)
+            if budget is not None:
+                length = src_costs[src][0] + (1 if event.observable else 0) + bad_costs[dst][0]
+                if length > budget:
+                    continue
+            frontier.add((src, event, dst))
     return frozenset(frontier)
 
 
@@ -123,19 +123,20 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
         if not theta:
             return Enforced(frozenset(disabled), current)
 
-        ccobs = _cc_full_observer(current, obs)
         # Initial pairs from which an offending state is reachable by a run
         # with no controllable transition and observable length within K.
         unc_back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)
         leaky = [i for i in cc.initials if i in unc_back and unc_back[i][0] <= k]
         marked: set[CcState] = set()
-        for i in leaky:
-            remainder = frozenset(i.right or ())
-            marked |= {
-                s
-                for s in ccobs.states
-                if s.left == i.left and frozenset(s.right) - current.secret == remainder
-            }
+        if leaky:  # only a leaky initial needs the system/observer composition
+            ccobs = _cc_full_observer(current, obs)
+            for i in leaky:
+                remainder = frozenset(i.right or ())
+                marked |= {
+                    s
+                    for s in ccobs.states
+                    if s.left == i.left and frozenset(s.right) - current.secret == remainder
+                }
         if leaky and not marked:
             raise InternalInvariantError("no predecessor states correspond to a leaking initial")
         if marked:

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .automaton import Event, Nfa, natural_key
+from .automaton import Event, Nfa, _bits, natural_key
 from .errors import EmptyEstimate, EmptyInitial, InternalInvariantError, InvalidState
 
 #: Canonical estimate: naturally-sorted tuple of state ids.
@@ -89,16 +89,6 @@ class Observer:
             ((q, ev, q2) for (q, ev), q2 in self.delta.items()),
             key=lambda e: (e[0], natural_key(e[1]), e[2]),
         )
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _close_and_explore(nfa: Nfa, starts: list[int]) -> Observer:

@@ -47,7 +47,7 @@ def cc_observable_costs(
     order = count()
     heap: list[tuple[Cost, int, CcState]] = []
     for s in sources:
-        if s in cc.states and s not in dist:
+        if s in cc.by_source and s not in dist:
             dist[s] = (0, 0)
             heapq.heappush(heap, ((0, 0), next(order), s))
     adjacency = cc.by_target if backward else cc.by_source

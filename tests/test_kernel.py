@@ -7,6 +7,7 @@ corpus (forward unobservable edges only) does not exercise.
 
 import dataclasses
 import os
+from collections import Counter
 import pickle
 import subprocess
 import sys
@@ -26,9 +27,11 @@ from strongopacity import (
     InvalidState,
     Nfa,
     Observer,
+    accessible_part,
     multi_initial_observer,
     product,
     subset_construction,
+    unobservable_reach,
 )
 from strongopacity.automaton import natural_key
 
@@ -58,13 +61,13 @@ def cyclic_nfas(draw):
     )
 
 
-def closure(nfa, states):
+def closure(nfa, states, events=UNOBSERVABLE):
     seen = set(states)
     todo = list(seen)
     while todo:
         x = todo.pop()
         for src, event, dst in nfa.transitions:
-            if src == x and event in UNOBSERVABLE and dst not in seen:
+            if src == x and event in events and dst not in seen:
                 seen.add(dst)
                 todo.append(dst)
     return frozenset(seen)
@@ -123,6 +126,8 @@ def test_subset_construction_matches_reference(nfa):
         assert frozenset(subset_construction(nfa.replace(initial={x})).initials) == {
             tuple(sorted(closure(nfa, {x}), key=natural_key))
         }
+        assert unobservable_reach(nfa, {x}) == closure(nfa, {x})
+    assert unobservable_reach(nfa, nfa.initial) == closure(nfa, nfa.initial)
 
 
 @given(cyclic_nfas(), st.data())
@@ -216,6 +221,16 @@ def test_product_matches_reference(nfa, data, empty_sink):
     states, transitions = reference_product(nfa, obs, initials, empty_sink)
     assert cc.states == states
     assert cc.transitions == transitions
+    # Both indexes list every reference edge exactly once, under every state.
+    out = {s: [] for s in states}
+    into = {s: [] for s in states}
+    for src, event, dst in transitions:
+        out[src].append((event, dst))
+        into[dst].append((src, event))
+    assert cc.by_source.keys() == out.keys()
+    assert all(Counter(cc.by_source[s]) == Counter(out[s]) for s in states)
+    assert cc.by_target.keys() == into.keys()
+    assert all(Counter(cc.by_target[s]) == Counter(into[s]) for s in states)
     assert cc.initials == set(initials)
     assert cc.events == {CcEvent(e.name, e.name if e.observable else None) for e in nfa.alphabet}
     canon = {q: q for q in obs.estimates}
@@ -232,6 +247,10 @@ def test_sorted_transitions_is_natural_order(nfa):
         nfa.transitions, key=lambda t: tuple(natural_key(x) for x in t)
     )
     assert nfa.sorted_states() == sorted(nfa.states, key=natural_key)
+    alive = closure(nfa, nfa.initial, OBSERVABLE + UNOBSERVABLE)
+    acc = accessible_part(nfa)
+    assert acc.sorted_states() == sorted(alive, key=natural_key)
+    assert acc.transitions == {t for t in nfa.transitions if t[0] in alive}
 
 
 def test_hand_built_observer_derives_its_table():
