@@ -12,6 +12,11 @@ Each ``Nfa`` also caches a private dense index (``_dense``): its states
 numbered in natural order, and per state bitmasks over those numbers for its
 unobservable reach and its reach-closed successors under each observable
 event. The observer, the product and ``unobservable_reach`` run on it.
+
+Every derived automaton (``accessible_part``, ``disable_transitions``, the
+subautomata) comes from one walk of its parent's ``by_source`` (``_restrict``)
+and inherits the reached entries and the parent's natural order, filtered, so a
+model's states are sorted once.
 """
 
 from __future__ import annotations
@@ -210,11 +215,15 @@ class Nfa:
         return Nfa(**fields)
 
     @cached_property
+    def _order(self) -> tuple[str, ...]:
+        return tuple(sort_states(self.states))
+
+    @cached_property
     def _dense(self) -> "_Dense":
         return _dense_index(self)
 
     def sorted_states(self) -> list[str]:
-        return list(self._dense.order)
+        return list(self._order)
 
     def sorted_transitions(self) -> list[Transition]:
         # Dense positions and alphabet positions are natural-order ranks.
@@ -250,7 +259,7 @@ def _bits(mask: int) -> list[int]:
 
 
 def _dense_index(nfa: Nfa) -> _Dense:
-    order = tuple(sort_states(nfa.states))
+    order = nfa._order
     position = {x: i for i, x in enumerate(order)}
     by_source = nfa.by_source
     moves = [by_source[x] for x in order]
@@ -353,25 +362,37 @@ def unobservable_reach(nfa: Nfa, sources: Iterable[str]) -> frozenset[str]:
     return frozenset(dense.order[i] for i in _bits(mask))
 
 
-def accessible_part(nfa: Nfa) -> Nfa:
-    """The sub-NFA induced by states reachable from the initial set."""
-    by_source = nfa.by_source
-    alive = set(nfa.initial)
+def _restrict(nfa: Nfa, initial: frozenset[str], edges: dict[str, tuple[tuple[str, str], ...]]) -> Nfa:
+    """The part of ``nfa`` that ``edges``, a restriction of ``nfa.by_source``
+    (some states, each with some of its out-edges), reaches from ``initial``;
+    ``nfa`` itself when that drops nothing. One walk builds it: the reached
+    entries become its ``by_source``, and ``nfa``'s natural order, filtered,
+    its own, so neither is built again."""
+    alive = set(initial)
     todo = list(alive)
     while todo:
-        for _, dst in by_source[todo.pop()]:
+        for _, dst in edges[todo.pop()]:
             if dst not in alive:
                 alive.add(dst)
                 todo.append(dst)
-    if len(alive) == len(nfa.states):
+    if len(alive) == len(nfa.states) and edges is nfa.by_source and initial == nfa.initial:
         return nfa
-    return Nfa(
-        states=alive,
-        alphabet=nfa.alphabet,
-        transitions=frozenset(t for t in nfa.transitions if t[0] in alive and t[2] in alive),
-        initial=nfa.initial & alive,
-        secret=nfa.secret & alive,
-    )
+    order = nfa._order
+    if len(alive) < len(order):
+        order = tuple(x for x in order if x in alive)
+        edges = {x: edges[x] for x in order}
+    transitions = nfa.transitions
+    if edges is not nfa.by_source:
+        transitions = frozenset((x, event, dst) for x, pairs in edges.items() for event, dst in pairs)
+    child = Nfa(alive, nfa.alphabet, transitions, initial, nfa.secret & alive)
+    object.__setattr__(child, "by_source", edges)
+    object.__setattr__(child, "_order", order)
+    return child
+
+
+def accessible_part(nfa: Nfa) -> Nfa:
+    """The sub-NFA induced by states reachable from the initial set."""
+    return _restrict(nfa, nfa.initial, nfa.by_source)
 
 
 def disable_transitions(nfa: Nfa, cut: Iterable[Transition]) -> Nfa:
@@ -386,4 +407,7 @@ def disable_transitions(nfa: Nfa, cut: Iterable[Transition]) -> Nfa:
             raise InvalidState(f"not a transition of the automaton: {t}")
         if not nfa.event(t[1]).controllable:
             raise UncontrollableCut(f"transition labeled by uncontrollable event: {t}")
-    return accessible_part(nfa.replace(transitions=nfa.transitions - cut))
+    edges = dict(nfa.by_source)
+    for src in {t[0] for t in cut}:
+        edges[src] = tuple((event, dst) for event, dst in edges[src] if (src, event, dst) not in cut)
+    return _restrict(nfa, nfa.initial, edges)

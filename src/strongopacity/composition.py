@@ -272,16 +272,6 @@ def _empty_observer(nfa: Nfa) -> Observer:
     )
 
 
-def _empty_cc(left: Nfa, right: Observer) -> CcAutomaton:
-    return CcAutomaton(
-        left=left,
-        right=right,
-        events=frozenset(_paired_events(left).values()),
-        initials=frozenset(),
-        edges={},
-    )
-
-
 def cc_hat(nfa: Nfa) -> CcAutomaton:
     """The composition of the secret-restart side with the multi-initial
     observer of the non-secret remainder.
@@ -300,11 +290,10 @@ def _cc_hat(nfa: Nfa, obs: Observer | None) -> CcAutomaton:
     accessible automaton without initial states has none)."""
     ghat = initial_secret_subautomaton(nfa)
     if obs is None or not ghat.states:
-        return _empty_cc(ghat, _empty_observer(ghat))
+        events = frozenset(_paired_events(ghat).values())
+        return CcAutomaton(ghat, _empty_observer(ghat), events, initials=frozenset(), edges={})
     classes = classify_estimates(obs, nfa.secret)
     relevant = [q for q, c in classes.items() if c is not EstimateClass.NON_SECRET]
-    if not relevant:
-        return _empty_cc(ghat, _empty_observer(ghat))
     pruned, seeds = nonsecret_subautomaton(nfa, obs)
     right = multi_initial_observer(pruned, seeds) if seeds else _empty_observer(pruned)
     initials = []

@@ -8,14 +8,15 @@
 * the deleted-secret-states subautomaton: the same deletion but restarted from
   the non-secret initial states.
 
-Each enforcement round rebuilds these from scratch; there is no incremental
-re-extraction.
+Each is one walk of its parent's ``by_source`` (``automaton._restrict``) and
+keeps the parent's edge tuples and natural order. Each enforcement round
+rebuilds these from scratch; there is no incremental re-extraction.
 """
 
 from __future__ import annotations
 
-from .automaton import Nfa, accessible_part
-from .observer import Estimate, EstimateClass, Observer, classify_estimates
+from .automaton import Nfa, _restrict
+from .observer import EstimateClass, Observer, classify_estimates
 
 
 def initial_secret_subautomaton(nfa: Nfa) -> Nfa:
@@ -25,7 +26,7 @@ def initial_secret_subautomaton(nfa: Nfa) -> Nfa:
     stay evaluable on composition runs. An empty secret set yields an empty
     automaton.
     """
-    return accessible_part(nfa.replace(initial=nfa.secret & nfa.states))
+    return _restrict(nfa, nfa.secret, nfa.by_source)
 
 
 def nonsecret_subautomaton(nfa: Nfa, obs: Observer) -> tuple[Nfa, frozenset[frozenset[str]]]:
@@ -33,19 +34,12 @@ def nonsecret_subautomaton(nfa: Nfa, obs: Observer) -> tuple[Nfa, frozenset[froz
 
     ``obs`` must be the observer of ``nfa``. Returns the pruned automaton plus
     the seed family {q minus secrets : q hybrid} for the multi-initial
-    observer. Seeds are intersected with the surviving states; a seed emptied
-    by pruning is dropped (its composition initial states then carry the empty
-    estimate).
+    observer; every seed is non-empty and made of initial states of the
+    pruned automaton.
     """
     classes = classify_estimates(obs, nfa.secret)
-    hybrid = [q for q, c in classes.items() if c is EstimateClass.HYBRID]
-    pruned = _without_secrets(nfa, frozenset(x for q in hybrid for x in q if x not in nfa.secret))
-    seeds = set()
-    for q in hybrid:
-        seed = frozenset(q) & pruned.states - nfa.secret
-        if seed:
-            seeds.add(seed)
-    return pruned, frozenset(seeds)
+    seeds = frozenset(frozenset(q) - nfa.secret for q, c in classes.items() if c is EstimateClass.HYBRID)
+    return _without_secrets(nfa, frozenset().union(*seeds)), seeds
 
 
 def dss_subautomaton(nfa: Nfa) -> Nfa:
@@ -56,13 +50,6 @@ def dss_subautomaton(nfa: Nfa) -> Nfa:
 def _without_secrets(nfa: Nfa, initial: frozenset[str]) -> Nfa:
     """The accessible part, from ``initial``, of ``nfa`` with every secret
     state and every transition touching one deleted."""
-    kept = nfa.nonsecret
-    return accessible_part(
-        Nfa(
-            states=kept,
-            alphabet=nfa.alphabet,
-            transitions=frozenset(t for t in nfa.transitions if t[0] in kept and t[2] in kept),
-            initial=initial,
-            secret=frozenset(),
-        )
-    )
+    secret = nfa.secret
+    kept = ((x, out) for x, out in nfa.by_source.items() if x not in secret)
+    return _restrict(nfa, initial, {x: tuple(p for p in out if p[1] not in secret) for x, out in kept})

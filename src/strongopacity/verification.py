@@ -3,8 +3,9 @@
 The K-step check first runs the current-state pre-check on the observer (a
 system that already reveals a secret at distance zero fails every K), then
 looks for an empty-estimate state within K observable steps of the
-secret-restart composition. K is capped by the structural bound
-|X̂|·2^|X\\X_S| - 1 beforehand, so runtime never depends on the numeric K.
+secret-restart composition. K needs no cap: that composition has at most
+|X̂|·2^|X\\X_S| states, so none lies further than ``effective_k_bound``, and
+runtime never depends on the numeric K.
 
 The current-/initial-/infinite-step checks all read the composition with the
 deleted-secret-states observer: an empty-estimate state with a secret left
@@ -52,8 +53,6 @@ def effective_k_bound(nfa: Nfa) -> int:
     """The step bound beyond which the K-step verdict can no longer change."""
     acc = accessible_part(nfa)
     ghat = initial_secret_subautomaton(acc)
-    if not ghat.states:
-        return 0
     return max(0, len(ghat.states) * 2 ** len(acc.states - acc.secret) - 1)
 
 
@@ -119,9 +118,8 @@ def verify_k_sso(nfa: Nfa, k: int) -> Verdict:
     if witness is not None:
         return Verdict(False, K_SSO, k, witness=witness)
     cc = _cc_hat(acc, obs)
-    budget = min(k, effective_k_bound(acc))
     costs = cc_observable_costs(cc, cc.initials)
-    bad = [s for s, c in costs.items() if s.is_empty and c[0] <= budget]
+    bad = [s for s, c in costs.items() if s.is_empty and c[0] <= k]
     if not bad:
         return Verdict(True, K_SSO, k)
     return Verdict(False, K_SSO, k, witness=_walk_back(cc, costs, bad).to_run())

@@ -28,7 +28,11 @@ from strongopacity import (
     Nfa,
     Observer,
     accessible_part,
+    disable_transitions,
+    dss_subautomaton,
+    initial_secret_subautomaton,
     multi_initial_observer,
+    nonsecret_subautomaton,
     product,
     subset_construction,
     unobservable_reach,
@@ -240,17 +244,54 @@ def test_product_matches_reference(nfa, data, empty_sink):
     )
 
 
-@given(cyclic_nfas())
+def restricted(transitions, initial):
+    """The states reachable from ``initial`` over ``transitions``, and the
+    transitions leaving them."""
+    alive, todo = set(initial), list(initial)
+    while todo:
+        x = todo.pop()
+        for src, _, dst in transitions:
+            if src == x and dst not in alive:
+                alive.add(dst)
+                todo.append(dst)
+    return alive, {t for t in transitions if t[0] in alive}
+
+
+@given(cyclic_nfas(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_sorted_transitions_is_natural_order(nfa):
+def test_sorted_transitions_is_natural_order(nfa, data):
     assert nfa.sorted_transitions() == sorted(
         nfa.transitions, key=lambda t: tuple(natural_key(x) for x in t)
     )
     assert nfa.sorted_states() == sorted(nfa.states, key=natural_key)
-    alive = closure(nfa, nfa.initial, OBSERVABLE + UNOBSERVABLE)
-    acc = accessible_part(nfa)
-    assert acc.sorted_states() == sorted(alive, key=natural_key)
-    assert acc.transitions == {t for t in nfa.transitions if t[0] in alive}
+    # Each derived automaton, with the initial states and transitions of its
+    # set-based reference. The subautomata derive from a derived automaton,
+    # as in an enforcement round.
+    cut = data.draw(st.sets(st.sampled_from(sorted(nfa.transitions)))) if nfa.transitions else set()
+    base = disable_transitions(nfa, cut)
+    secret = base.secret
+    kept = {t for t in base.transitions if t[0] not in secret and t[2] not in secret}
+    obs = subset_construction(base)
+    seeds = {frozenset(q) - secret for q in obs.estimates if secret & set(q) and set(q) - secret}
+    pruned, pruned_seeds = nonsecret_subautomaton(base, obs)
+    assert pruned_seeds == seeds
+    cases = [
+        (accessible_part(nfa), nfa.initial, nfa.transitions),
+        (base, nfa.initial, nfa.transitions - cut),
+        (initial_secret_subautomaton(base), secret, base.transitions),
+        (dss_subautomaton(base), base.initial - secret, kept),
+        (pruned, frozenset().union(*seeds), kept),
+    ]
+    for derived, initial, transitions in cases:
+        states, edges = restricted(transitions, initial)
+        assert derived.states == states
+        assert derived.transitions == edges
+        assert derived.initial == initial
+        assert derived.secret == nfa.secret & states
+        assert derived.sorted_states() == sorted(states, key=natural_key)
+        assert derived.by_source.keys() == states
+        for x in states:
+            assert Counter(derived.by_source[x]) == Counter((e, d) for s, e, d in edges if s == x)
 
 
 def test_hand_built_observer_derives_its_table():

@@ -175,3 +175,10 @@ class TestStructuralProperties:
                 assert verify_siso(nfa).opaque
                 for k in range(min(effective_k_bound(nfa), 5) + 1):
                     assert verify_k_sso(nfa, k).opaque
+
+    def test_k_beyond_the_bound_changes_nothing(self):
+        # No composition state lies further than the bound, so K needs no cap.
+        for nfa in corpus(20260804, 40):
+            at_bound = verify_k_sso(nfa, effective_k_bound(nfa))
+            huge = verify_k_sso(nfa, 10**9)
+            assert (huge.opaque, huge.witness) == (at_bound.opaque, at_bound.witness)
