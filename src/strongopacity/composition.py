@@ -25,6 +25,12 @@ stored edge relation: the state set, the transition set and the
 the indexes are in no particular order; ``CcState.sort_key`` orders states
 only where they are output (``sorted_states``, ``sorted_transitions``) or
 where a witness tie is broken.
+
+The public constructors build whole compositions. The verifiers ask
+``product`` to stop early instead: it then explores one observable layer at
+a time and ends after the first layer holding an offending empty-estimate
+state, or after layer K. The result is a partial composition whose
+unexpanded states, the next layer, have no out-edges.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .automaton import Event, Nfa, accessible_part, natural_key
 from .errors import AlphabetMismatch, InternalInvariantError
@@ -90,10 +96,23 @@ class CcState:
 
 @dataclass(frozen=True)
 class CcEvent:
-    """A paired event: (sigma, sigma) when observable, (sigma, epsilon) otherwise."""
+    """A paired event: (sigma, sigma) when observable, (sigma, epsilon) otherwise.
+
+    The hash is cached as ``CcState``'s is, for the set lookups of the
+    searches.
+    """
 
     left_event: str
     right_event: str | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left_event, self.right_event)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (CcEvent, (self.left_event, self.right_event))
 
     @property
     def name(self) -> str:
@@ -145,8 +164,10 @@ class CcAutomaton:
                 index[dst].append((src, event))
         return {s: tuple(pairs) for s, pairs in index.items()}
 
-    def is_controllable(self, transition: CcTransition) -> bool:
-        return self.left.is_controllable(transition[1].left_event)
+    @cached_property
+    def controllable_events(self) -> frozenset[CcEvent]:
+        """The paired events whose left event is controllable."""
+        return frozenset(e for e in self.events if self.left.is_controllable(e.left_event))
 
     @cached_property
     def empty_states(self) -> frozenset[CcState]:
@@ -180,6 +201,9 @@ def product(
     right: Observer,
     initials: Iterable[CcState],
     empty_sink: bool,
+    *,
+    stop_on: Collection[str] | None = None,
+    max_layer: int | None = None,
 ) -> CcAutomaton:
     """BFS closure of ``initials`` under the paired-transition rules.
 
@@ -190,11 +214,23 @@ def product(
     stays empty while the left moves freely.
 
     The search runs over int keys: a left state's dense position and an
-    estimate's id in the observer's ``_table`` (0 for the empty estimate,
-    id + 1 otherwise). Each ``CcState`` and each ``CcEvent`` is created
+    estimate's id in the observer's ``_table`` (the number of estimates
+    for the empty estimate). Each ``CcState`` and each ``CcEvent`` is created
     once, every state shares the observer's estimate tuples, and each
     state's out-edges are recorded once, as it is expanded.
+
+    With no stop argument the closure is complete. Either stop argument
+    makes the search go one observable layer at a time (layer L holds the
+    states whose cheapest path has L observable steps; inside a layer the
+    queue is first-in-first-out over unobservable moves), and end after
+    the first layer that expands an empty-estimate state whose left state
+    is in ``stop_on``, or after layer ``max_layer``. The states found but
+    not expanded then belong to the next layer and are listed with no
+    out-edges, so every state of the layers searched has its cost and its
+    in-edges from cheaper states exactly as in the complete closure.
     """
+    if max_layer is not None and max_layer < 0:
+        raise ValueError("max_layer must be non-negative")
     right_names = {e.name for e in right.events}
     if not right_names <= left.observable_events:
         raise AlphabetMismatch(
@@ -209,51 +245,91 @@ def product(
 
     order, position = left._dense.order, left._dense.position
     table = right._table
-    rights = [None] + table.estimates  # slot -> right component
-    steps = [None] + table.step  # slot -> event -> estimate id
-    events = _paired_events(left)
     observable = left.observable_events
-    # Per left position: (paired event, observable event name or None, target position).
-    moves = [
-        [
-            (events[sigma], sigma if sigma in observable else None, position[dst])
-            for sigma, dst in left.by_source[x]
-        ]
-        for x in order
-    ]
+    # A slot is an estimate's id, or ``empty``, one past the last, for the
+    # empty estimate, which every observable event maps back to itself.
+    empty = len(table.estimates)
+    rights = table.estimates + [None]  # slot -> right component
+    steps = table.step + [dict.fromkeys(observable, empty)]  # slot -> event -> slot
+    events = _paired_events(left)
+    # Per left position: the unobservable moves, as (paired event, target
+    # position), and the observable ones, as (paired event, event name,
+    # target position).
+    silent: list[list[tuple[CcEvent, int]]] = []
+    loud: list[list[tuple[CcEvent, str, int]]] = []
+    for x in order:
+        silent.append([])
+        loud.append([])
+        for sigma, dst in left.by_source[x]:
+            if sigma in observable:
+                loud[-1].append((events[sigma], sigma, position[dst]))
+            else:
+                silent[-1].append((events[sigma], position[dst]))
+    layered = stop_on is not None or max_layer is not None
+    offends = [stop_on is not None and x in stop_on for x in order]
     width = len(rights)
     states: dict[int, CcState] = {}
-    todo: deque[tuple[CcState, int, int]] = deque()
+    now: deque[tuple[CcState, int, int]] = deque()  # this layer's queue
+    # Layered search only: the states found by an observable move and not
+    # (yet) by an unobservable one, the next layer, key -> queue entry.
+    later: dict[int, tuple[CcState, int, int]] = {}
     for s in initials:
-        pos, slot = position[s.left], 0 if s.right is None else table.ids[s.right] + 1
+        pos, slot = position[s.left], empty if s.right is None else table.ids[s.right]
         if pos * width + slot not in states:
             state = states[pos * width + slot] = CcState(order[pos], rights[slot])
-            todo.append((state, pos, slot))
+            now.append((state, pos, slot))
     start = list(states.values())
     edges: dict[CcState, tuple[tuple[CcEvent, CcState], ...]] = {}
-    while todo:
-        src, pos, slot = todo.popleft()
-        row = steps[slot]
-        out = []
-        for event, sigma, dst_pos in moves[pos]:
-            dst_slot = slot
-            if sigma is not None and slot:
-                nxt = row.get(sigma)
-                if nxt is not None:
-                    dst_slot = nxt + 1
-                elif empty_sink:
-                    dst_slot = 0
-                else:
-                    continue
-            key = dst_pos * width + dst_slot
-            dst = states.get(key)
-            if dst is None:
-                dst = states[key] = CcState(order[dst_pos], rights[dst_slot])
-                todo.append((dst, dst_pos, dst_slot))
-            out.append((event, dst))
-        # Each state is expanded once and its left moves are distinct, so
-        # every edge is listed once.
-        edges[src] = tuple(out)
+    layer, stop = 0, False
+    while True:
+        while now:
+            src, pos, slot = now.popleft()
+            out = []
+            for event, dst_pos in silent[pos]:
+                key = dst_pos * width + slot
+                dst = states.get(key)
+                if dst is None:
+                    if key in later:  # found by an observable move, yet in this layer
+                        entry = later.pop(key)
+                        dst = states[key] = entry[0]
+                        now.append(entry)
+                    else:
+                        dst = states[key] = CcState(order[dst_pos], rights[slot])
+                        now.append((dst, dst_pos, slot))
+                out.append((event, dst))
+            row = steps[slot]
+            for event, sigma, dst_pos in loud[pos]:
+                dst_slot = row.get(sigma)
+                if dst_slot is None:
+                    if not empty_sink:
+                        continue
+                    dst_slot = empty
+                key = dst_pos * width + dst_slot
+                dst = states.get(key)
+                if dst is None:
+                    if layered:
+                        entry = later.get(key)
+                        if entry is None:
+                            entry = later[key] = (CcState(order[dst_pos], rights[dst_slot]), dst_pos, dst_slot)
+                        dst = entry[0]
+                    else:
+                        dst = states[key] = CcState(order[dst_pos], rights[dst_slot])
+                        now.append((dst, dst_pos, dst_slot))
+                out.append((event, dst))
+            # Each state is expanded once and its left moves are distinct, so
+            # every edge is listed once.
+            edges[src] = tuple(out)
+            if slot == empty and offends[pos]:
+                stop = True
+        if stop or not later or layer == max_layer:
+            break
+        layer += 1
+        for key, entry in later.items():
+            states[key] = entry[0]
+            now.append(entry)
+        later.clear()
+    for dst, _, _ in later.values():  # found, not expanded
+        edges[dst] = ()
     return CcAutomaton(
         left=left,
         right=right,
@@ -284,10 +360,11 @@ def cc_hat(nfa: Nfa) -> CcAutomaton:
     return _cc_hat(nfa, subset_construction(nfa) if nfa.secret else None)
 
 
-def _cc_hat(nfa: Nfa, obs: Observer | None) -> CcAutomaton:
+def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
     """``cc_hat`` of an accessible ``nfa`` whose observer ``obs`` the caller
     already holds. ``obs`` may be None when ``nfa`` has no secret state (an
-    accessible automaton without initial states has none)."""
+    accessible automaton without initial states has none). ``stop`` holds
+    ``product``'s stop arguments."""
     ghat = initial_secret_subautomaton(nfa)
     if obs is None or not ghat.states:
         events = frozenset(_paired_events(ghat).values())
@@ -305,7 +382,7 @@ def _cc_hat(nfa: Nfa, obs: Observer | None) -> CcAutomaton:
         for x in q:
             if x in nfa.secret:
                 initials.append(CcState(x, paired))
-    return product(ghat, right, initials, empty_sink=True)
+    return product(ghat, right, initials, empty_sink=True, **stop)
 
 
 def cc_full_observer(nfa: Nfa) -> CcAutomaton:
@@ -332,7 +409,13 @@ def cc_dss(nfa: Nfa) -> CcAutomaton:
     initial estimate, or with the empty estimate when no non-secret initial
     state exists (every secret visit is then immediately leaking).
     """
-    nfa = accessible_part(nfa)
+    return _cc_dss(accessible_part(nfa))
+
+
+def _cc_dss(nfa: Nfa, *, secret_only: bool = False, **stop) -> CcAutomaton:
+    """``cc_dss`` of an accessible ``nfa``. With ``secret_only`` only the
+    secret initial pairs seed the product, the part that initial-state
+    opacity reads; ``stop`` holds ``product``'s stop arguments."""
     dss = dss_subautomaton(nfa)
     if dss.initial:
         right = subset_construction(dss)
@@ -341,4 +424,5 @@ def cc_dss(nfa: Nfa) -> CcAutomaton:
     else:
         right = _empty_observer(dss)
         paired = None
-    return product(nfa, right, [CcState(x0, paired) for x0 in nfa.initial], empty_sink=True)
+    starts = nfa.initial & nfa.secret if secret_only else nfa.initial
+    return product(nfa, right, [CcState(x0, paired) for x0 in starts], empty_sink=True, **stop)

@@ -89,11 +89,12 @@ def _frontier(
     holds: ``src_costs`` from the sources, and ``bad_costs`` into the
     offending states through uncontrollable transitions."""
     frontier = set()
+    controllable = cc.controllable_events
     for src, pairs in cc.by_source.items():
         if src not in src_costs:
             continue
         for event, dst in pairs:
-            if not cc.left.is_controllable(event.left_event) or dst not in bad_costs:
+            if dst not in bad_costs or event not in controllable:
                 continue
             if budget is not None:
                 length = src_costs[src][0] + (1 if event.observable else 0) + bad_costs[dst][0]

@@ -157,6 +157,9 @@ def _quote(text: str) -> str:
 
 
 def _merged_edges(edges) -> list[str]:
+    """One DOT line per (source, target) name pair, its labels merged; the
+    pairs and the labels are put in natural order here, so ``edges`` may
+    come in any order."""
     grouped: dict[tuple[str, str], list[str]] = {}
     for src, label, dst in edges:
         grouped.setdefault((src, dst), []).append(label)
@@ -175,7 +178,7 @@ def _nfa_lines(nfa: Nfa) -> list[str]:
     for x in nfa.sorted_states():
         flags = f"initial={'true' if x in nfa.initial else 'false'}, secret={'true' if x in nfa.secret else 'false'}"
         lines.append(f"  {_quote(x)} [{flags}];")
-    lines += _merged_edges(nfa.sorted_transitions())
+    lines += _merged_edges(nfa.transitions)
     lines.append("}")
     return lines
 
@@ -186,7 +189,7 @@ def _observer_lines(obs: Observer) -> list[str]:
     for q in obs.sorted_estimates():
         flag = "true" if q in obs.initials else "false"
         lines.append(f"  {_quote(names[q])} [initial={flag}];")
-    lines += _merged_edges((names[q1], event, names[q2]) for q1, event, q2 in obs.sorted_edges())
+    lines += _merged_edges((names[q1], event, names[q2]) for (q1, event), q2 in obs.delta.items())
     lines.append("}")
     return lines
 
@@ -200,7 +203,9 @@ def _composition_lines(cc: CcAutomaton) -> list[str]:
         empty = "true" if s.is_empty else "false"
         lines.append(f"  {_quote(names[s])} [initial={init}, empty={empty}];")
     lines += _merged_edges(
-        (names[src], event_names[event], names[dst]) for src, event, dst in cc.sorted_transitions()
+        (names[src], event_names[event], names[dst])
+        for src, pairs in cc.edges.items()
+        for event, dst in pairs
     )
     lines.append("}")
     return lines

@@ -84,12 +84,6 @@ class Observer:
     def sorted_estimates(self) -> list[Estimate]:
         return sorted(self.estimates)
 
-    def sorted_edges(self) -> list[tuple[Estimate, str, Estimate]]:
-        return sorted(
-            ((q, ev, q2) for (q, ev), q2 in self.delta.items()),
-            key=lambda e: (e[0], natural_key(e[1]), e[2]),
-        )
-
 
 def _close_and_explore(nfa: Nfa, starts: list[int]) -> Observer:
     """The observer reached from the distinct closed estimate masks ``starts``."""

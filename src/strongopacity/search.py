@@ -51,6 +51,7 @@ def cc_observable_costs(
             dist[s] = (0, 0)
             heapq.heappush(heap, ((0, 0), next(order), s))
     adjacency = cc.by_target if backward else cc.by_source
+    controllable = cc.controllable_events
     while heap:
         cost, _, here = heapq.heappop(heap)
         if cost > dist[here]:
@@ -58,7 +59,7 @@ def cc_observable_costs(
         for first, second in adjacency.get(here, ()):
             event = second if backward else first
             nxt = first if backward else second
-            if uncontrollable_only and cc.left.is_controllable(event.left_event):
+            if uncontrollable_only and event in controllable:
                 continue
             nc = _plus(cost, event)
             if nxt not in dist or nc < dist[nxt]:
@@ -108,11 +109,12 @@ def _walk_back(
         return None
     here = min(hit, key=lambda t: (dist[t], t.sort_key()))
     edges: list[CcTransition] = []
+    controllable = cc.controllable_events
     while dist[here] != (0, 0):  # every transition costs, so only sources are free
         cost = dist[here]
         best = None
         for pred, event in cc.by_target[here]:
-            if uncontrollable_only and cc.left.is_controllable(event.left_event):
+            if uncontrollable_only and event in controllable:
                 continue
             if pred not in dist or _plus(dist[pred], event) != cost:
                 continue

@@ -15,6 +15,13 @@ any empty-estimate state at all, respectively.
 Negative verdicts carry one shortest leaking run (observable length first,
 then transition count, ties by state-name order). The current-state witness
 is a breadth-first observer path instead, ties going to the first discovered.
+
+None of these checks needs the whole composition. Each builds it one
+observable layer at a time and stops after layer K, or after the first layer
+holding an offending state (for siso, the product is seeded from the secret
+initial pairs only). Every state cheaper than the cheapest offending one is
+then expanded, so its cost and its in-edges are exact, and the search on the
+partial composition gives the verdict and the witness the whole one gives.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automaton import Nfa, Run, accessible_part
-from .composition import CcAutomaton, CcState, _cc_hat, cc_dss
+from .composition import CcAutomaton, CcState, _cc_dss, _cc_hat
 from .observer import EstimateClass, Observer, classify_estimates, estimate_name, subset_construction
 from .search import _walk_back, cc_observable_costs, cc_shortest_path
 from .subautomata import initial_secret_subautomaton
@@ -117,7 +124,8 @@ def verify_k_sso(nfa: Nfa, k: int) -> Verdict:
     witness = _cso_witness(obs, acc.secret)
     if witness is not None:
         return Verdict(False, K_SSO, k, witness=witness)
-    cc = _cc_hat(acc, obs)
+    # Every empty-estimate state offends if it lies within K layers.
+    cc = _cc_hat(acc, obs, stop_on=acc.states, max_layer=k)
     costs = cc_observable_costs(cc, cc.initials)
     bad = [s for s, c in costs.items() if s.is_empty and c[0] <= k]
     if not bad:
@@ -141,7 +149,13 @@ def _dss_verdict(nfa: Nfa, notion: str) -> Verdict:
     acc = accessible_part(nfa)
     if not acc.initial:
         return Verdict(True, notion)
-    cc = cc_dss(acc)
+    # Only the secret initial pairs start an offending siso run, and only a
+    # secret left state offends for scso.
+    cc = _cc_dss(
+        acc,
+        secret_only=notion == SISO,
+        stop_on=acc.secret if notion == SCSO else acc.states,
+    )
     sources, bad, costs = _dss_offenders(cc, notion)
     if not bad:
         return Verdict(True, notion)

@@ -88,5 +88,16 @@ def test_golden_corpus_outputs_unchanged():
         assert got == want, f"instance {index}"
 
 
+def test_library_writes_nothing_to_stdout(capsys):
+    # A program that calls the library owns its stdout (the benchmark's last
+    # stdout line is its result), so no verifier or enforcer may print.
+    rng = random.Random(SEED)
+    for _ in range(40):
+        nfa = random_cyclic_nfa(rng)
+        for run in [*VERIFIERS.values(), *ENFORCERS.values()]:
+            run(nfa)
+    assert capsys.readouterr().out == ""
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(_corpus_outputs(), indent=1) + "\n", encoding="utf-8")

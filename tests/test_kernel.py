@@ -2,12 +2,17 @@
 plain set-based references written here.
 
 The random automata have unobservable cycles and self-loops, which the golden
-corpus (forward unobservable edges only) does not exercise.
+corpus (forward unobservable edges only) does not exercise. The verifiers,
+which stop the product at its first offending layer or at layer K, are
+checked against the search of the whole public compositions on these
+automata and on golden-corpus instances.
 """
 
 import dataclasses
+import math
 import os
-from collections import Counter
+import random
+from collections import Counter, deque
 import pickle
 import subprocess
 import sys
@@ -28,6 +33,8 @@ from strongopacity import (
     Nfa,
     Observer,
     accessible_part,
+    cc_dss,
+    cc_hat,
     disable_transitions,
     dss_subautomaton,
     initial_secret_subautomaton,
@@ -36,8 +43,19 @@ from strongopacity import (
     product,
     subset_construction,
     unobservable_reach,
+    verify_cso,
+    verify_inf_sso,
+    verify_k_sso,
+    verify_scso,
+    verify_siso,
 )
 from strongopacity.automaton import natural_key
+from strongopacity.search import cc_observable_costs, cc_shortest_path
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from corpus import random_cyclic_nfa  # noqa: E402
+from test_golden import SEED as GOLDEN_SEED  # noqa: E402
 
 # Names whose natural order differs from their string order.
 NAMES = ["0", "1", "2", "9", "10", "11", "x2", "x10"]
@@ -244,6 +262,194 @@ def test_product_matches_reference(nfa, data, empty_sink):
     )
 
 
+def observable_layers(transitions, initials):
+    """Each state's least number of observable steps from ``initials``."""
+    layer = {s: 0 for s in initials}
+    todo = deque(layer)
+    while todo:
+        here = todo.popleft()
+        for src, event, dst in transitions:
+            if src != here:
+                continue
+            cost = layer[here] + (1 if event.observable else 0)
+            if cost < layer.get(dst, math.inf):
+                layer[dst] = cost
+                # 0-1 search: a free step goes to the front of the queue.
+                if event.observable:
+                    todo.append(dst)
+                else:
+                    todo.appendleft(dst)
+    return layer
+
+
+def check_layered_product(nfa, obs, initials, empty_sink, stop_on, max_layer):
+    """``product`` with a stop against the whole reference product: it
+    expands exactly the layers up to the first offending one or to
+    ``max_layer``, and lists the states those layers reach."""
+    cc = product(nfa, obs, initials, empty_sink=empty_sink, stop_on=stop_on, max_layer=max_layer)
+    states, transitions = reference_product(nfa, obs, initials, empty_sink)
+    layer = observable_layers(transitions, initials)
+    assert layer.keys() == states
+    last = min(
+        [layer[s] for s in states if s.is_empty and stop_on is not None and s.left in stop_on]
+        + ([max_layer] if max_layer is not None else []),
+        default=math.inf,
+    )
+    expanded = {s for s in states if layer[s] <= last}
+    assert cc.transitions == {t for t in transitions if t[0] in expanded}
+    assert cc.states == expanded | {dst for src, _, dst in transitions if src in expanded}
+    assert cc.initials == set(initials)
+    # Every expanded state has its whole-product cost, and the cheapest
+    # empty-estimate state its whole-product witness.
+    full = product(nfa, obs, initials, empty_sink=empty_sink)
+    part_costs, full_costs = cc_observable_costs(cc, initials), cc_observable_costs(full, initials)
+    assert all(part_costs[s] == full_costs[s] for s in expanded)
+    bad = [s for s in states if s.is_empty and layer[s] <= last]
+    if bad:
+        want = cc_shortest_path(full, initials, bad)
+        assert cc_shortest_path(cc, initials, cc.empty_states) == want
+
+
+def each_stop(nfa):
+    """Every (stop_on, max_layer) pair the tests try, no stop included."""
+    return [(on, k) for on in (None, nfa.secret, nfa.states) for k in (None, 0, 1, 2, 3)]
+
+
+@given(cyclic_nfas(), st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_layered_product_stops_after_its_layer(nfa, data, empty_sink):
+    kept = set()
+    if nfa.transitions:
+        kept = data.draw(st.sets(st.sampled_from(sorted(nfa.transitions))))
+    obs = subset_construction(nfa.replace(transitions=kept))
+    pair = st.tuples(st.sampled_from(sorted(nfa.states)), st.sampled_from(sorted(obs.estimates) + [None]))
+    initials = [CcState(x, q) for x, q in data.draw(st.lists(pair, min_size=1, max_size=3))]
+    for stop_on, max_layer in each_stop(nfa):
+        check_layered_product(nfa, obs, initials, empty_sink, stop_on, max_layer)
+
+
+def test_layered_product_on_golden_instances():
+    rng = random.Random(GOLDEN_SEED)
+    for _ in range(40):
+        nfa = random_cyclic_nfa(rng)
+        dss = dss_subautomaton(nfa)
+        if not dss.initial:
+            continue
+        obs = subset_construction(dss)
+        initials = [CcState(x, q) for x in nfa.initial for q in obs.initials]
+        for stop_on, max_layer in each_stop(nfa):
+            check_layered_product(nfa, obs, initials, True, stop_on, max_layer)
+
+
+def test_state_found_by_an_observable_move_moves_back_into_its_layer():
+    # The initial estimate q = {0,1,2} steps to itself on a. So (2,q) is
+    # first found by the observable move from (0,q), for layer 1, and then
+    # by the unobservable move from (1,q), in layer 0: layer 0 expands it.
+    nfa = Nfa(
+        frozenset("0123"),
+        (Event("a"), Event("b"), Event("u", observable=False)),
+        frozenset(
+            {("0", "a", "2"), ("0", "u", "1"), ("1", "u", "2"), ("2", "a", "0"), ("2", "b", "3"), ("3", "b", "3")}
+        ),
+        frozenset({"0"}),
+    )
+    obs = subset_construction(nfa)
+    (q,) = obs.initials
+    assert q == ("0", "1", "2") and obs.step(q, "a") == q
+    cc = product(nfa, obs, [CcState("0", q)], empty_sink=True, max_layer=0)
+    assert {(src.left, event.left_event, dst.left) for src, event, dst in cc.transitions} == {
+        ("0", "a", "2"),
+        ("0", "u", "1"),
+        ("1", "u", "2"),
+        ("2", "a", "0"),
+        ("2", "b", "3"),
+    }
+    assert cc.by_source[CcState("3", ("3",))] == ()
+    with pytest.raises(ValueError):
+        product(nfa, obs, [CcState("0", q)], empty_sink=True, max_layer=-1)
+
+
+def reference_verdicts(nfa):
+    """Every composition verdict by the search of the whole public
+    composition: (opaque, witness) per notion, K-step at K = 0, 1, 2, 5."""
+    acc = accessible_part(nfa)
+    if not acc.initial:
+        return {name: (True, None) for name in ("scso", "siso", "inf-sso", 0, 1, 2, 5)}
+    out = {}
+    dss = cc_dss(acc)
+    offenders = {
+        "scso": (dss.initials, [s for s in dss.empty_states if s.left in acc.secret]),
+        "siso": (dss.secret_initials, dss.empty_states),
+        "inf-sso": (dss.initials, dss.empty_states),
+    }
+    for notion, (sources, bad) in offenders.items():
+        path = cc_shortest_path(dss, sources, bad)
+        out[notion] = (path is None, path and path.to_run())
+    cso = verify_cso(acc)
+    hat = cc_hat(acc)
+    costs = cc_observable_costs(hat, hat.initials)
+    for k in (0, 1, 2, 5):
+        bad = [s for s, c in costs.items() if s.is_empty and c[0] <= k]
+        path = cc_shortest_path(hat, hat.initials, bad)
+        if not cso.opaque:
+            out[k] = (False, cso.witness)
+        else:
+            out[k] = (path is None, path and path.to_run())
+    return out
+
+
+def library_verdicts(nfa):
+    out = {
+        "scso": verify_scso(nfa),
+        "siso": verify_siso(nfa),
+        "inf-sso": verify_inf_sso(nfa),
+        **{k: verify_k_sso(nfa, k) for k in (0, 1, 2, 5)},
+    }
+    return {name: (v.opaque, v.witness) for name, v in out.items()}
+
+
+@given(cyclic_nfas())
+@settings(max_examples=200, deadline=None)
+def test_early_stop_verdicts_match_the_whole_composition(nfa):
+    assert library_verdicts(nfa) == reference_verdicts(nfa)
+
+
+def test_early_stop_keeps_a_layer_found_by_an_unobservable_path():
+    # Layer 1 finds (3,∅) first by the observable move from (1,∅), then by
+    # the unobservable move from (2,∅). Only through (3,∅) does it reach
+    # (4,∅), the secret empty-estimate state that ties with (7,∅) on cost
+    # and comes first by name; (7,∅) stops the search after layer 1.
+    nfa = Nfa(
+        frozenset(str(i) for i in range(10)),
+        (Event("a"), Event("b"), Event("u", observable=False)),
+        frozenset(
+            {
+                ("0", "u", "8"),
+                ("8", "u", "9"),
+                ("8", "a", "1"),
+                ("9", "a", "2"),
+                ("1", "b", "3"),
+                ("2", "u", "3"),
+                ("3", "u", "4"),
+                ("1", "u", "5"),
+                ("5", "u", "6"),
+                ("6", "u", "7"),
+            }
+        ),
+        frozenset({"0"}),
+        frozenset({"8", "9", "4", "7"}),
+    )
+    assert library_verdicts(nfa) == reference_verdicts(nfa)
+    assert verify_scso(nfa).witness.steps[-1][1] == "(4,∅)"
+
+
+def test_early_stop_verdicts_match_on_golden_instances():
+    rng = random.Random(GOLDEN_SEED)
+    for index in range(100):
+        nfa = random_cyclic_nfa(rng)
+        assert library_verdicts(nfa) == reference_verdicts(nfa), f"instance {index}"
+
+
 def restricted(transitions, initial):
     """The states reachable from ``initial`` over ``transitions``, and the
     transitions leaving them."""
@@ -324,6 +530,12 @@ class TestCachedHash:
     def test_pickle_round_trip_in_process(self):
         state = CcState("1", ("2", "10"))
         assert pickle.loads(pickle.dumps(state)) in {state}
+        event = CcEvent("a", None)
+        assert pickle.loads(pickle.dumps(event)) in {event}
+
+    def test_event_hash_follows_its_fields(self):
+        assert dataclasses.replace(CcEvent("a", None), right_event="a") in {CcEvent("a", "a")}
+        assert CcEvent("a", "a") in frozenset({CcEvent("a", "a")})
 
     def test_hash_does_not_outlive_the_process(self, tmp_path):
         src = str(Path(strongopacity.__file__).resolve().parents[1])
@@ -331,15 +543,15 @@ class TestCachedHash:
         blob = tmp_path / "states.pickle"
         dump = (
             "import pickle, sys\n"
-            "from strongopacity import CcState\n"
-            "states = [CcState('1', ('2', '10')), CcState('x', None)]\n"
+            "from strongopacity import CcEvent, CcState\n"
+            "states = [CcState('1', ('2', '10')), CcState('x', None), CcEvent('a', None)]\n"
             "open(sys.argv[1], 'wb').write(pickle.dumps((states, set(states))))\n"
         )
         load = (
             "import pickle, sys\n"
-            "from strongopacity import CcState\n"
+            "from strongopacity import CcEvent, CcState\n"
             "states, pool = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-            "fresh = {CcState('1', ('2', '10')), CcState('x', None)}\n"
+            "fresh = {CcState('1', ('2', '10')), CcState('x', None), CcEvent('a', None)}\n"
             "assert all(s in fresh for s in states), 'loaded state not found'\n"
             "assert fresh <= pool, 'fresh state not found in the loaded set'\n"
         )
