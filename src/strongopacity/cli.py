@@ -104,12 +104,18 @@ def _checked_k(parser: argparse.ArgumentParser, args, model: Nfa) -> int:
         parser.error("--k is required for --notion k-sso")
     if args.k < 0:
         parser.error("--k must be non-negative")
-    bound = effective_k_bound(model)
-    if args.k > bound:
-        print(
-            f"notice: K={args.k} exceeds the effective bound {bound}; capped",
-            file=sys.stderr,
-        )
+    # The bound is 0 with no accessible secret state and at least
+    # 2^|X∖X_S| - 1 with one: only a K above that needs the exact bound,
+    # which builds the secret-restart subautomaton.
+    acc = accessible_part(model)
+    if args.k > (2 ** len(acc.states - acc.secret) - 1 if acc.secret else 0):
+        bound = effective_k_bound(acc)
+        if args.k > bound:
+            print(
+                f"notice: K={args.k} exceeds the effective bound {bound}; "
+                "beyond the bound the verdict no longer changes",
+                file=sys.stderr,
+            )
     return args.k
 
 

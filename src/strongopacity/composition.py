@@ -26,10 +26,11 @@ the indexes are in no particular order; ``CcState.sort_key`` orders states
 only where they are output (``sorted_states``, ``sorted_transitions``) or
 where a witness tie is broken.
 
-The public constructors build whole compositions. The verifiers ask
-``product`` to stop early instead: it then explores one observable layer at
-a time and ends after the first layer holding an offending empty-estimate
-state, or after layer K. The result is a partial composition whose
+The public constructors build whole compositions. The verifiers and the
+K-step enforcer ask ``product`` to stop early instead: it then explores one
+observable layer at a time and ends after layer K, or at the first offending
+empty-estimate state (after its layer, or after the layer before when every
+empty-estimate state offends). The result is a partial composition whose
 unexpanded states, the next layer, have no out-edges.
 """
 
@@ -228,6 +229,14 @@ def product(
     not expanded then belong to the next layer and are listed with no
     out-edges, so every state of the layers searched has its cost and its
     in-edges from cheaper states exactly as in the complete closure.
+
+    When ``stop_on`` holds every left state, every empty-estimate state
+    offends, and the search ends one layer earlier: after the layer whose
+    observable moves find the first empty-estimate state of the next one.
+    An unobservable move into an empty-estimate state then comes from
+    another one, so the cheapest empty-estimate state of the next layer is
+    entered by an observable move from a layer searched, and it has its
+    exact cost and every in-edge that a cheapest path can end with.
     """
     if max_layer is not None and max_layer < 0:
         raise ValueError("max_layer must be non-negative")
@@ -267,6 +276,7 @@ def product(
                 silent[-1].append((events[sigma], position[dst]))
     layered = stop_on is not None or max_layer is not None
     offends = [stop_on is not None and x in stop_on for x in order]
+    early = stop_on is not None and all(offends)  # every empty state offends
     width = len(rights)
     states: dict[int, CcState] = {}
     now: deque[tuple[CcState, int, int]] = deque()  # this layer's queue
@@ -311,6 +321,8 @@ def product(
                         entry = later.get(key)
                         if entry is None:
                             entry = later[key] = (CcState(order[dst_pos], rights[dst_slot]), dst_pos, dst_slot)
+                            if early and dst_slot == empty:
+                                stop = True
                         dst = entry[0]
                     else:
                         dst = states[key] = CcState(order[dst_pos], rights[dst_slot])
@@ -401,21 +413,22 @@ def _cc_full_observer(nfa: Nfa, obs: Observer) -> CcAutomaton:
     return product(nfa, obs, [CcState(x0, q0) for x0 in nfa.initial], empty_sink=False)
 
 
-def cc_dss(nfa: Nfa) -> CcAutomaton:
+def cc_dss(nfa: Nfa, *, secret_only: bool = False) -> CcAutomaton:
     """The composition of the system with the observer of its
     deleted-secret-states remainder.
 
     Every initial state of the system is paired with the remainder's single
     initial estimate, or with the empty estimate when no non-secret initial
-    state exists (every secret visit is then immediately leaking).
+    state exists (every secret visit is then immediately leaking). With
+    ``secret_only`` only the secret initial pairs seed it: that part is all
+    that initial-state opacity reads.
     """
-    return _cc_dss(accessible_part(nfa))
+    return _cc_dss(accessible_part(nfa), secret_only=secret_only)
 
 
 def _cc_dss(nfa: Nfa, *, secret_only: bool = False, **stop) -> CcAutomaton:
-    """``cc_dss`` of an accessible ``nfa``. With ``secret_only`` only the
-    secret initial pairs seed the product, the part that initial-state
-    opacity reads; ``stop`` holds ``product``'s stop arguments."""
+    """``cc_dss`` of an accessible ``nfa``; ``stop`` holds ``product``'s
+    stop arguments."""
     dss = dss_subautomaton(nfa)
     if dss.initial:
         right = subset_construction(dss)

@@ -17,6 +17,14 @@ collects the offending empty-estimate states, and either
 Disabling can turn previously matched runs into leaking ones, which is exactly
 why the loop rebuilds and repeats; every round removes at least one
 controllable transition, so it ends within |controllable transitions| rounds.
+
+A round builds only the part of a composition that it reads: the K-step
+round explores the secret-restart composition up to observable layer K, and
+the siso round the deleted-secret-states composition from the secret initial
+pairs. The first part holds every predecessor of the states it expands
+(observable cost never falls along a path), the second every successor of
+its sources, so the offenders, the costs, the frontier and the witness are
+those of the whole composition.
 """
 
 from __future__ import annotations
@@ -118,7 +126,10 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
     disabled: set[Transition] = set()
     for _ in range(len(current.controllable_transitions) + 2):
         obs = subset_construction(current) if current.secret else None
-        cc = _cc_hat(current, obs)
+        # Observable cost never falls along a path, so every state that this
+        # round reads (theta, its predecessors, the frontier, the Impossible
+        # suffix) lies within layer K of the composition.
+        cc = _cc_hat(current, obs, max_layer=k)
         forward = cc_observable_costs(cc, cc.initials)
         theta = {s for s in cc.empty_states if s in forward and forward[s][0] <= k}
         if not theta:
@@ -131,13 +142,15 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
         marked: set[CcState] = set()
         if leaky:  # only a leaky initial needs the system/observer composition
             ccobs = _cc_full_observer(current, obs)
-            for i in leaky:
-                remainder = frozenset(i.right or ())
-                marked |= {
-                    s
-                    for s in ccobs.states
-                    if s.left == i.left and frozenset(s.right) - current.secret == remainder
-                }
+            # The pairs whose left state and non-secret remainder are a leaky
+            # initial's, in one scan.
+            lefts = {i.left for i in leaky}
+            wanted = {(i.left, frozenset(i.right or ())) for i in leaky}
+            marked = {
+                s
+                for s in ccobs.edges
+                if s.left in lefts and (s.left, frozenset(s.right) - current.secret) in wanted
+            }
         if leaky and not marked:
             raise InternalInvariantError("no predecessor states correspond to a leaking initial")
         if marked:
@@ -172,7 +185,7 @@ def _enforce_dss(nfa: Nfa, notion: str) -> EnforcementOutcome:
     current = accessible_part(nfa)
     disabled: set[Transition] = set()
     for _ in range(len(current.controllable_transitions) + 2):
-        cc = cc_dss(current)
+        cc = cc_dss(current, secret_only=notion == SISO)
         sources, bad, costs = _dss_offenders(cc, notion)
         if not bad:
             return Enforced(frozenset(disabled), current)

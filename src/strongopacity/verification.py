@@ -17,10 +17,14 @@ then transition count, ties by state-name order). The current-state witness
 is a breadth-first observer path instead, ties going to the first discovered.
 
 None of these checks needs the whole composition. Each builds it one
-observable layer at a time and stops after layer K, or after the first layer
-holding an offending state (for siso, the product is seeded from the secret
-initial pairs only). Every state cheaper than the cheapest offending one is
-then expanded, so its cost and its in-edges are exact, and the search on the
+observable layer at a time (for siso, seeded from the secret initial pairs
+only) and stops after layer K or at the first offending state. For k-sso,
+siso and inf-sso every empty-estimate state offends, and the search stops
+after the layer whose observable moves find the first one; for scso it
+stops only after the first layer holding a secret one, whose cheapest path
+may end with an unobservable move from a non-secret empty-estimate state of
+the same layer. Every state cheaper than the cheapest offending one is then
+expanded, so its cost and its in-edges are exact, and the search on the
 partial composition gives the verdict and the witness the whole one gives.
 """
 

@@ -3,9 +3,10 @@ plain set-based references written here.
 
 The random automata have unobservable cycles and self-loops, which the golden
 corpus (forward unobservable edges only) does not exercise. The verifiers,
-which stop the product at its first offending layer or at layer K, are
-checked against the search of the whole public compositions on these
-automata and on golden-corpus instances.
+which stop the product at (or one layer before) its first offending layer
+or at layer K, and the K-step and siso enforcers, which build only part of
+a composition, are checked against the search of the whole public
+compositions on these automata and on golden-corpus instances.
 """
 
 import dataclasses
@@ -27,17 +28,24 @@ from strongopacity import (
     CcEvent,
     CcState,
     EmptyEstimate,
+    Enforced,
     Event,
+    Impossible,
     InternalInvariantError,
     InvalidState,
     Nfa,
     Observer,
+    Run,
     accessible_part,
     cc_dss,
+    cc_full_observer,
     cc_hat,
     disable_transitions,
     dss_subautomaton,
+    enforce_k_sso,
+    enforce_siso,
     initial_secret_subautomaton,
+    last_controllable_frontier,
     multi_initial_observer,
     nonsecret_subautomaton,
     product,
@@ -282,29 +290,38 @@ def observable_layers(transitions, initials):
     return layer
 
 
+def stop_layer(left, layer, stop_on, max_layer):
+    """The last layer that ``product`` expands: the layer of the first
+    offending empty-estimate state, or the one before it (never below 0)
+    when ``stop_on`` holds every state of ``left``, or ``max_layer`` if
+    sooner."""
+    offending = [n for s, n in layer.items() if s.is_empty and stop_on is not None and s.left in stop_on]
+    last = min(offending, default=math.inf)
+    if offending and left.states <= set(stop_on):
+        last = max(0, last - 1)
+    return min(last, math.inf if max_layer is None else max_layer)
+
+
 def check_layered_product(nfa, obs, initials, empty_sink, stop_on, max_layer):
     """``product`` with a stop against the whole reference product: it
-    expands exactly the layers up to the first offending one or to
-    ``max_layer``, and lists the states those layers reach."""
+    expands exactly the layers up to ``stop_layer``, and lists the states
+    those layers reach."""
     cc = product(nfa, obs, initials, empty_sink=empty_sink, stop_on=stop_on, max_layer=max_layer)
     states, transitions = reference_product(nfa, obs, initials, empty_sink)
     layer = observable_layers(transitions, initials)
     assert layer.keys() == states
-    last = min(
-        [layer[s] for s in states if s.is_empty and stop_on is not None and s.left in stop_on]
-        + ([max_layer] if max_layer is not None else []),
-        default=math.inf,
-    )
+    last = stop_layer(nfa, layer, stop_on, max_layer)
     expanded = {s for s in states if layer[s] <= last}
     assert cc.transitions == {t for t in transitions if t[0] in expanded}
     assert cc.states == expanded | {dst for src, _, dst in transitions if src in expanded}
     assert cc.initials == set(initials)
     # Every expanded state has its whole-product cost, and the cheapest
-    # empty-estimate state its whole-product witness.
+    # empty-estimate state, if it lies at most one layer further, its
+    # whole-product witness.
     full = product(nfa, obs, initials, empty_sink=empty_sink)
     part_costs, full_costs = cc_observable_costs(cc, initials), cc_observable_costs(full, initials)
     assert all(part_costs[s] == full_costs[s] for s in expanded)
-    bad = [s for s in states if s.is_empty and layer[s] <= last]
+    bad = [s for s in states if s.is_empty and layer[s] <= last + 1]
     if bad:
         want = cc_shortest_path(full, initials, bad)
         assert cc_shortest_path(cc, initials, cc.empty_states) == want
@@ -443,11 +460,141 @@ def test_early_stop_keeps_a_layer_found_by_an_unobservable_path():
     assert verify_scso(nfa).witness.steps[-1][1] == "(4,∅)"
 
 
+def test_scso_waits_for_a_secret_offender_behind_a_non_secret_one():
+    # Layer 0 finds (5,∅), non-secret, by the observable move from (4,{0,1,2,3})
+    # and (7,∅), secret, by the one from (3,{0,1,2,3}). The cheapest secret
+    # offender, (6,∅) at cost (1,3) against (1,4), lies behind (5,∅) by an
+    # unobservable move of layer 1, so scso must expand layer 1; inf-sso,
+    # for which (5,∅) offends, stops after layer 0.
+    nfa = Nfa(
+        frozenset(str(i) for i in range(8)),
+        (Event("a"), Event("b"), Event("u", observable=False)),
+        frozenset(
+            {
+                ("0", "u", "4"),
+                ("4", "a", "5"),
+                ("5", "u", "6"),
+                ("0", "u", "1"),
+                ("1", "u", "2"),
+                ("2", "u", "3"),
+                ("3", "b", "7"),
+            }
+        ),
+        frozenset({"0"}),
+        frozenset({"4", "6", "7"}),
+    )
+    assert library_verdicts(nfa) == reference_verdicts(nfa)
+    assert verify_scso(nfa).witness.steps[-1][1] == "(6,∅)"
+    assert verify_inf_sso(nfa).witness.steps[-1][1] == "(5,∅)"
+    obs = subset_construction(dss_subautomaton(nfa))
+    seed = [CcState("0", q0) for q0 in obs.initials]
+    secret_stop = product(nfa, obs, seed, empty_sink=True, stop_on=nfa.secret)
+    all_stop = product(nfa, obs, seed, empty_sink=True, stop_on=nfa.states)
+    assert secret_stop.by_source[CcState("5", None)] != ()
+    assert all_stop.by_source[CcState("5", None)] == ()
+    assert CcState("6", None) not in all_stop.states
+
+
 def test_early_stop_verdicts_match_on_golden_instances():
     rng = random.Random(GOLDEN_SEED)
     for index in range(100):
         nfa = random_cyclic_nfa(rng)
         assert library_verdicts(nfa) == reference_verdicts(nfa), f"instance {index}"
+
+
+def reference_enforce_k_sso(nfa, k):
+    """``enforce_k_sso`` on the whole public compositions, with the
+    predecessor states matched to each leaky initial one by one."""
+    current, disabled = accessible_part(nfa), set()
+    while True:
+        cc = cc_hat(current)
+        forward = cc_observable_costs(cc, cc.initials)
+        theta = {s for s in cc.empty_states if forward[s][0] <= k}
+        if not theta:
+            return Enforced(frozenset(disabled), current)
+        unc_back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)
+        leaky = [i for i in cc.initials if i in unc_back and unc_back[i][0] <= k]
+        ccobs = cc_full_observer(current)
+        marked = set()
+        for i in leaky:
+            remainder = frozenset(i.right or ())
+            marked |= {
+                s for s in ccobs.states if s.left == i.left and frozenset(s.right) - current.secret == remainder
+            }
+        prefix = cc_shortest_path(ccobs, ccobs.initials, marked, uncontrollable_only=True)
+        if prefix is not None:
+            end = prefix.end
+            anchor = min(
+                (i for i in leaky if i.left == end.left and frozenset(i.right or ()) == frozenset(end.right) - current.secret),
+                key=CcState.sort_key,
+            )
+            suffix = cc_shortest_path(cc, [anchor], theta, uncontrollable_only=True)
+            head = prefix.to_left_run()
+            return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
+        frontier = last_controllable_frontier(cc, theta, budget=k) | last_controllable_frontier(ccobs, marked)
+        cut = {(s.left, e.left_event, d.left) for s, e, d in frontier} & current.transitions
+        disabled |= cut
+        current = disable_transitions(current, cut)
+
+
+def reference_enforce_siso(nfa):
+    """``enforce_siso`` on the whole deleted-secret-states composition."""
+    current, disabled = accessible_part(nfa), set()
+    while True:
+        cc = cc_dss(current)
+        costs = cc_observable_costs(cc, cc.secret_initials)
+        bad = {s for s in cc.empty_states if s in costs}
+        if not bad:
+            return Enforced(frozenset(disabled), current)
+        offending = cc_shortest_path(cc, cc.secret_initials, bad, uncontrollable_only=True)
+        if offending is not None:
+            return Impossible(offending.to_left_run())
+        omega = last_controllable_frontier(cc, bad, sources=cc.secret_initials)
+        cut = {(s.left, e.left_event, d.left) for s, e, d in omega} & current.transitions
+        disabled |= cut
+        current = disable_transitions(current, cut)
+
+
+@given(cyclic_nfas())
+@settings(max_examples=60, deadline=None)
+def test_secret_only_dss_is_the_part_reached_from_the_secret_initials(nfa):
+    whole, part = cc_dss(nfa), cc_dss(nfa, secret_only=True)
+    reached = cc_observable_costs(whole, whole.secret_initials)
+    assert part.initials == whole.secret_initials
+    assert part.states == reached.keys()
+    assert part.transitions == {t for t in whole.transitions if t[0] in reached}
+
+
+def outcome_text(outcome):
+    """What an enforcement outcome shows: the cut and the subsystem, or
+    the witness."""
+    if isinstance(outcome, Impossible):
+        return ("impossible", outcome.witness)
+    system = outcome.subsystem
+    return ("enforced", outcome.disabled, system.states, system.transitions, system.initial, system.secret)
+
+
+def check_enforcers_match_whole_compositions(nfa):
+    for k in (0, 1, 2, 5):
+        assert outcome_text(enforce_k_sso(nfa, k)) == outcome_text(reference_enforce_k_sso(nfa, k)), f"K={k}"
+    assert outcome_text(enforce_siso(nfa)) == outcome_text(reference_enforce_siso(nfa))
+
+
+@given(cyclic_nfas(), st.sets(st.sampled_from(OBSERVABLE + UNOBSERVABLE)))
+@settings(max_examples=150, deadline=None)
+def test_enforcers_match_the_whole_compositions(nfa, uncontrollable):
+    alphabet = tuple(dataclasses.replace(e, controllable=e.name not in uncontrollable) for e in nfa.alphabet)
+    check_enforcers_match_whole_compositions(nfa.replace(alphabet=alphabet))
+
+
+def test_enforcers_match_the_whole_compositions_on_golden_instances():
+    rng = random.Random(GOLDEN_SEED)
+    for index in range(100):
+        nfa = random_cyclic_nfa(rng)
+        try:
+            check_enforcers_match_whole_compositions(nfa)
+        except AssertionError as exc:
+            raise AssertionError(f"instance {index}: {exc}") from exc
 
 
 def restricted(transitions, initial):
