@@ -169,6 +169,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         model = _load_model(args.model)
         if args.command in ("verify", "enforce"):
             verifier, enforcer, takes_k = _notion_table()[args.notion]
+            if args.k is not None and not takes_k:
+                parser.error("--k applies only to --notion k-sso")
             k = (_checked_k(parser, args, model),) if takes_k else ()
             if args.command == "verify":
                 return _print_verdict(verifier(model, *k))
@@ -186,7 +188,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         if args.command == "bound":
             print(effective_k_bound(model))
             return 0
-    except SystemExit as exc:  # parser.error() inside _checked_k
+    except SystemExit as exc:  # parser.error() on a --k misuse
         return int(exc.code or 0)
     except (OpacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

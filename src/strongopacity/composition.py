@@ -36,7 +36,7 @@ unexpanded states, the next layer, have no out-edges.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable
@@ -144,6 +144,8 @@ class CcAutomaton:
     events: frozenset[CcEvent]
     initials: frozenset[CcState]
     edges: dict[CcState, tuple[tuple[CcEvent, CcState], ...]]
+    # A layered ``product``'s end offset of each layer in ``edges``' order.
+    _layer_ends: tuple[int, ...] | None = None
 
     @cached_property
     def states(self) -> frozenset[CcState]:
@@ -164,6 +166,27 @@ class CcAutomaton:
             for event, dst in pairs:
                 index[dst].append((src, event))
         return {s: tuple(pairs) for s, pairs in index.items()}
+
+    @cached_property
+    def _uncontrollable_into(self) -> dict[CcState, list[tuple[CcEvent, CcState]]]:
+        """(event, predecessor) pairs of the uncontrollable in-edges; a state
+        with none has no entry."""
+        controllable, index = self.controllable_events, defaultdict(list)
+        for src, pairs in self.edges.items():
+            for event, dst in pairs:
+                if event not in controllable:
+                    index[dst].append((event, src))
+        return index
+
+    @cached_property
+    def _layers(self) -> dict[CcState, int]:
+        """Each state's observable layer in a layered ``product``; the states
+        found but not expanded lie in the layer after the last one expanded."""
+        states, layers, start = list(self.edges), {}, 0
+        for layer, end in enumerate(self._layer_ends + (len(states),)):
+            layers.update(dict.fromkeys(states[start:end], layer))
+            start = end
+        return layers
 
     @cached_property
     def controllable_events(self) -> frozenset[CcEvent]:
@@ -228,7 +251,9 @@ def product(
     is in ``stop_on``, or after layer ``max_layer``. The states found but
     not expanded then belong to the next layer and are listed with no
     out-edges, so every state of the layers searched has its cost and its
-    in-edges from cheaper states exactly as in the complete closure.
+    in-edges from cheaper states exactly as in the complete closure. Each
+    layer's end offset in ``edges`` is recorded, so ``_layers`` gives every
+    state's layer with no search.
 
     When ``stop_on`` holds every left state, every empty-estimate state
     offends, and the search ends one layer earlier: after the layer whose
@@ -290,6 +315,7 @@ def product(
             now.append((state, pos, slot))
     start = list(states.values())
     edges: dict[CcState, tuple[tuple[CcEvent, CcState], ...]] = {}
+    layer_ends: list[int] = []
     layer, stop = 0, False
     while True:
         while now:
@@ -333,6 +359,7 @@ def product(
             edges[src] = tuple(out)
             if slot == empty and offends[pos]:
                 stop = True
+        layer_ends.append(len(edges))
         if stop or not later or layer == max_layer:
             break
         layer += 1
@@ -348,6 +375,7 @@ def product(
         events=frozenset(events.values()),
         initials=frozenset(start),
         edges=edges,
+        _layer_ends=tuple(layer_ends) if layered else None,
     )
 
 

@@ -25,6 +25,14 @@ pairs. The first part holds every predecessor of the states it expands
 (observable cost never falls along a path), the second every successor of
 its sources, so the offenders, the costs, the frontier and the witness are
 those of the whole composition.
+
+A round runs no search for reachability or layers: ``product`` reaches every
+state it lists from the initials, and a layered product knows each state's
+observable layer. A scso, siso or inf-sso round searches forward from the
+initials over uncontrollable transitions (the Impossible check) and backward
+from the offenders over uncontrollable in-edges (the frontier). A K-step
+round searches backward from the offenders, and the system/observer
+composition only when an initial pair leaks.
 """
 
 from __future__ import annotations
@@ -82,30 +90,34 @@ def last_controllable_frontier(
             raise InvalidState(f"not a composition state: {s.name}")
     if not bad:
         return frozenset()
-    src_costs = cc_observable_costs(cc, cc.initials if sources is None else sources)
+    reach = None  # ``product`` reaches every state it lists from the initials
+    if budget is not None or sources is not None:
+        costs = cc_observable_costs(cc, cc.initials if sources is None else sources)
+        reach = {s: c[0] for s, c in costs.items()}
     bad_costs = cc_observable_costs(cc, bad, uncontrollable_only=True, backward=True)
-    return _frontier(cc, src_costs, bad_costs, budget)
+    return _frontier(cc, reach, bad_costs, budget)
 
 
 def _frontier(
     cc: CcAutomaton,
-    src_costs: dict[CcState, Cost],
+    reach: dict[CcState, int] | None,
     bad_costs: dict[CcState, Cost],
     budget: int | None,
 ) -> frozenset[CcTransition]:
-    """``last_controllable_frontier`` from cost maps the caller already
-    holds: ``src_costs`` from the sources, and ``bad_costs`` into the
-    offending states through uncontrollable transitions."""
+    """``last_controllable_frontier`` from maps the caller holds: ``reach``,
+    each state's observable distance from the sources (None when they reach
+    every state and no budget applies), and ``bad_costs``, the costs into
+    the offending states through uncontrollable transitions."""
     frontier = set()
     controllable = cc.controllable_events
     for src, pairs in cc.by_source.items():
-        if src not in src_costs:
+        if reach is not None and src not in reach:
             continue
         for event, dst in pairs:
             if dst not in bad_costs or event not in controllable:
                 continue
             if budget is not None:
-                length = src_costs[src][0] + (1 if event.observable else 0) + bad_costs[dst][0]
+                length = reach[src] + (1 if event.observable else 0) + bad_costs[dst][0]
                 if length > budget:
                     continue
             frontier.add((src, event, dst))
@@ -130,8 +142,7 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
         # round reads (theta, its predecessors, the frontier, the Impossible
         # suffix) lies within layer K of the composition.
         cc = _cc_hat(current, obs, max_layer=k)
-        forward = cc_observable_costs(cc, cc.initials)
-        theta = {s for s in cc.empty_states if s in forward and forward[s][0] <= k}
+        theta = {s for s in cc.empty_states if cc._layers[s] <= k}
         if not theta:
             return Enforced(frozenset(disabled), current)
 
@@ -159,18 +170,14 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
                 end = prefix.end
                 remainder = frozenset(end.right) - current.secret
                 anchor = min(
-                    (
-                        i
-                        for i in leaky
-                        if i.left == end.left and frozenset(i.right or ()) == remainder
-                    ),
+                    (i for i in leaky if i.left == end.left and frozenset(i.right or ()) == remainder),
                     key=CcState.sort_key,
                 )
                 suffix = cc_shortest_path(cc, [anchor], theta, uncontrollable_only=True)
                 head = prefix.to_left_run()
                 return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
 
-        frontier = _frontier(cc, forward, unc_back, budget=k)
+        frontier = _frontier(cc, cc._layers, unc_back, budget=k)
         if marked:
             frontier |= last_controllable_frontier(ccobs, marked, budget=None)
         cut = _left_cut(frontier, current)
@@ -186,18 +193,13 @@ def _enforce_dss(nfa: Nfa, notion: str) -> EnforcementOutcome:
     disabled: set[Transition] = set()
     for _ in range(len(current.controllable_transitions) + 2):
         cc = cc_dss(current, secret_only=notion == SISO)
-        sources, bad, costs = _dss_offenders(cc, notion)
+        bad = _dss_offenders(cc, notion)
         if not bad:
             return Enforced(frozenset(disabled), current)
-        offending = cc_shortest_path(cc, sources, bad, uncontrollable_only=True)
+        offending = cc_shortest_path(cc, cc.initials, bad, uncontrollable_only=True)
         if offending is not None:
             return Impossible(offending.to_left_run())
-        if costs is None:
-            omega = last_controllable_frontier(cc, bad, budget=None, sources=sources)
-        else:
-            bad_costs = cc_observable_costs(cc, bad, uncontrollable_only=True, backward=True)
-            omega = _frontier(cc, costs, bad_costs, budget=None)
-        cut = _left_cut(omega, current)
+        cut = _left_cut(last_controllable_frontier(cc, bad), current)
         if not cut:
             raise InternalInvariantError("enforcement round made no progress")
         disabled |= cut

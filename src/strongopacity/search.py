@@ -2,26 +2,32 @@
 
 Costs are (observable length, transition count) pairs added componentwise and
 compared lexicographically, so a minimal path is shortest by observable steps
-first and by transition count second.
+first and by transition count second. Inside the search a cost is one int,
+observable << 32 | total, which adds and compares the same way.
 
 There is one search, ``cc_observable_costs``; it visits states in whatever
-order the unordered indexes give. A path is read back from its cost map: the
-cheapest target, ties by ``sort_key()``, then at each step the cheapest
-in-edge least by (predecessor ``sort_key()``, event name in natural order).
-Neither rule depends on visit order, so witnesses are reproducible.
+order the unordered indexes give. It walks ``by_source`` forward and
+``by_target`` backward, but a backward walk over uncontrollable transitions
+only, the one kind that enforcement runs, walks a private index of the
+uncontrollable in-edges, built on first use. A path is read back from its
+cost map along ``by_target``: the cheapest target, ties by ``sort_key()``,
+then at each step the cheapest in-edge least by (predecessor ``sort_key()``,
+event name in natural order). Neither rule depends on visit order, so
+witnesses are reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterable
 
 from .automaton import Run, natural_key
 from .composition import CcAutomaton, CcEvent, CcState, CcTransition
 
 Cost = tuple[int, int]
+_OBSERVABLE_STEP = (1 << 32) + 1
+_LOW = (1 << 32) - 1
 
 
 def _plus(cost: Cost, event: CcEvent) -> Cost:
@@ -41,31 +47,40 @@ def cc_observable_costs(
     ``uncontrollable_only`` the walk may only use transitions whose left event
     is uncontrollable.
     """
-    dist: dict[CcState, Cost] = {}
-    # Heap ties are broken by insertion order: the cost map does not depend
-    # on which of two equally cheap states is settled first.
-    order = count()
-    heap: list[tuple[Cost, int, CcState]] = []
+    if not backward:
+        adjacency = cc.by_source
+    elif uncontrollable_only:
+        adjacency = cc._uncontrollable_into  # holds no controllable edge
+    else:
+        adjacency = {dst: [(e, p) for p, e in pairs] for dst, pairs in cc.by_target.items()}
+    events = cc.events - cc.controllable_events if uncontrollable_only and not backward else cc.events
+    step = {e: _OBSERVABLE_STEP if e.observable else 1 for e in events}  # none: skip the edge
+    # A heap entry is one int, cost << 32 | push number: ties go to the first
+    # pushed, and the cost map does not depend on which is settled first.
+    dist: dict[CcState, int] = {}
+    pushed: list[CcState] = []
     for s in sources:
-        if s in cc.by_source and s not in dist:
-            dist[s] = (0, 0)
-            heapq.heappush(heap, ((0, 0), next(order), s))
-    adjacency = cc.by_target if backward else cc.by_source
-    controllable = cc.controllable_events
+        if s in cc.edges and s not in dist:
+            dist[s] = 0
+            pushed.append(s)
+    heap = list(range(len(pushed)))
     while heap:
-        cost, _, here = heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        here = pushed[key & _LOW]
+        cost = key >> 32
         if cost > dist[here]:
             continue
-        for first, second in adjacency.get(here, ()):
-            event = second if backward else first
-            nxt = first if backward else second
-            if uncontrollable_only and event in controllable:
+        for event, nxt in adjacency.get(here, ()):
+            weight = step.get(event)
+            if weight is None:
                 continue
-            nc = _plus(cost, event)
-            if nxt not in dist or nc < dist[nxt]:
+            nc = cost + weight
+            old = dist.get(nxt)
+            if old is None or nc < old:
                 dist[nxt] = nc
-                heapq.heappush(heap, (nc, next(order), nxt))
-    return dist
+                heapq.heappush(heap, nc << 32 | len(pushed))
+                pushed.append(nxt)
+    return {s: (c >> 32, c & _LOW) for s, c in dist.items()}
 
 
 @dataclass(frozen=True)

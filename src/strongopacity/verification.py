@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .automaton import Nfa, Run, accessible_part
 from .composition import CcAutomaton, CcState, _cc_dss, _cc_hat
 from .observer import EstimateClass, Observer, classify_estimates, estimate_name, subset_construction
-from .search import _walk_back, cc_observable_costs, cc_shortest_path
+from .search import cc_observable_costs, cc_shortest_path
 from .subautomata import initial_secret_subautomaton
 
 K_SSO = "k-sso"
@@ -128,25 +128,22 @@ def verify_k_sso(nfa: Nfa, k: int) -> Verdict:
     witness = _cso_witness(obs, acc.secret)
     if witness is not None:
         return Verdict(False, K_SSO, k, witness=witness)
-    # Every empty-estimate state offends if it lies within K layers.
+    # Every empty-estimate state within K layers offends; only a witness searches.
     cc = _cc_hat(acc, obs, stop_on=acc.states, max_layer=k)
-    costs = cc_observable_costs(cc, cc.initials)
-    bad = [s for s, c in costs.items() if s.is_empty and c[0] <= k]
+    bad = [s for s in cc.empty_states if cc._layers[s] <= k]
     if not bad:
         return Verdict(True, K_SSO, k)
-    return Verdict(False, K_SSO, k, witness=_walk_back(cc, costs, bad).to_run())
+    return Verdict(False, K_SSO, k, witness=cc_shortest_path(cc, cc.initials, bad).to_run())
 
 
-def _dss_offenders(cc: CcAutomaton, notion: str):
-    """The sources and the offending empty-estimate states of ``notion`` in a
-    deleted-secret-states composition, plus, for siso, the sources' cost map
-    (reachability from the secret initials decides which states offend)."""
-    if notion == SISO:
-        costs = cc_observable_costs(cc, cc.secret_initials)
-        return cc.secret_initials, {s for s in cc.empty_states if s in costs}, costs
+def _dss_offenders(cc: CcAutomaton, notion: str) -> frozenset[CcState]:
+    """The offending empty-estimate states of ``notion`` in a
+    deleted-secret-states composition: those with a secret left state for
+    scso, and all for inf-sso, and for siso, whose composition the secret
+    initial pairs alone seed (``product`` reaches every state from them)."""
     if notion == SCSO:
-        return cc.initials, {s for s in cc.empty_states if s.left in cc.left.secret}, None
-    return cc.initials, set(cc.empty_states), None
+        return frozenset(s for s in cc.empty_states if s.left in cc.left.secret)
+    return cc.empty_states
 
 
 def _dss_verdict(nfa: Nfa, notion: str) -> Verdict:
@@ -160,11 +157,10 @@ def _dss_verdict(nfa: Nfa, notion: str) -> Verdict:
         secret_only=notion == SISO,
         stop_on=acc.secret if notion == SCSO else acc.states,
     )
-    sources, bad, costs = _dss_offenders(cc, notion)
+    bad = _dss_offenders(cc, notion)
     if not bad:
         return Verdict(True, notion)
-    path = cc_shortest_path(cc, sources, bad) if costs is None else _walk_back(cc, costs, bad)
-    return Verdict(False, notion, witness=path.to_run())
+    return Verdict(False, notion, witness=cc_shortest_path(cc, cc.initials, bad).to_run())
 
 
 def verify_scso(nfa: Nfa) -> Verdict:

@@ -47,6 +47,13 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--notion", "k-sso", "--k", "-3", DELAYED]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("notion", ["cso", "scso", "siso", "inf-sso"])
+    def test_k_with_another_notion_is_usage_error(self, notion, capsys):
+        assert run_cli(["verify", "--notion", notion, "--k", "3", DELAYED]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "strongopacity: error: --k applies only to --notion k-sso"
+
     def test_oversized_k_notice_on_stderr(self, capsys):
         code = run_cli(["verify", "--notion", "k-sso", "--k", "99999", DELAYED])
         captured = capsys.readouterr()
@@ -109,6 +116,15 @@ class TestEnforceCommand:
     def test_k_sso_requires_k(self, capsys):
         assert run_cli(["enforce", "--notion", "k-sso", DELAYED]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("notion", ["cso", "scso", "siso", "inf-sso"])
+    def test_k_with_another_notion_is_usage_error(self, notion, tmp_path, capsys):
+        out = tmp_path / "subsystem.json"
+        assert run_cli(["enforce", "--notion", notion, "--k", "0", DELAYED, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "strongopacity: error: --k applies only to --notion k-sso"
+        assert not out.exists()
 
     def test_cso_routes_to_zero_budget(self, capsys):
         assert run_cli(["enforce", "--notion", "cso", DELAYED]) == 0

@@ -6,10 +6,14 @@ corpus (forward unobservable edges only) does not exercise. The verifiers,
 which stop the product at (or one layer before) its first offending layer
 or at layer K, and the K-step and siso enforcers, which build only part of
 a composition, are checked against the search of the whole public
-compositions on these automata and on golden-corpus instances.
+compositions on these automata and on golden-corpus instances. The search
+(packed costs, the uncontrollable in-index), the layers that a layered
+product records and the frontier without a forward search are checked
+against references written here.
 """
 
 import dataclasses
+import heapq
 import math
 import os
 import random
@@ -384,6 +388,95 @@ def test_state_found_by_an_observable_move_moves_back_into_its_layer():
     assert cc.by_source[CcState("3", ("3",))] == ()
     with pytest.raises(ValueError):
         product(nfa, obs, [CcState("0", q)], empty_sink=True, max_layer=-1)
+
+
+def reference_costs(transitions, sources, controllable, backward, uncontrollable_only):
+    """(observable, total) costs from ``sources``, or into them when
+    ``backward``, by a Dijkstra over tuple costs on the transition set;
+    with ``uncontrollable_only`` it skips every event in ``controllable``."""
+    moves = {}
+    for src, event, dst in transitions:
+        if uncontrollable_only and event.left_event in controllable:
+            continue
+        here, there = (dst, src) if backward else (src, dst)
+        moves.setdefault(here, []).append((there, (1, 1) if event.observable else (0, 1)))
+    dist = {s: (0, 0) for s in sources}
+    heap = [((0, 0), s.sort_key(), s) for s in dist]
+    heapq.heapify(heap)
+    while heap:
+        cost, _, here = heapq.heappop(heap)
+        if cost > dist[here]:
+            continue
+        for there, (obs, total) in moves.get(here, ()):
+            nc = (cost[0] + obs, cost[1] + total)
+            if there not in dist or nc < dist[there]:
+                dist[there] = nc
+                heapq.heappush(heap, (nc, there.sort_key(), there))
+    return dist
+
+
+def drawn_products(nfa, data):
+    """A whole product and its layered ones under every stop, of ``nfa``
+    with a drawn set of uncontrollable events and the observer of a
+    thinned copy (so that some estimates collapse), from drawn initials.
+    Yields (stopped, composition, reference transitions of the whole)."""
+    uncontrollable = data.draw(st.sets(st.sampled_from(OBSERVABLE + UNOBSERVABLE)))
+    alphabet = tuple(dataclasses.replace(e, controllable=e.name not in uncontrollable) for e in nfa.alphabet)
+    nfa = nfa.replace(alphabet=alphabet)
+    kept = set()
+    if nfa.transitions:
+        kept = data.draw(st.sets(st.sampled_from(sorted(nfa.transitions))))
+    obs = subset_construction(nfa.replace(transitions=kept))
+    pair = st.tuples(st.sampled_from(sorted(nfa.states)), st.sampled_from(sorted(obs.estimates) + [None]))
+    initials = [CcState(x, q) for x, q in data.draw(st.lists(pair, min_size=1, max_size=3))]
+    _, transitions = reference_product(nfa, obs, initials, True)
+    for stop_on, max_layer in each_stop(nfa):
+        cc = product(nfa, obs, initials, empty_sink=True, stop_on=stop_on, max_layer=max_layer)
+        yield stop_on is not None or max_layer is not None, cc, transitions
+
+
+@given(cyclic_nfas(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_searches_match_a_tuple_cost_reference(nfa, data):
+    for _, cc, _ in drawn_products(nfa, data):
+        controllable = {e.name for e in cc.left.alphabet if e.controllable}
+        into = {}
+        for src, event, dst in cc.transitions:
+            if event.left_event not in controllable:
+                into.setdefault(dst, Counter())[(event, src)] += 1
+        assert {s: Counter(pairs) for s, pairs in cc._uncontrollable_into.items()} == into
+        states = sorted(cc.states, key=CcState.sort_key)
+        sources = data.draw(st.sets(st.sampled_from(states))) if states else set()
+        for backward in (False, True):
+            for uncontrollable_only in (False, True):
+                got = cc_observable_costs(cc, sources, backward=backward, uncontrollable_only=uncontrollable_only)
+                want = reference_costs(cc.transitions, sources, controllable, backward, uncontrollable_only)
+                assert got == want, (backward, uncontrollable_only)
+
+
+@given(cyclic_nfas(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_layered_product_records_each_state_layer(nfa, data):
+    for stopped, cc, transitions in drawn_products(nfa, data):
+        if stopped:
+            layer = observable_layers(transitions, cc.initials)
+            assert cc._layers == {s: layer[s] for s in cc.states}
+
+
+@given(cyclic_nfas(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_frontier_without_sources_matches_a_forward_search(nfa, data):
+    for _, cc, _ in drawn_products(nfa, data):
+        controllable = {e.name for e in cc.left.alphabet if e.controllable}
+        states = sorted(cc.states, key=CcState.sort_key)
+        bad = data.draw(st.sets(st.sampled_from(states))) if states else set()
+        reached = reference_costs(cc.transitions, cc.initials, controllable, False, False)
+        into_bad = reference_costs(cc.transitions, bad, controllable, True, True)
+        assert last_controllable_frontier(cc, bad) == {
+            (src, event, dst)
+            for src, event, dst in cc.transitions
+            if src in reached and event.left_event in controllable and dst in into_bad
+        }
 
 
 def reference_verdicts(nfa):
