@@ -16,15 +16,21 @@ A product state whose estimate has collapsed marks a leaking-secret run; the
 empty estimate is absorbing.
 
 The product is explored over int keys, a left state's dense natural-order
-position paired with an estimate's id in the observer's transition table, and
-renders each reached key into its public ``CcState`` once; states share the
-observer's estimate tuples and cache their hash. Each state is expanded once,
-and its out-edges, recorded as it is expanded, are the composition's only
-stored edge relation: the state set, the transition set and the
-``by_source``/``by_target`` indexes are views of them. The exploration and
-the indexes are in no particular order; ``CcState.sort_key`` orders states
-only where they are output (``sorted_states``, ``sorted_transitions``) or
-where a witness tie is broken.
+position paired with an estimate's id in the observer's transition table,
+and numbers each state as it finds it. A composition is held as that int
+core: each state's key and its out-edges, each packed into one int (target
+number, event number), recorded once as the state is expanded; they are the
+only stored edge relation. The initial states, the state set, the
+transition set, the ``by_source``/``by_target`` indexes and the
+empty-estimate and secret-initial sets are read-only views of the core. A
+view renders a state into its public ``CcState`` only when it hands it
+out, once per state (states share the observer's estimate tuples and cache
+their hash), and finds the number of a ``CcState`` handed in from its key.
+The searches, the offending sets and the frontier run on state numbers.
+State numbers follow the exploration order, which follows the hash-seeded
+order of ``Nfa.by_source``; ``CcState.sort_key`` orders states only where
+they are output (``sorted_states``, ``sorted_transitions``) or where a
+witness tie is broken, so no output depends on the numbering.
 
 The public constructors build whole compositions. The verifiers and the
 K-step enforcer ask ``product`` to stop early instead: it then explores one
@@ -36,13 +42,15 @@ unexpanded states, the next layer, have no out-edges.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
+from collections.abc import Mapping
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from .automaton import Event, Nfa, accessible_part, natural_key
-from .errors import AlphabetMismatch, InternalInvariantError
+from .errors import AlphabetMismatch, InternalInvariantError, InvalidState
 from .observer import (
     Estimate,
     EstimateClass,
@@ -128,78 +136,312 @@ class CcEvent:
 CcTransition = tuple[CcState, CcEvent, CcState]
 
 
-@dataclass(frozen=True, eq=False)
+def _index_bits(count: int) -> int:
+    """The bits an index below ``count`` needs."""
+    return max(count - 1, 0).bit_length()
+
+
+class _Core:
+    """A composition's int core, which its views and searches read.
+
+    States are numbered in the order ``product`` finds them. ``keys[i]`` is
+    state ``i``'s key, ``position * width + slot``: its left state's
+    position in the left automaton's dense order, and its estimate's id in
+    the observer's ``_table`` (the slot one past the last for the empty
+    estimate). ``out[i]`` lists the out-edges of state ``i`` once each, as
+    ``target << ebits | event``, an event being an index into ``events``.
+    ``state`` builds a state's ``CcState`` once, when it is first handed
+    out, and ``id`` finds the number of a ``CcState`` from its key. The core
+    holds no reference to its ``CcAutomaton``, so a composition and its
+    cached views form no reference cycle and are freed as soon as they are
+    dropped.
+    """
+
+    __slots__ = (
+        "events", "ebits", "emask", "ids", "keys", "out", "edge_count",
+        "order", "position", "slots", "rights", "width", "rendered",
+    )
+
+    def __init__(self, left: Nfa, right: Observer, events: tuple[CcEvent, ...], ids, keys, out):
+        self.events = events
+        self.ebits = _index_bits(len(events))
+        self.emask = (1 << self.ebits) - 1
+        self.ids: dict[int, int] = ids  # key -> id
+        self.keys: list[int] = keys
+        self.out: list = out
+        self.edge_count = sum(map(len, out))
+        self.order, self.position = left._dense.order, left._dense.position
+        table = right._table
+        self.slots, self.rights = table.ids, table.estimates + [None]
+        self.width = len(self.rights)
+        self.rendered: list[CcState | None] = [None] * len(keys)
+
+    def state(self, i: int) -> CcState:
+        state = self.rendered[i]
+        if state is None:
+            pos, slot = divmod(self.keys[i], self.width)
+            state = self.rendered[i] = CcState(self.order[pos], self.rights[slot])
+        return state
+
+    def id(self, state) -> int:
+        """The id of ``state``, or -1 when it is not a state of this composition."""
+        if not isinstance(state, CcState):
+            return -1
+        pos = self.position.get(state.left)
+        slot = self.width - 1 if state.right is None else self.slots.get(state.right)
+        if pos is None or slot is None:
+            return -1
+        return self.ids.get(pos * self.width + slot, -1)
+
+    def ids_of(self, states: Iterable[CcState], strict: bool = False) -> Collection[int]:
+        """The ids of those of ``states`` that are states of this
+        composition; with ``strict``, any other state is an error."""
+        if isinstance(states, _StateSet) and states._core is self:
+            return states._ids
+        ids = set()
+        for s in states:
+            i = self.id(s)
+            if i >= 0:
+                ids.add(i)
+            elif strict:
+                raise InvalidState(f"not a composition state: {s.name}")
+        return ids
+
+    def left_of(self, i: int) -> str:
+        return self.order[self.keys[i] // self.width]
+
+    def pairs(self) -> Iterator[tuple[int, str, Estimate | None]]:
+        """(id, left state, estimate) of every state, with no ``CcState`` built."""
+        order, rights, width = self.order, self.rights, self.width
+        for i, key in enumerate(self.keys):
+            pos, slot = divmod(key, width)
+            yield i, order[pos], rights[slot]
+
+    def transition(self, src: int, edge: int) -> CcTransition:
+        return (self.state(src), self.events[edge & self.emask], self.state(edge >> self.ebits))
+
+    def left_transition(self, src: int, edge: int) -> tuple[str, str, str]:
+        event = self.events[edge & self.emask].left_event
+        return (self.left_of(src), event, self.left_of(edge >> self.ebits))
+
+    def in_index(self, keep: list[bool]) -> list:
+        """Per state, its in-edges whose event ``keep`` holds, each packed
+        as ``source << ebits | event``."""
+        shift, mask = self.ebits, self.emask
+        rows: list = [()] * len(self.out)
+        for src, row in enumerate(self.out):
+            for edge in row:
+                event = edge & mask
+                if keep[event]:
+                    dst = edge >> shift
+                    if rows[dst]:
+                        rows[dst].append(src << shift | event)
+                    else:
+                        rows[dst] = [src << shift | event]
+        return rows
+
+
+class _View(AbstractSet):
+    """A read-only set view of a composition; ``|``, ``&`` and ``-`` give
+    frozensets."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _from_iterable(cls, items):
+        return frozenset(items)
+
+
+class _StateSet(_View):
+    """Some states of one composition, held as state ids."""
+
+    __slots__ = ("_core", "_ids")
+
+    def __init__(self, core: _Core, ids: Collection[int]):
+        self._core, self._ids = core, ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[CcState]:
+        return map(self._core.state, self._ids)
+
+    def __contains__(self, state) -> bool:
+        return self._core.id(state) in self._ids
+
+
+class _Transitions(_View):
+    """The transitions of a composition, read from its int out-edges."""
+
+    __slots__ = ("_core",)
+
+    def __init__(self, core: _Core):
+        self._core = core
+
+    def __len__(self) -> int:
+        return self._core.edge_count
+
+    def __iter__(self) -> Iterator[CcTransition]:
+        core = self._core
+        for src, row in enumerate(core.out):
+            for edge in row:
+                yield core.transition(src, edge)
+
+    def __contains__(self, transition) -> bool:
+        core = self._core
+        if not (isinstance(transition, tuple) and len(transition) == 3 and transition[1] in core.events):
+            return False
+        src, event, dst = transition
+        i, j = core.id(src), core.id(dst)
+        return i >= 0 and j >= 0 and j << core.ebits | core.events.index(event) in core.out[i]
+
+
+class _Edges(Mapping):
+    """A composition's edges indexed by state, rendered from the int rows
+    ``_rows``: out-edges as (event, target) pairs, or in-edges as
+    (source, event) pairs."""
+
+    __slots__ = ("_core", "_rows", "_forward")
+
+    def __init__(self, core: _Core, rows: list, forward: bool):
+        self._core, self._rows, self._forward = core, rows, forward
+
+    def _row(self, i: int) -> tuple:
+        core = self._core
+        state, events, shift, mask = core.state, core.events, core.ebits, core.emask
+        if self._forward:
+            return tuple((events[e & mask], state(e >> shift)) for e in self._rows[i])
+        return tuple((state(e >> shift), events[e & mask]) for e in self._rows[i])
+
+    def __getitem__(self, state: CcState) -> tuple:
+        i = self._core.id(state)
+        if i < 0:
+            raise KeyError(state)
+        return self._row(i)
+
+    def __contains__(self, state) -> bool:
+        return self._core.id(state) >= 0
+
+    def __iter__(self) -> Iterator[CcState]:
+        return map(self._core.state, range(len(self._rows)))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 class CcAutomaton:
     """The reachable part of a concurrent composition.
 
-    ``edges`` maps every state to its out-edges, each an (event, target)
-    pair listed once. It is the only stored edge relation: ``states``,
-    ``transitions``, ``by_source`` and ``by_target`` are views of it, each
-    built on first use. Keeps references to its operands so downstream code
-    can interrogate controllability and secrecy of the left components.
+    It holds its int core (``_Core``): the states numbered as ``product``
+    found them and each state's out-edges, the only stored edge relation.
+    ``_layer`` holds each state's observable layer when a layered
+    ``product`` built the composition. ``initials``, ``states``,
+    ``transitions``, ``edges``/``by_source``, ``by_target``,
+    ``empty_states`` and ``secret_initials`` are read-only views of the
+    core, built on first use; a view builds a state's ``CcState`` only when
+    it hands it out, once per state. Keeps references to its operands so
+    downstream code can interrogate controllability and secrecy of the left
+    components.
     """
 
-    left: Nfa
-    right: Observer
-    events: frozenset[CcEvent]
-    initials: frozenset[CcState]
-    edges: dict[CcState, tuple[tuple[CcEvent, CcState], ...]]
-    # A layered ``product``'s end offset of each layer in ``edges``' order.
-    _layer_ends: tuple[int, ...] | None = None
+    def __init__(
+        self,
+        left: Nfa,
+        right: Observer,
+        events: Iterable[CcEvent],
+        initials: Iterable[CcState],
+        edges: Mapping[CcState, Iterable[tuple[CcEvent, CcState]]],
+    ):
+        """A composition given state by state: ``edges`` maps every state
+        to its (event, target) out-edges. ``product`` numbers its states as
+        it finds them instead."""
+        events = tuple(events)
+        index = {e: i for i, e in enumerate(events)}
+        shift = _index_bits(len(events))
+        position, slots, empty = left._dense.position, right._table.ids, len(right._table.estimates)
+        ids: dict[int, int] = {}
+        keys: list[int] = []
+        out: list = []
+
+        def number(s: CcState) -> int:
+            key = position[s.left] * (empty + 1) + (empty if s.right is None else slots[s.right])
+            if key not in ids:
+                ids[key] = len(keys)
+                keys.append(key)
+                out.append(())
+            return ids[key]
+
+        starts = [number(s) for s in initials]
+        for s, pairs in edges.items():
+            src = number(s)
+            out[src] = [number(dst) << shift | index[event] for event, dst in pairs]
+        self._setup(left, right, events, ids, keys, out, starts, None)
+
+    @classmethod
+    def _of(cls, *parts) -> CcAutomaton:
+        cc = cls.__new__(cls)
+        cc._setup(*parts)
+        return cc
+
+    def _setup(self, left, right, events, ids, keys, out, initials, layer) -> None:
+        self.left, self.right = left, right
+        self.events: frozenset[CcEvent] = frozenset(events)
+        self._core = _Core(left, right, events, ids, keys, out)
+        self._initial_ids = frozenset(initials)
+        self._layer: list[int] | None = layer
+
+    def _subset(self, ids: Iterable[int]) -> _StateSet:
+        return _StateSet(self._core, frozenset(ids))
 
     @cached_property
-    def states(self) -> frozenset[CcState]:
-        return frozenset(self.edges)
+    def states(self) -> AbstractSet[CcState]:
+        return _StateSet(self._core, range(len(self._core.keys)))
 
     @cached_property
-    def transitions(self) -> frozenset[CcTransition]:
-        return frozenset((src, event, dst) for src, pairs in self.edges.items() for event, dst in pairs)
+    def transitions(self) -> AbstractSet[CcTransition]:
+        return _Transitions(self._core)
 
     @cached_property
-    def by_source(self) -> dict[CcState, tuple[tuple[CcEvent, CcState], ...]]:
-        return self.edges
+    def initials(self) -> AbstractSet[CcState]:
+        return _StateSet(self._core, self._initial_ids)
 
     @cached_property
-    def by_target(self) -> dict[CcState, tuple[tuple[CcState, CcEvent], ...]]:
-        index: dict[CcState, list[tuple[CcState, CcEvent]]] = {s: [] for s in self.edges}
-        for src, pairs in self.edges.items():
-            for event, dst in pairs:
-                index[dst].append((src, event))
-        return {s: tuple(pairs) for s, pairs in index.items()}
+    def by_source(self) -> Mapping[CcState, tuple[tuple[CcEvent, CcState], ...]]:
+        return _Edges(self._core, self._core.out, forward=True)
 
     @cached_property
-    def _uncontrollable_into(self) -> dict[CcState, list[tuple[CcEvent, CcState]]]:
-        """(event, predecessor) pairs of the uncontrollable in-edges; a state
-        with none has no entry."""
-        controllable, index = self.controllable_events, defaultdict(list)
-        for src, pairs in self.edges.items():
-            for event, dst in pairs:
-                if event not in controllable:
-                    index[dst].append((event, src))
-        return index
+    def by_target(self) -> Mapping[CcState, tuple[tuple[CcState, CcEvent], ...]]:
+        return _Edges(self._core, self._core.in_index([True] * len(self._core.events)), forward=False)
+
+    @property
+    def edges(self) -> Mapping[CcState, tuple[tuple[CcEvent, CcState], ...]]:
+        """Every state's out-edges, each (event, target) pair listed once."""
+        return self.by_source
 
     @cached_property
-    def _layers(self) -> dict[CcState, int]:
-        """Each state's observable layer in a layered ``product``; the states
-        found but not expanded lie in the layer after the last one expanded."""
-        states, layers, start = list(self.edges), {}, 0
-        for layer, end in enumerate(self._layer_ends + (len(states),)):
-            layers.update(dict.fromkeys(states[start:end], layer))
-            start = end
-        return layers
+    def _unc_into(self) -> list:
+        """The int in-index of the uncontrollable edges."""
+        return self._core.in_index([not c for c in self._controllable])
+
+    @cached_property
+    def _controllable(self) -> list[bool]:
+        """Per event index, whether its left event is controllable."""
+        return [self.left.is_controllable(e.left_event) for e in self._core.events]
 
     @cached_property
     def controllable_events(self) -> frozenset[CcEvent]:
         """The paired events whose left event is controllable."""
-        return frozenset(e for e in self.events if self.left.is_controllable(e.left_event))
+        return frozenset(e for e, c in zip(self._core.events, self._controllable) if c)
 
     @cached_property
-    def empty_states(self) -> frozenset[CcState]:
-        return frozenset(s for s in self.edges if s.is_empty)
+    def empty_states(self) -> AbstractSet[CcState]:
+        width = self._core.width
+        return self._subset(i for i, key in enumerate(self._core.keys) if key % width == width - 1)
 
     @cached_property
-    def secret_initials(self) -> frozenset[CcState]:
-        return frozenset(s for s in self.initials if s.left in self.left.secret)
+    def secret_initials(self) -> AbstractSet[CcState]:
+        secret, left_of = self.left.secret, self._core.left_of
+        return self._subset(i for i in self._initial_ids if left_of(i) in secret)
 
     def sorted_states(self) -> list[CcState]:
         return sorted(self.states, key=CcState.sort_key)
@@ -237,11 +479,11 @@ def product(
     unobservable event moves the left side only. Once empty, the right side
     stays empty while the left moves freely.
 
-    The search runs over int keys: a left state's dense position and an
-    estimate's id in the observer's ``_table`` (the number of estimates
-    for the empty estimate). Each ``CcState`` and each ``CcEvent`` is created
-    once, every state shares the observer's estimate tuples, and each
-    state's out-edges are recorded once, as it is expanded.
+    The search runs over int keys, a left state's dense position paired
+    with an estimate's slot in the observer's ``_table``, and numbers each
+    state as it finds it; each state's out-edges are recorded once, as it
+    is expanded, as packed ints (see ``_Core``). No ``CcState`` is built
+    here.
 
     With no stop argument the closure is complete. Either stop argument
     makes the search go one observable layer at a time (layer L holds the
@@ -252,8 +494,7 @@ def product(
     not expanded then belong to the next layer and are listed with no
     out-edges, so every state of the layers searched has its cost and its
     in-edges from cheaper states exactly as in the complete closure. Each
-    layer's end offset in ``edges`` is recorded, so ``_layers`` gives every
-    state's layer with no search.
+    state's layer is recorded in ``_layer``, so no search is needed for it.
 
     When ``stop_on`` holds every left state, every empty-estimate state
     offends, and the search ends one layer earlier: after the layer whose
@@ -283,100 +524,111 @@ def product(
     # A slot is an estimate's id, or ``empty``, one past the last, for the
     # empty estimate, which every observable event maps back to itself.
     empty = len(table.estimates)
-    rights = table.estimates + [None]  # slot -> right component
+    width = empty + 1
     steps = table.step + [dict.fromkeys(observable, empty)]  # slot -> event -> slot
-    events = _paired_events(left)
-    # Per left position: the unobservable moves, as (paired event, target
-    # position), and the observable ones, as (paired event, event name,
-    # target position).
-    silent: list[list[tuple[CcEvent, int]]] = []
-    loud: list[list[tuple[CcEvent, str, int]]] = []
+    events = tuple(_paired_events(left).values())
+    index = {e.left_event: i for i, e in enumerate(events)}
+    shift = _index_bits(len(events))
+    # Per left position: the unobservable moves, as (event, target
+    # position), and the observable ones, as (event, event name, target
+    # position); an event is an index into ``events``.
+    silent: list[list[tuple[int, int]]] = []
+    loud: list[list[tuple[int, str, int]]] = []
     for x in order:
         silent.append([])
         loud.append([])
         for sigma, dst in left.by_source[x]:
             if sigma in observable:
-                loud[-1].append((events[sigma], sigma, position[dst]))
+                loud[-1].append((index[sigma], sigma, position[dst]))
             else:
-                silent[-1].append((events[sigma], position[dst]))
+                silent[-1].append((index[sigma], position[dst]))
     layered = stop_on is not None or max_layer is not None
     offends = [stop_on is not None and x in stop_on for x in order]
     early = stop_on is not None and all(offends)  # every empty state offends
-    width = len(rights)
-    states: dict[int, CcState] = {}
-    now: deque[tuple[CcState, int, int]] = deque()  # this layer's queue
+    ids: dict[int, int] = {}  # key -> id, of the states in the queue or expanded
+    keys: list[int] = []  # id -> key
+    out: list = []  # id -> packed out-edges, () until expanded
+    layers: list[int] = []  # id -> layer
+    now: deque[tuple[int, int, int]] = deque()  # this layer's queue: (id, position, slot)
     # Layered search only: the states found by an observable move and not
     # (yet) by an unobservable one, the next layer, key -> queue entry.
-    later: dict[int, tuple[CcState, int, int]] = {}
+    later: dict[int, tuple[int, int, int]] = {}
+    layer, stop = 0, False
     for s in initials:
         pos, slot = position[s.left], empty if s.right is None else table.ids[s.right]
-        if pos * width + slot not in states:
-            state = states[pos * width + slot] = CcState(order[pos], rights[slot])
-            now.append((state, pos, slot))
-    start = list(states.values())
-    edges: dict[CcState, tuple[tuple[CcEvent, CcState], ...]] = {}
-    layer_ends: list[int] = []
-    layer, stop = 0, False
+        key = pos * width + slot
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+            out.append(())
+            layers.append(layer)
+            now.append((ids[key], pos, slot))
+    starts = list(range(len(keys)))
     while True:
         while now:
             src, pos, slot = now.popleft()
-            out = []
+            row = []
             for event, dst_pos in silent[pos]:
                 key = dst_pos * width + slot
-                dst = states.get(key)
+                dst = ids.get(key)
                 if dst is None:
                     if key in later:  # found by an observable move, yet in this layer
                         entry = later.pop(key)
-                        dst = states[key] = entry[0]
-                        now.append(entry)
+                        dst = entry[0]
+                        layers[dst] = layer
                     else:
-                        dst = states[key] = CcState(order[dst_pos], rights[slot])
-                        now.append((dst, dst_pos, slot))
-                out.append((event, dst))
-            row = steps[slot]
+                        dst = len(keys)
+                        keys.append(key)
+                        out.append(())
+                        layers.append(layer)
+                        entry = (dst, dst_pos, slot)
+                    ids[key] = dst
+                    now.append(entry)
+                row.append(dst << shift | event)
+            moves = steps[slot]
             for event, sigma, dst_pos in loud[pos]:
-                dst_slot = row.get(sigma)
+                dst_slot = moves.get(sigma)
                 if dst_slot is None:
                     if not empty_sink:
                         continue
                     dst_slot = empty
                 key = dst_pos * width + dst_slot
-                dst = states.get(key)
+                dst = ids.get(key)
                 if dst is None:
-                    if layered:
-                        entry = later.get(key)
-                        if entry is None:
-                            entry = later[key] = (CcState(order[dst_pos], rights[dst_slot]), dst_pos, dst_slot)
-                            if early and dst_slot == empty:
-                                stop = True
+                    entry = later.get(key) if layered else None
+                    if entry is not None:
                         dst = entry[0]
                     else:
-                        dst = states[key] = CcState(order[dst_pos], rights[dst_slot])
-                        now.append((dst, dst_pos, dst_slot))
-                out.append((event, dst))
+                        dst = len(keys)
+                        keys.append(key)
+                        out.append(())
+                        layers.append(layer)
+                        entry = (dst, dst_pos, dst_slot)
+                        if not layered:
+                            ids[key] = dst
+                            now.append(entry)
+                        else:
+                            later[key] = entry
+                            if early and dst_slot == empty:
+                                stop = True
+                row.append(dst << shift | event)
             # Each state is expanded once and its left moves are distinct, so
             # every edge is listed once.
-            edges[src] = tuple(out)
+            out[src] = row
             if slot == empty and offends[pos]:
                 stop = True
-        layer_ends.append(len(edges))
         if stop or not later or layer == max_layer:
             break
         layer += 1
         for key, entry in later.items():
-            states[key] = entry[0]
+            ids[key] = entry[0]
+            layers[entry[0]] = layer
             now.append(entry)
         later.clear()
-    for dst, _, _ in later.values():  # found, not expanded
-        edges[dst] = ()
-    return CcAutomaton(
-        left=left,
-        right=right,
-        events=frozenset(events.values()),
-        initials=frozenset(start),
-        edges=edges,
-        _layer_ends=tuple(layer_ends) if layered else None,
-    )
+    for key, (dst, _, _) in later.items():  # found, not expanded: the next layer
+        ids[key] = dst
+        layers[dst] = layer + 1
+    return CcAutomaton._of(left, right, events, ids, keys, out, starts, layers if layered else None)
 
 
 def _empty_observer(nfa: Nfa) -> Observer:

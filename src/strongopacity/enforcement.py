@@ -33,6 +33,12 @@ initials over uncontrollable transitions (the Impossible check) and backward
 from the offenders over uncontrollable in-edges (the frontier). A K-step
 round searches backward from the offenders, and the system/observer
 composition only when an initial pair leaks.
+
+A round works on state numbers (see ``composition``): theta, the leaky
+initial pairs, the predecessor states matched to them, the K-step frontier
+and the cut are found without building a ``CcState``. Only what crosses a
+public call is rendered: the frontier that ``last_controllable_frontier``
+returns, a witness, and the few leaky initial pairs.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from typing import Iterable, Union
 
 from .automaton import Nfa, Run, Transition, accessible_part, disable_transitions
 from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, cc_dss
-from .errors import InternalInvariantError, InvalidState
-from .observer import subset_construction
-from .search import Cost, cc_observable_costs, cc_shortest_path
+from .errors import InternalInvariantError
+from .observer import Estimate, subset_construction
+from .search import _Costs, cc_observable_costs, cc_shortest_path
 from .verification import INF_SSO, SCSO, SISO, _dss_offenders
 
 
@@ -84,49 +90,48 @@ def last_controllable_frontier(
     must not exceed it: that is exactly membership in some offending run of
     observable length within the budget.
     """
-    bad = set(bad)
-    for s in bad:
-        if s not in cc.by_source:
-            raise InvalidState(f"not a composition state: {s.name}")
-    if not bad:
+    ids = cc._core.ids_of(bad, strict=True)
+    if not ids:
         return frozenset()
     reach = None  # ``product`` reaches every state it lists from the initials
     if budget is not None or sources is not None:
         costs = cc_observable_costs(cc, cc.initials if sources is None else sources)
-        reach = {s: c[0] for s, c in costs.items()}
-    bad_costs = cc_observable_costs(cc, bad, uncontrollable_only=True, backward=True)
-    return _frontier(cc, reach, bad_costs, budget)
+        reach = [None] * len(cc.states)
+        for i, cost in costs._dist.items():
+            reach[i] = cost >> costs._shift
+    bad_costs = cc_observable_costs(cc, cc._subset(ids), uncontrollable_only=True, backward=True)
+    return frozenset(cc._core.transition(src, edge) for src, edge in _frontier(cc, reach, bad_costs, budget))
 
 
 def _frontier(
     cc: CcAutomaton,
-    reach: dict[CcState, int] | None,
-    bad_costs: dict[CcState, Cost],
+    reach: list[int | None] | None,
+    bad_costs: _Costs,
     budget: int | None,
-) -> frozenset[CcTransition]:
-    """``last_controllable_frontier`` from maps the caller holds: ``reach``,
-    each state's observable distance from the sources (None when they reach
-    every state and no budget applies), and ``bad_costs``, the costs into
-    the offending states through uncontrollable transitions."""
-    frontier = set()
-    controllable = cc.controllable_events
-    for src, pairs in cc.by_source.items():
-        if reach is not None and src not in reach:
-            continue
-        for event, dst in pairs:
-            if dst not in bad_costs or event not in controllable:
+) -> list[tuple[int, int]]:
+    """``last_controllable_frontier`` from maps the caller holds, as (source
+    id, packed edge) pairs: ``reach``, each state's observable distance from
+    the sources (None for a state they do not reach; ``reach`` is None when
+    they reach every state and no budget applies), and ``bad_costs``, the
+    costs into the offending states through uncontrollable transitions."""
+    frontier = []
+    controllable = cc._controllable
+    bad, shift = bad_costs._dist, bad_costs._shift
+    ebits, emask = cc._core.ebits, cc._core.emask
+    observable = [e.observable for e in cc._core.events]
+    for src, row in enumerate(cc.by_source._rows):
+        for edge in row:
+            if edge >> ebits not in bad or not controllable[edge & emask]:
                 continue
-            if budget is not None:
-                length = reach[src] + (1 if event.observable else 0) + bad_costs[dst][0]
-                if length > budget:
+            if reach is not None:
+                if reach[src] is None:
                     continue
-            frontier.add((src, event, dst))
-    return frozenset(frontier)
-
-
-def _left_cut(frontier: Iterable[CcTransition], system: Nfa) -> frozenset[Transition]:
-    cut = frozenset((src.left, event.left_event, dst.left) for src, event, dst in frontier)
-    return cut & system.transitions
+                if budget is not None:
+                    length = reach[src] + observable[edge & emask] + (bad[edge >> ebits] >> shift)
+                    if length > budget:
+                        continue
+            frontier.append((src, edge))
+    return frontier
 
 
 def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
@@ -142,29 +147,22 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
         # round reads (theta, its predecessors, the frontier, the Impossible
         # suffix) lies within layer K of the composition.
         cc = _cc_hat(current, obs, max_layer=k)
-        theta = {s for s in cc.empty_states if cc._layers[s] <= k}
+        layer = cc._layer
+        theta = cc._subset(i for i in cc.empty_states._ids if layer[i] <= k)
         if not theta:
             return Enforced(frozenset(disabled), current)
 
         # Initial pairs from which an offending state is reachable by a run
         # with no controllable transition and observable length within K.
         unc_back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)
-        leaky = [i for i in cc.initials if i in unc_back and unc_back[i][0] <= k]
-        marked: set[CcState] = set()
+        back, shift = unc_back._dist, unc_back._shift
+        leaky = [cc._core.state(i) for i in cc.initials._ids if i in back and back[i] >> shift <= k]
+        marked = None
         if leaky:  # only a leaky initial needs the system/observer composition
             ccobs = _cc_full_observer(current, obs)
-            # The pairs whose left state and non-secret remainder are a leaky
-            # initial's, in one scan.
-            lefts = {i.left for i in leaky}
-            wanted = {(i.left, frozenset(i.right or ())) for i in leaky}
-            marked = {
-                s
-                for s in ccobs.edges
-                if s.left in lefts and (s.left, frozenset(s.right) - current.secret) in wanted
-            }
-        if leaky and not marked:
-            raise InternalInvariantError("no predecessor states correspond to a leaking initial")
-        if marked:
+            marked = ccobs._subset(_matching(ccobs, leaky, current.secret))
+            if not marked:
+                raise InternalInvariantError("no predecessor states correspond to a leaking initial")
             prefix = cc_shortest_path(ccobs, ccobs.initials, marked, uncontrollable_only=True)
             if prefix is not None:
                 end = prefix.end
@@ -177,15 +175,36 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
                 head = prefix.to_left_run()
                 return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
 
-        frontier = _frontier(cc, cc._layers, unc_back, budget=k)
+        cut = {cc._core.left_transition(src, edge) for src, edge in _frontier(cc, layer, unc_back, budget=k)}
         if marked:
-            frontier |= last_controllable_frontier(ccobs, marked, budget=None)
-        cut = _left_cut(frontier, current)
+            cut |= _left_cut(last_controllable_frontier(ccobs, marked, budget=None))
+        cut &= current.transitions
         if not cut:
             raise InternalInvariantError("enforcement round made no progress")
         disabled |= cut
         current = disable_transitions(current, cut)
     raise InternalInvariantError("enforcement loop exceeded its round bound")
+
+
+def _matching(ccobs: CcAutomaton, leaky: list[CcState], secret: frozenset[str]) -> list[int]:
+    """The ids of the states of ``ccobs`` whose left state and non-secret
+    remainder are a leaky initial's, in one scan."""
+    wanted: dict[str, set[frozenset[str]]] = {}
+    for i in leaky:
+        wanted.setdefault(i.left, set()).add(frozenset(i.right or ()))
+    remainders: dict[Estimate, frozenset[str]] = {}
+    found = []
+    for i, left, right in ccobs._core.pairs():
+        if left in wanted:
+            if right not in remainders:
+                remainders[right] = frozenset(right) - secret
+            if remainders[right] in wanted[left]:
+                found.append(i)
+    return found
+
+
+def _left_cut(frontier: Iterable[CcTransition]) -> set[Transition]:
+    return {(src.left, event.left_event, dst.left) for src, event, dst in frontier}
 
 
 def _enforce_dss(nfa: Nfa, notion: str) -> EnforcementOutcome:
@@ -199,7 +218,7 @@ def _enforce_dss(nfa: Nfa, notion: str) -> EnforcementOutcome:
         offending = cc_shortest_path(cc, cc.initials, bad, uncontrollable_only=True)
         if offending is not None:
             return Impossible(offending.to_left_run())
-        cut = _left_cut(last_controllable_frontier(cc, bad), current)
+        cut = _left_cut(last_controllable_frontier(cc, bad)) & current.transitions
         if not cut:
             raise InternalInvariantError("enforcement round made no progress")
         disabled |= cut

@@ -64,11 +64,18 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
     """Parse and validate a model document into an automaton; a structural
     error names the offending entry by its path, e.g. ``states[3].secret``."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            col = exc.start - text.rfind(b"\n", 0, exc.start)
+            raise ParseError(f"not UTF-8: {exc.reason}", line, col) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise _structural("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise _structural("top level must be an object")
     version = doc.get("version", MODEL_VERSION)
@@ -202,11 +209,7 @@ def _composition_lines(cc: CcAutomaton) -> list[str]:
         init = "true" if s in cc.initials else "false"
         empty = "true" if s.is_empty else "false"
         lines.append(f"  {_quote(names[s])} [initial={init}, empty={empty}];")
-    lines += _merged_edges(
-        (names[src], event_names[event], names[dst])
-        for src, pairs in cc.edges.items()
-        for event, dst in pairs
-    )
+    lines += _merged_edges((names[src], event_names[event], names[dst]) for src, event, dst in cc.transitions)
     lines.append("}")
     return lines
 

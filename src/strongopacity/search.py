@@ -3,35 +3,70 @@
 Costs are (observable length, transition count) pairs added componentwise and
 compared lexicographically, so a minimal path is shortest by observable steps
 first and by transition count second. Inside the search a cost is one int,
-observable << 32 | total, which adds and compares the same way.
+observable << b | total, which adds and compares the same way; ``b`` bits
+hold the number of states, which no minimal total exceeds.
 
-There is one search, ``cc_observable_costs``; it visits states in whatever
-order the unordered indexes give. It walks ``by_source`` forward and
-``by_target`` backward, but a backward walk over uncontrollable transitions
-only, the one kind that enforcement runs, walks a private index of the
-uncontrollable in-edges, built on first use. A path is read back from its
-cost map along ``by_target``: the cheapest target, ties by ``sort_key()``,
-then at each step the cheapest in-edge least by (predecessor ``sort_key()``,
-event name in natural order). Neither rule depends on visit order, so
-witnesses are reproducible.
+There is one search, ``cc_observable_costs``: a heap of plain ints, each a
+cost shifted by ``b`` with a state number below it, over the composition's
+int edges. It visits states in whatever order the state numbers give. It
+walks the int rows under ``by_source`` forward and under ``by_target``
+backward, but a backward walk over uncontrollable transitions only, the one
+kind that enforcement runs, walks a private int index of the uncontrollable
+in-edges, built on first use. Its answer is a read-only mapping from
+``CcState`` to ``Cost`` over the int cost map; callers in the package read
+the int map itself. A path is read back from its cost map along the
+in-edges: the cheapest target, ties by ``sort_key()``, then at each step the
+cheapest in-edge least by (predecessor ``sort_key()``, event name in natural
+order). Neither rule depends on visit order or numbering, so witnesses are
+reproducible, and only the states they compare and the path itself are
+rendered into ``CcState`` objects.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .automaton import Run, natural_key
-from .composition import CcAutomaton, CcEvent, CcState, CcTransition
+from .composition import CcAutomaton, CcState, CcTransition, _Core
 
 Cost = tuple[int, int]
-_OBSERVABLE_STEP = (1 << 32) + 1
-_LOW = (1 << 32) - 1
 
 
-def _plus(cost: Cost, event: CcEvent) -> Cost:
-    return (cost[0] + 1, cost[1] + 1) if event.observable else (cost[0], cost[1] + 1)
+class _Costs(Mapping):
+    """``cc_observable_costs``'s answer: a read-only map from each state
+    reached to its ``Cost``, over the int cost map ``_dist`` (state id ->
+    observable << _shift | total)."""
+
+    __slots__ = ("_core", "_dist", "_shift")
+
+    def __init__(self, core: _Core, dist: dict[int, int], shift: int):
+        self._core, self._dist, self._shift = core, dist, shift
+
+    def __getitem__(self, state: CcState) -> Cost:
+        cost = self._dist.get(self._core.id(state))
+        if cost is None:
+            raise KeyError(state)
+        return (cost >> self._shift, cost & ((1 << self._shift) - 1))
+
+    def __contains__(self, state) -> bool:
+        return self._core.id(state) in self._dist
+
+    def __iter__(self) -> Iterator[CcState]:
+        return map(self._core.state, self._dist)
+
+    def __len__(self) -> int:
+        return len(self._dist)
+
+
+def _weights(cc: CcAutomaton, shift: int, uncontrollable_only: bool) -> list[int | None]:
+    """Per event index, the packed cost of one step (None: skip the edge)."""
+    step = [(1 << shift) + 1 if e.observable else 1 for e in cc._core.events]
+    if uncontrollable_only:
+        step = [None if c else w for w, c in zip(step, cc._controllable)]
+    return step
 
 
 def cc_observable_costs(
@@ -40,7 +75,7 @@ def cc_observable_costs(
     *,
     uncontrollable_only: bool = False,
     backward: bool = False,
-) -> dict[CcState, Cost]:
+) -> Mapping[CcState, Cost]:
     """Minimal (observable, total) costs from ``sources`` to every reachable state.
 
     ``backward`` measures cost of paths INTO the sources instead. With
@@ -48,39 +83,37 @@ def cc_observable_costs(
     is uncontrollable.
     """
     if not backward:
-        adjacency = cc.by_source
+        rows = cc.by_source._rows
     elif uncontrollable_only:
-        adjacency = cc._uncontrollable_into  # holds no controllable edge
+        rows = cc._unc_into  # holds no controllable edge
     else:
-        adjacency = {dst: [(e, p) for p, e in pairs] for dst, pairs in cc.by_target.items()}
-    events = cc.events - cc.controllable_events if uncontrollable_only and not backward else cc.events
-    step = {e: _OBSERVABLE_STEP if e.observable else 1 for e in events}  # none: skip the edge
-    # A heap entry is one int, cost << 32 | push number: ties go to the first
-    # pushed, and the cost map does not depend on which is settled first.
-    dist: dict[CcState, int] = {}
-    pushed: list[CcState] = []
-    for s in sources:
-        if s in cc.edges and s not in dist:
-            dist[s] = 0
-            pushed.append(s)
-    heap = list(range(len(pushed)))
+        rows = cc.by_target._rows
+    # A total never exceeds the number of states, so ``shift`` bits hold it,
+    # and a heap entry, cost << shift | state id, is one int.
+    shift = len(rows).bit_length()
+    low = (1 << shift) - 1
+    weights = _weights(cc, shift, uncontrollable_only and not backward)
+    core = cc._core
+    ebits, emask = core.ebits, core.emask
+    dist = dict.fromkeys(core.ids_of(sources), 0)
+    heap = sorted(dist)
     while heap:
         key = heapq.heappop(heap)
-        here = pushed[key & _LOW]
-        cost = key >> 32
+        here = key & low
+        cost = key >> shift
         if cost > dist[here]:
             continue
-        for event, nxt in adjacency.get(here, ()):
-            weight = step.get(event)
+        for edge in rows[here]:
+            weight = weights[edge & emask]
             if weight is None:
                 continue
             nc = cost + weight
+            nxt = edge >> ebits
             old = dist.get(nxt)
             if old is None or nc < old:
                 dist[nxt] = nc
-                heapq.heappush(heap, nc << 32 | len(pushed))
-                pushed.append(nxt)
-    return {s: (c >> 32, c & _LOW) for s, c in dist.items()}
+                heapq.heappush(heap, nc << shift | nxt)
+    return _Costs(core, dist, shift)
 
 
 @dataclass(frozen=True)
@@ -111,35 +144,39 @@ class CcPath:
 
 def _walk_back(
     cc: CcAutomaton,
-    dist: dict[CcState, Cost],
+    costs: _Costs,
     targets: Iterable[CcState],
     *,
     uncontrollable_only: bool = False,
 ) -> CcPath | None:
     """The canonical cheapest path to any of ``targets``, read from the cost
-    map ``dist`` that ``cc_observable_costs`` returned for the same sources
+    map ``costs`` that ``cc_observable_costs`` returned for the same sources
     and transition filter. None when no target is in the map."""
-    hit = [t for t in targets if t in dist]
+    dist, shift = costs._dist, costs._shift
+    core = cc._core
+    hit = [t for t in core.ids_of(targets) if t in dist]
     if not hit:
         return None
-    here = min(hit, key=lambda t: (dist[t], t.sort_key()))
+    state, events, ebits, emask = core.state, core.events, core.ebits, core.emask
+    here = min(hit, key=lambda t: (dist[t], state(t).sort_key()))
+    rows = cc._unc_into if uncontrollable_only else cc.by_target._rows
+    weights = _weights(cc, shift, False)
     edges: list[CcTransition] = []
-    controllable = cc.controllable_events
-    while dist[here] != (0, 0):  # every transition costs, so only sources are free
+    while dist[here]:  # every transition costs, so only sources are free
         cost = dist[here]
         best = None
-        for pred, event in cc.by_target[here]:
-            if uncontrollable_only and event in controllable:
+        for edge in rows[here]:
+            pred, event = edge >> ebits, edge & emask
+            if pred not in dist or dist[pred] + weights[event] != cost:
                 continue
-            if pred not in dist or _plus(dist[pred], event) != cost:
-                continue
-            tie = (pred.sort_key(), natural_key(event.name))
+            tie = (state(pred).sort_key(), natural_key(events[event].name))
             if best is None or tie < best[0]:
-                best = (tie, (pred, event, here))
-        edges.append(best[1])
-        here = best[1][0]
+                best = (tie, pred, event)
+        _, pred, event = best
+        edges.append((state(pred), events[event], state(here)))
+        here = pred
     edges.reverse()
-    return CcPath(start=here, edges=tuple(edges))
+    return CcPath(start=state(here), edges=tuple(edges))
 
 
 def cc_shortest_path(

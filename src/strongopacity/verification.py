@@ -26,11 +26,17 @@ may end with an unobservable move from a non-secret empty-estimate state of
 the same layer. Every state cheaper than the cheapest offending one is then
 expanded, so its cost and its in-edges are exact, and the search on the
 partial composition gives the verdict and the witness the whole one gives.
+
+The offending states are picked by state number, from the layer a layered
+product records for each state and from the left state of each number, so
+a verdict builds no ``CcState`` beyond those on its witness path and the
+ones its tie-breaks compare.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from .automaton import Nfa, Run, accessible_part
@@ -130,19 +136,21 @@ def verify_k_sso(nfa: Nfa, k: int) -> Verdict:
         return Verdict(False, K_SSO, k, witness=witness)
     # Every empty-estimate state within K layers offends; only a witness searches.
     cc = _cc_hat(acc, obs, stop_on=acc.states, max_layer=k)
-    bad = [s for s in cc.empty_states if cc._layers[s] <= k]
+    layer = cc._layer
+    bad = cc._subset(i for i in cc.empty_states._ids if layer[i] <= k)
     if not bad:
         return Verdict(True, K_SSO, k)
     return Verdict(False, K_SSO, k, witness=cc_shortest_path(cc, cc.initials, bad).to_run())
 
 
-def _dss_offenders(cc: CcAutomaton, notion: str) -> frozenset[CcState]:
+def _dss_offenders(cc: CcAutomaton, notion: str) -> AbstractSet[CcState]:
     """The offending empty-estimate states of ``notion`` in a
     deleted-secret-states composition: those with a secret left state for
     scso, and all for inf-sso, and for siso, whose composition the secret
     initial pairs alone seed (``product`` reaches every state from them)."""
     if notion == SCSO:
-        return frozenset(s for s in cc.empty_states if s.left in cc.left.secret)
+        secret = cc.left.secret
+        return cc._subset(i for i in cc.empty_states._ids if cc._core.left_of(i) in secret)
     return cc.empty_states
 
 

@@ -77,6 +77,14 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--notion", "cso", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b'{"states": [{"id": "\xff"}]}', b"[" * 100_000], ids=["non-utf8", "deep"])
+    def test_undecodable_model_file(self, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run_cli(["verify", "--notion", "cso", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
 
 class TestEnforceCommand:
     def test_prints_cut_lines(self, capsys):

@@ -9,7 +9,10 @@ a composition, are checked against the search of the whole public
 compositions on these automata and on golden-corpus instances. The search
 (packed costs, the uncontrollable in-index), the layers that a layered
 product records and the frontier without a forward search are checked
-against references written here.
+against references written here, and so is every read-only view of a
+composition's int core: each against a reference built from its
+transitions, one ``CcState`` object per state, and no foreign state in any
+view.
 """
 
 import dataclasses
@@ -29,6 +32,7 @@ from hypothesis import given, settings
 
 import strongopacity
 from strongopacity import (
+    CcAutomaton,
     CcEvent,
     CcState,
     EmptyEstimate,
@@ -419,7 +423,8 @@ def drawn_products(nfa, data):
     """A whole product and its layered ones under every stop, of ``nfa``
     with a drawn set of uncontrollable events and the observer of a
     thinned copy (so that some estimates collapse), from drawn initials.
-    Yields (stopped, composition, reference transitions of the whole)."""
+    Yields (stopped, composition, reference transitions of the whole,
+    initials)."""
     uncontrollable = data.draw(st.sets(st.sampled_from(OBSERVABLE + UNOBSERVABLE)))
     alphabet = tuple(dataclasses.replace(e, controllable=e.name not in uncontrollable) for e in nfa.alphabet)
     nfa = nfa.replace(alphabet=alphabet)
@@ -432,19 +437,30 @@ def drawn_products(nfa, data):
     _, transitions = reference_product(nfa, obs, initials, True)
     for stop_on, max_layer in each_stop(nfa):
         cc = product(nfa, obs, initials, empty_sink=True, stop_on=stop_on, max_layer=max_layer)
-        yield stop_on is not None or max_layer is not None, cc, transitions
+        yield stop_on is not None or max_layer is not None, cc, transitions, initials
+
+
+def in_index(cc, rows):
+    """An int in-index rendered: target -> Counter of (event, source) pairs,
+    for the targets with an in-edge."""
+    core = cc._core
+    return {
+        core.state(i): Counter((core.events[e & core.emask], core.state(e >> core.ebits)) for e in row)
+        for i, row in enumerate(rows)
+        if row
+    }
 
 
 @given(cyclic_nfas(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_searches_match_a_tuple_cost_reference(nfa, data):
-    for _, cc, _ in drawn_products(nfa, data):
+    for _, cc, _, _ in drawn_products(nfa, data):
         controllable = {e.name for e in cc.left.alphabet if e.controllable}
         into = {}
         for src, event, dst in cc.transitions:
             if event.left_event not in controllable:
                 into.setdefault(dst, Counter())[(event, src)] += 1
-        assert {s: Counter(pairs) for s, pairs in cc._uncontrollable_into.items()} == into
+        assert in_index(cc, cc._unc_into) == into
         states = sorted(cc.states, key=CcState.sort_key)
         sources = data.draw(st.sets(st.sampled_from(states))) if states else set()
         for backward in (False, True):
@@ -457,16 +473,16 @@ def test_searches_match_a_tuple_cost_reference(nfa, data):
 @given(cyclic_nfas(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_layered_product_records_each_state_layer(nfa, data):
-    for stopped, cc, transitions in drawn_products(nfa, data):
+    for stopped, cc, transitions, _ in drawn_products(nfa, data):
         if stopped:
             layer = observable_layers(transitions, cc.initials)
-            assert cc._layers == {s: layer[s] for s in cc.states}
+            assert {cc._core.state(i): n for i, n in enumerate(cc._layer)} == {s: layer[s] for s in cc.states}
 
 
 @given(cyclic_nfas(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_frontier_without_sources_matches_a_forward_search(nfa, data):
-    for _, cc, _ in drawn_products(nfa, data):
+    for _, cc, _, _ in drawn_products(nfa, data):
         controllable = {e.name for e in cc.left.alphabet if e.controllable}
         states = sorted(cc.states, key=CcState.sort_key)
         bad = data.draw(st.sets(st.sampled_from(states))) if states else set()
@@ -477,6 +493,90 @@ def test_frontier_without_sources_matches_a_forward_search(nfa, data):
             for src, event, dst in cc.transitions
             if src in reached and event.left_event in controllable and dst in into_bad
         }
+
+
+VIEWS = ("states", "transitions", "initials", "empty_states", "secret_initials", "edges", "by_source", "by_target")
+
+
+def check_views(cc, initials, aliens):
+    """Every view of ``cc`` against a reference built from its transitions
+    and ``initials``; one object per state, whichever view hands it out and
+    however often; no state of ``aliens`` in any view; and a composition
+    built by hand from the views with the same views."""
+    transitions = set(cc.transitions)
+    states = set(initials) | {dst for _, _, dst in transitions}
+    out = {s: Counter() for s in states}
+    into = {s: Counter() for s in states}
+    for src, event, dst in transitions:
+        out[src][(event, dst)] += 1
+        into[dst][(src, event)] += 1
+    sets = {
+        "states": states,
+        "transitions": transitions,
+        "initials": set(initials),
+        "empty_states": {s for s in states if s.is_empty},
+        "secret_initials": {s for s in initials if s.left in cc.left.secret},
+    }
+    for name, want in sets.items():
+        view = getattr(cc, name)
+        assert view == want and len(view) == len(want) == len(list(view)), name
+        assert all(x in view for x in want), name
+    for name, want in (("edges", out), ("by_source", out), ("by_target", into)):
+        index = getattr(cc, name)
+        assert index.keys() == want.keys() and len(index) == len(want), name
+        assert all(Counter(index[s]) == want[s] for s in states), name
+    handed = [s for name in sets if name != "transitions" for s in getattr(cc, name)]
+    handed += [s for src, _, dst in cc.transitions for s in (src, dst)]
+    handed += [dst for pairs in cc.by_source.values() for _, dst in pairs]
+    handed += [src for pairs in cc.by_target.values() for src, _ in pairs]
+    handed += list(cc.states)
+    assert len({id(s) for s in handed}) == len(states)
+    costs = cc_observable_costs(cc, initials)
+    for alien in aliens:
+        assert all(alien not in getattr(cc, name) for name in VIEWS) and alien not in costs
+        for index in (cc.edges, cc.by_source, cc.by_target, costs):
+            with pytest.raises(KeyError):
+                index[alien]
+    for src, event, dst in transitions:
+        assert ((dst, event, src) in cc.transitions) == ((dst, event, src) in transitions)
+        assert all((src, event, alien) not in cc.transitions for alien in aliens)
+    copy = CcAutomaton(cc.left, cc.right, cc.events, cc.initials, cc.edges)
+    for name in VIEWS[:5]:
+        assert getattr(copy, name) == sets[name], name
+    assert {s: Counter(pairs) for s, pairs in copy.by_target.items()} == into
+
+
+def foreign_states(nfa, obs):
+    """The states of the composition of ``nfa`` with ``obs`` seeded from
+    every pair, and two states that no composition of them has; a caller
+    removes its own states."""
+    pairs = [CcState(x, q) for x in sorted(nfa.states) for q in sorted(obs.estimates) + [None]]
+    return set(product(nfa, obs, pairs, empty_sink=True).states) | {
+        CcState("nowhere", None),
+        CcState(sorted(nfa.states)[0], ("nowhere",)),
+    }
+
+
+@given(cyclic_nfas(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_views_match_references_built_from_transitions(nfa, data):
+    for _, cc, _, initials in drawn_products(nfa, data):
+        check_views(cc, initials, foreign_states(cc.left, cc.right) - set(cc.states))
+
+
+def test_views_on_golden_instances():
+    rng = random.Random(GOLDEN_SEED)
+    for _ in range(20):
+        nfa = random_cyclic_nfa(rng)
+        dss = dss_subautomaton(nfa)
+        if not dss.initial:
+            continue
+        obs = subset_construction(dss)
+        initials = [CcState(x, q) for x in nfa.initial for q in obs.initials]
+        aliens = foreign_states(nfa, obs)
+        for stop_on, max_layer in each_stop(nfa):
+            cc = product(nfa, obs, initials, empty_sink=True, stop_on=stop_on, max_layer=max_layer)
+            check_views(cc, initials, aliens - set(cc.states))
 
 
 def reference_verdicts(nfa):

@@ -93,6 +93,15 @@ class TestParseModel:
         assert excinfo.value.line == 1
         assert excinfo.value.col > 1
 
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(ParseError, match="not UTF-8") as excinfo:
+            parse_model(b'{"states": [{"id": "x"}],\n "events": [{"name": "\xff"}]}')
+        assert (excinfo.value.line, excinfo.value.col) == (2, 23)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_model(b"[" * 100_000)
+
     def test_duplicate_declarations(self):
         with pytest.raises(InvalidState):
             parse_model(b'{"states": [{"id": "x"}, {"id": "x"}]}')
