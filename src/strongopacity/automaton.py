@@ -6,7 +6,10 @@ function of its inputs, so everything here is safe to share across threads.
 
 The adjacency indexes (``by_source``/``by_target``) are unordered. Order is
 applied only where something is output or a tie is broken: ``natural_key``,
-``sorted_states`` and ``sorted_transitions``.
+``sorted_states`` and ``sorted_transitions``. A model's states are sorted by
+``natural_key`` once (``_order``); from then on a state's position in that
+order and an event's position in the alphabet, kept in natural order, are
+its ranks, and ``sorted_transitions`` and DOT export sort by those ints.
 
 Each ``Nfa`` also caches a private dense index (``_dense``): its states
 numbered in natural order, and per state bitmasks over those numbers for its
@@ -38,11 +41,16 @@ def natural_key(text: str) -> tuple:
     """Sort key that orders digit runs numerically ('2' before '10').
 
     The raw text is the last tie-break, so distinct strings never share a key
-    ('01' before '1', 'a01' before 'a1').
+    ('01' before '1', 'a01' before 'a1'). A digit run is a run of decimal
+    digits (``\\d``, any script); other characters that ``str.isdigit``
+    accepts, such as '²', are text.
     """
+    if text.isdecimal():  # one run: the key the split below gives
+        return (((0, int(text)),), text)
+    # The split alternates text and digit runs: the odd parts are the runs.
     parts = tuple(
-        (0, int(part)) if part.isdigit() else (1, part)
-        for part in _DIGIT_RUN.split(text)
+        (0, int(part)) if i % 2 else (1, part)
+        for i, part in enumerate(_DIGIT_RUN.split(text))
         if part != ""
     )
     return (parts, text)

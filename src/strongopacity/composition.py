@@ -24,13 +24,19 @@ only stored edge relation. The initial states, the state set, the
 transition set, the ``by_source``/``by_target`` indexes and the
 empty-estimate and secret-initial sets are read-only views of the core. A
 view renders a state into its public ``CcState`` only when it hands it
-out, once per state (states share the observer's estimate tuples and cache
-their hash), and finds the number of a ``CcState`` handed in from its key.
-The searches, the offending sets and the frontier run on state numbers.
-State numbers follow the exploration order, which follows the hash-seeded
-order of ``Nfa.by_source``; ``CcState.sort_key`` orders states only where
-they are output (``sorted_states``, ``sorted_transitions``) or where a
-witness tie is broken, so no output depends on the numbering.
+out, once per state (states share the observer's estimate tuples, which the
+observer renders only then, and cache their hash), and finds the number of
+a ``CcState`` handed in from its key. The package's own constructors seed
+``product`` with int keys as well (``_Keys``), so a composition they build
+holds no ``CcState`` until one is handed out. The searches, the offending
+sets and the frontier run on state numbers. State numbers follow the
+exploration order, which follows the hash-seeded order of ``Nfa.by_source``,
+so no output reads them directly. Sorted output (``sorted_states``,
+``sorted_transitions``, DOT export) is ordered by one int per state that
+reproduces ``CcState.sort_key``: the left state's dense position (natural
+order), nonempty before empty, and the estimate's place in one plain sort
+of the estimate tuples that occur. A witness tie, where few states are
+compared, is broken by ``sort_key`` itself.
 
 The public constructors build whole compositions. The verifiers and the
 K-step enforcer ask ``product`` to stop early instead: it then explores one
@@ -49,13 +55,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
-from .automaton import Event, Nfa, accessible_part, natural_key
+from .automaton import Nfa, _bits, accessible_part, natural_key
 from .errors import AlphabetMismatch, InternalInvariantError, InvalidState
 from .observer import (
     Estimate,
-    EstimateClass,
     Observer,
-    classify_estimates,
+    estimate_name,
     multi_initial_observer,
     subset_construction,
 )
@@ -159,7 +164,7 @@ class _Core:
 
     __slots__ = (
         "events", "ebits", "emask", "ids", "keys", "out", "edge_count",
-        "order", "position", "slots", "rights", "width", "rendered",
+        "order", "position", "table", "width", "rendered",
     )
 
     def __init__(self, left: Nfa, right: Observer, events: tuple[CcEvent, ...], ids, keys, out):
@@ -171,16 +176,18 @@ class _Core:
         self.out: list = out
         self.edge_count = sum(map(len, out))
         self.order, self.position = left._dense.order, left._dense.position
-        table = right._table
-        self.slots, self.rights = table.ids, table.estimates + [None]
-        self.width = len(self.rights)
+        self.table = right._table
+        self.width = len(self.table.masks) + 1
         self.rendered: list[CcState | None] = [None] * len(keys)
+
+    def right(self, slot: int) -> Estimate | None:
+        return None if slot == self.width - 1 else self.table.estimate(slot)
 
     def state(self, i: int) -> CcState:
         state = self.rendered[i]
         if state is None:
             pos, slot = divmod(self.keys[i], self.width)
-            state = self.rendered[i] = CcState(self.order[pos], self.rights[slot])
+            state = self.rendered[i] = CcState(self.order[pos], self.right(slot))
         return state
 
     def id(self, state) -> int:
@@ -188,7 +195,7 @@ class _Core:
         if not isinstance(state, CcState):
             return -1
         pos = self.position.get(state.left)
-        slot = self.width - 1 if state.right is None else self.slots.get(state.right)
+        slot = self.width - 1 if state.right is None else self.table.id(state.right)
         if pos is None or slot is None:
             return -1
         return self.ids.get(pos * self.width + slot, -1)
@@ -209,13 +216,6 @@ class _Core:
 
     def left_of(self, i: int) -> str:
         return self.order[self.keys[i] // self.width]
-
-    def pairs(self) -> Iterator[tuple[int, str, Estimate | None]]:
-        """(id, left state, estimate) of every state, with no ``CcState`` built."""
-        order, rights, width = self.order, self.rights, self.width
-        for i, key in enumerate(self.keys):
-            pos, slot = divmod(key, width)
-            yield i, order[pos], rights[slot]
 
     def transition(self, src: int, edge: int) -> CcTransition:
         return (self.state(src), self.events[edge & self.emask], self.state(edge >> self.ebits))
@@ -358,13 +358,17 @@ class CcAutomaton:
         events = tuple(events)
         index = {e: i for i, e in enumerate(events)}
         shift = _index_bits(len(events))
-        position, slots, empty = left._dense.position, right._table.ids, len(right._table.estimates)
+        position, table = left._dense.position, right._table
+        empty = len(table.masks)
         ids: dict[int, int] = {}
         keys: list[int] = []
         out: list = []
 
         def number(s: CcState) -> int:
-            key = position[s.left] * (empty + 1) + (empty if s.right is None else slots[s.right])
+            slot = empty if s.right is None else table.id(s.right)
+            if slot is None:
+                raise KeyError(s.right)
+            key = position[s.left] * (empty + 1) + slot
             if key not in ids:
                 ids[key] = len(keys)
                 keys.append(key)
@@ -443,23 +447,72 @@ class CcAutomaton:
         secret, left_of = self.left.secret, self._core.left_of
         return self._subset(i for i in self._initial_ids if left_of(i) in secret)
 
+    def _sorted_ids(self) -> list[int]:
+        """The state ids in ``CcState.sort_key`` order, sorted by one int
+        per state: the left state's dense position (natural order), then
+        nonempty before empty, then the estimate's place in one plain sort
+        of the estimate tuples that occur."""
+        core = self._core
+        width, empty = core.width, core.width - 1
+        slots = sorted({key % width for key in core.keys} - {empty}, key=core.table.estimate)
+        place = {slot: r for r, slot in enumerate(slots)}
+        place[empty] = len(slots)
+        span = len(slots) + 1
+        rank = [key // width * span + place[key % width] for key in core.keys]
+        return sorted(range(len(rank)), key=rank.__getitem__)
+
     def sorted_states(self) -> list[CcState]:
-        return sorted(self.states, key=CcState.sort_key)
+        return [self._core.state(i) for i in self._sorted_ids()]
 
     def sorted_transitions(self) -> list[CcTransition]:
-        keys = {s: s.sort_key() for s in self.states}
-        event_keys = {e: natural_key(e.name) for e in self.events}
-        return sorted(
-            self.transitions,
-            key=lambda t: (keys[t[0]], event_keys[t[1]], keys[t[2]]),
-        )
+        core = self._core
+        events = core.events
+        ranks = _inverse(self._sorted_ids())
+        event_ranks = _inverse(sorted(range(len(events)), key=lambda e: natural_key(events[e].name)))
+        n, m = len(ranks), len(events)
+        keyed = [
+            ((ranks[src] * m + event_ranks[edge & core.emask]) * n + ranks[edge >> core.ebits], src, edge)
+            for src, row in enumerate(core.out)
+            for edge in row
+        ]
+        keyed.sort()
+        return [core.transition(src, edge) for _, src, edge in keyed]
+
+    def _names(self) -> list[str]:
+        """Per state id, its ``CcState.name``, with each estimate's name
+        built once and no ``CcState`` built."""
+        core = self._core
+        order, width = core.order, core.width
+        estimate_names: dict[int, str] = {width - 1: EMPTY_MARK}
+        names = []
+        for key in core.keys:
+            pos, slot = divmod(key, width)
+            text = estimate_names.get(slot)
+            if text is None:
+                text = estimate_names[slot] = estimate_name(core.table.estimate(slot))
+            names.append("(" + order[pos] + "," + text + ")")
+        return names
 
     def state_names(self) -> frozenset[str]:
         return frozenset(s.name for s in self.states)
 
 
+def _inverse(order: list[int]) -> list[int]:
+    """Per item, its place in ``order``, a permutation of the items."""
+    place = [0] * len(order)
+    for r, i in enumerate(order):
+        place[i] = r
+    return place
+
+
 def _paired_events(left: Nfa) -> dict[str, CcEvent]:
     return {e.name: CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet}
+
+
+class _Keys(list):
+    """Initial pairs handed to ``product`` as (left position, slot) pairs
+    instead of ``CcState`` objects (see ``_Core``): the package's own
+    constructors seed a composition this way, building no state."""
 
 
 def product(
@@ -511,19 +564,24 @@ def product(
         raise AlphabetMismatch(
             f"observer events {sorted(right_names)} exceed left observable alphabet"
         )
-    initials = list(initials)
-    for s in initials:
-        if s.left not in left.states:
-            raise AlphabetMismatch(f"initial left component is not a left state: {s.left!r}")
-        if s.right is not None and s.right not in right.estimates:
-            raise AlphabetMismatch(f"initial right component is not an estimate: {s.right}")
-
     order, position = left._dense.order, left._dense.position
     table = right._table
-    observable = left.observable_events
     # A slot is an estimate's id, or ``empty``, one past the last, for the
     # empty estimate, which every observable event maps back to itself.
-    empty = len(table.estimates)
+    empty = len(table.masks)
+    if isinstance(initials, _Keys):
+        starts = initials
+    else:
+        starts = []
+        for s in initials:
+            if s.left not in left.states:
+                raise AlphabetMismatch(f"initial left component is not a left state: {s.left!r}")
+            slot = empty if s.right is None else table.id(s.right)
+            if slot is None:
+                raise AlphabetMismatch(f"initial right component is not an estimate: {s.right}")
+            starts.append((position[s.left], slot))
+
+    observable = left.observable_events
     width = empty + 1
     steps = table.step + [dict.fromkeys(observable, empty)]  # slot -> event -> slot
     events = tuple(_paired_events(left).values())
@@ -554,8 +612,7 @@ def product(
     # (yet) by an unobservable one, the next layer, key -> queue entry.
     later: dict[int, tuple[int, int, int]] = {}
     layer, stop = 0, False
-    for s in initials:
-        pos, slot = position[s.left], empty if s.right is None else table.ids[s.right]
+    for pos, slot in starts:
         key = pos * width + slot
         if key not in ids:
             ids[key] = len(keys)
@@ -661,19 +718,27 @@ def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
     if obs is None or not ghat.states:
         events = frozenset(_paired_events(ghat).values())
         return CcAutomaton(ghat, _empty_observer(ghat), events, initials=frozenset(), edges={})
-    classes = classify_estimates(obs, nfa.secret)
-    relevant = [q for q, c in classes.items() if c is not EstimateClass.NON_SECRET]
     pruned, seeds = nonsecret_subautomaton(nfa, obs)
+    seeds = list(seeds)  # the right observer numbers its initials in this order
     right = multi_initial_observer(pruned, seeds) if seeds else _empty_observer(pruned)
-    initials = []
-    for q in relevant:
-        remainder = tuple(x for x in q if x not in nfa.secret)  # q is in natural order
-        paired: Estimate | None = remainder if remainder else None
-        if paired is not None and paired not in right.initials:
-            raise InternalInvariantError(f"hybrid remainder missing from observer initials: {paired}")
-        for x in q:
-            if x in nfa.secret:
-                initials.append(CcState(x, paired))
+    # Estimates are masks over ``nfa``'s dense order: each secret member of
+    # an estimate with one pairs with the id of its non-secret remainder.
+    table = obs._table
+    secret = table.mask_of(nfa.secret)
+    slots = {table.mask_of(seed): j for j, seed in enumerate(seeds)}
+    slots[0] = len(right._table.masks)  # no remainder: the empty estimate
+    order, position = table.order, ghat._dense.position
+    initials = _Keys()
+    for mask in table.masks:
+        inside = mask & secret
+        if not inside:
+            continue
+        slot = slots.get(mask & ~secret)
+        if slot is None:
+            raise InternalInvariantError(
+                f"hybrid remainder missing from observer initials: {tuple(table.names(mask & ~secret))}"
+            )
+        initials.extend((position[order[b]], slot) for b in _bits(inside))
     return product(ghat, right, initials, empty_sink=True, **stop)
 
 
@@ -689,8 +754,9 @@ def cc_full_observer(nfa: Nfa) -> CcAutomaton:
 
 def _cc_full_observer(nfa: Nfa, obs: Observer) -> CcAutomaton:
     """``cc_full_observer`` of an accessible ``nfa`` with its observer ``obs``."""
-    (q0,) = obs.initials
-    return product(nfa, obs, [CcState(x0, q0) for x0 in nfa.initial], empty_sink=False)
+    (slot,) = obs._table.initials
+    position = nfa._dense.position
+    return product(nfa, obs, _Keys((position[x0], slot) for x0 in nfa.initial), empty_sink=False)
 
 
 def cc_dss(nfa: Nfa, *, secret_only: bool = False) -> CcAutomaton:
@@ -710,12 +776,9 @@ def _cc_dss(nfa: Nfa, *, secret_only: bool = False, **stop) -> CcAutomaton:
     """``cc_dss`` of an accessible ``nfa``; ``stop`` holds ``product``'s
     stop arguments."""
     dss = dss_subautomaton(nfa)
-    if dss.initial:
-        right = subset_construction(dss)
-        (q0,) = right.initials
-        paired: Estimate | None = q0
-    else:
-        right = _empty_observer(dss)
-        paired = None
+    # The remainder's one initial estimate, or the empty estimate (slot 0
+    # of an observer with no estimate) when it has none.
+    right = subset_construction(dss) if dss.initial else _empty_observer(dss)
     starts = nfa.initial & nfa.secret if secret_only else nfa.initial
-    return product(nfa, right, [CcState(x0, paired) for x0 in starts], empty_sink=True, **stop)
+    position = nfa._dense.position
+    return product(nfa, right, _Keys((position[x0], 0) for x0 in starts), empty_sink=True, **stop)

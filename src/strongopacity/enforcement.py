@@ -49,7 +49,7 @@ from typing import Iterable, Union
 from .automaton import Nfa, Run, Transition, accessible_part, disable_transitions
 from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, cc_dss
 from .errors import InternalInvariantError
-from .observer import Estimate, subset_construction
+from .observer import subset_construction
 from .search import _Costs, cc_observable_costs, cc_shortest_path
 from .verification import INF_SSO, SCSO, SISO, _dss_offenders
 
@@ -188,18 +188,20 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
 
 def _matching(ccobs: CcAutomaton, leaky: list[CcState], secret: frozenset[str]) -> list[int]:
     """The ids of the states of ``ccobs`` whose left state and non-secret
-    remainder are a leaky initial's, in one scan."""
-    wanted: dict[str, set[frozenset[str]]] = {}
+    remainder are a leaky initial's, in one scan of the int keys, with
+    remainders compared as masks over the observer's states."""
+    core = ccobs._core
+    table, width = core.table, core.width
+    keep = ~table.mask_of(secret)
+    wanted: dict[int, set[int]] = {}  # left position -> remainder masks
     for i in leaky:
-        wanted.setdefault(i.left, set()).add(frozenset(i.right or ()))
-    remainders: dict[Estimate, frozenset[str]] = {}
+        wanted.setdefault(core.position[i.left], set()).add(table.mask_of(i.right or ()))
     found = []
-    for i, left, right in ccobs._core.pairs():
-        if left in wanted:
-            if right not in remainders:
-                remainders[right] = frozenset(right) - secret
-            if remainders[right] in wanted[left]:
-                found.append(i)
+    for n, key in enumerate(core.keys):
+        pos, slot = divmod(key, width)
+        # The full observer's estimate always holds the left state: no slot is empty.
+        if pos in wanted and table.masks[slot] & keep in wanted[pos]:
+            found.append(n)
     return found
 
 

@@ -13,15 +13,21 @@ Flags are JSON booleans and default to secret=false, initial=false,
 observable=true, controllable=true. Every transition endpoint and event name
 must be declared.
 Graph export emits deterministic DOT text: one node line per state carrying
-its annotations, one edge line per ordered state pair with all its event
-labels merged (self-loops included), nodes and edges in canonical order.
+its annotations, one edge line per ordered pair of node names with all its
+event labels merged (self-loops included; two nodes with one name share
+their edge lines), nodes and edges in canonical order. Export reads the int
+form of each structure and renders names only for output: each distinct
+node name gets one natural sort key and one quote, the edges are grouped
+and sorted by the int ranks of their endpoint names, and the labels of a
+pair are sorted only when it has more than one. Nodes follow
+``sorted_states`` (an automaton's dense order, an observer's estimate
+tuples in plain order, a composition's ``CcState.sort_key`` ranks).
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache
-from typing import IO, Union
+from typing import IO, Iterable, Union
 
 from .automaton import Event, Nfa, natural_key
 from .composition import CcAutomaton
@@ -163,53 +169,95 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _merged_edges(edges) -> list[str]:
-    """One DOT line per (source, target) name pair, its labels merged; the
-    pairs and the labels are put in natural order here, so ``edges`` may
-    come in any order."""
-    grouped: dict[tuple[str, str], list[str]] = {}
-    for src, label, dst in edges:
-        grouped.setdefault((src, dst), []).append(label)
-    key = cache(natural_key)  # one key per distinct name or label
+def _ranked(names: list[str]) -> tuple[list[int], list[str]]:
+    """Per item of ``names``, the rank of its name among the distinct names
+    in natural order, and those distinct names in that order: one natural
+    key per distinct name."""
+    distinct = sorted(set(names), key=natural_key)
+    rank = {name: r for r, name in enumerate(distinct)}
+    return [rank[name] for name in names], distinct
 
+
+def _edge_lines(quoted: list[str], labels: list[str], edges: Iterable[tuple[int, int, int]]) -> list[str]:
+    """One DOT line per (source, target) name pair, its labels merged, in
+    natural order. ``edges`` lists (source, label, target) rank triples in
+    any order: ``quoted[r]`` is the quoted name of name rank ``r`` and
+    ``labels[r]`` the label of label rank ``r``, both ranks in natural
+    order, and items with one name share its rank. The pairs are grouped
+    and sorted as ints, and the labels of a pair are sorted only when it
+    has more than one."""
+    width = len(quoted)
+    grouped: dict[int, list[int]] = {}
+    for src, label, dst in edges:
+        pair = src * width + dst
+        found = grouped.get(pair)
+        if found is None:
+            grouped[pair] = [label]
+        else:
+            found.append(label)
+    single = [_quote(label) for label in labels]
     lines = []
-    ordered = sorted(grouped.items(), key=lambda kv: (key(kv[0][0]), key(kv[0][1])))
-    for (src, dst), labels in ordered:
-        joined = ",".join(sorted(set(labels), key=key))
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(joined)}];")
+    for pair in sorted(grouped):
+        src, dst = divmod(pair, width)
+        found = grouped[pair]
+        if len(found) == 1:
+            text = single[found[0]]
+        else:
+            text = _quote(",".join(labels[r] for r in sorted(set(found))))
+        lines.append(f"  {quoted[src]} -> {quoted[dst]} [label={text}];")
     return lines
 
 
 def _nfa_lines(nfa: Nfa) -> list[str]:
+    # States are distinct names in natural order already, and so are events.
+    order = nfa._order
+    position = {x: i for i, x in enumerate(order)}
+    quoted = [_quote(x) for x in order]
     lines = ["digraph nfa {"]
-    for x in nfa.sorted_states():
+    for x, name in zip(order, quoted):
         flags = f"initial={'true' if x in nfa.initial else 'false'}, secret={'true' if x in nfa.secret else 'false'}"
-        lines.append(f"  {_quote(x)} [{flags}];")
-    lines += _merged_edges(nfa.transitions)
+        lines.append(f"  {name} [{flags}];")
+    event_rank = {e.name: i for i, e in enumerate(nfa.alphabet)}
+    edges = ((position[src], event_rank[event], position[dst]) for src, event, dst in nfa.transitions)
+    lines += _edge_lines(quoted, [e.name for e in nfa.alphabet], edges)
     lines.append("}")
     return lines
 
 
 def _observer_lines(obs: Observer) -> list[str]:
+    table = obs._table
+    rank, names = _ranked([estimate_name(table.estimate(i)) for i in range(len(table.masks))])
+    quoted = [_quote(name) for name in names]
+    initial = set(table.initials)
     lines = ["digraph observer {"]
-    names = {q: estimate_name(q) for q in obs.estimates}
-    for q in obs.sorted_estimates():
-        flag = "true" if q in obs.initials else "false"
-        lines.append(f"  {_quote(names[q])} [initial={flag}];")
-    lines += _merged_edges((names[q1], event, names[q2]) for (q1, event), q2 in obs.delta.items())
+    for i in sorted(range(len(rank)), key=table.estimate):  # ``sorted_estimates`` order
+        lines.append(f"  {quoted[rank[i]]} [initial={'true' if i in initial else 'false'}];")
+    events = sorted({e for moves in table.step for e in moves}, key=natural_key)
+    event_rank = {e: r for r, e in enumerate(events)}
+    edges = ((rank[i], event_rank[e], rank[j]) for i, moves in enumerate(table.step) for e, j in moves.items())
+    lines += _edge_lines(quoted, events, edges)
     lines.append("}")
     return lines
 
 
 def _composition_lines(cc: CcAutomaton) -> list[str]:
+    core = cc._core
+    rank, names = _ranked(cc._names())
+    quoted = [_quote(name) for name in names]
+    empty = core.width - 1
     lines = ["digraph composition {"]
-    names = {s: s.name for s in cc.states}
-    event_names = {e: e.name for e in cc.events}
-    for s in cc.sorted_states():
-        init = "true" if s in cc.initials else "false"
-        empty = "true" if s.is_empty else "false"
-        lines.append(f"  {_quote(names[s])} [initial={init}, empty={empty}];")
-    lines += _merged_edges((names[src], event_names[event], names[dst]) for src, event, dst in cc.transitions)
+    for i in cc._sorted_ids():  # ``sorted_states`` order
+        init = "true" if i in cc._initial_ids else "false"
+        flag = "true" if core.keys[i] % core.width == empty else "false"
+        lines.append(f"  {quoted[rank[i]]} [initial={init}, empty={flag}];")
+    event_rank, events = _ranked([e.name for e in core.events])
+    ebits, emask = core.ebits, core.emask
+    edges = (
+        (rank[src], event_rank[edge & emask], rank[edge >> ebits])
+        for src, row in enumerate(core.out)
+        for edge in row
+    )
+    lines += _edge_lines(quoted, events, edges)
     lines.append("}")
     return lines
 

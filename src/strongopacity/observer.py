@@ -6,23 +6,26 @@ and estimates can name product states downstream.
 
 The construction runs on the system's dense index (``Nfa._dense``): an
 estimate is a bitmask over the states' natural-order positions, and one step
-is the OR of the precomputed reach-closed successor masks of its bits. Each
-distinct mask is rendered into its public tuple once, by reading its bits in
-ascending order, which is natural order already; that one tuple object is
-the estimate everywhere in ``estimates``, ``delta`` and ``initials``. Beside
-the public ``delta`` an observer carries ``_table``, the same transition
-function over estimate ids, which the product runs on.
+is the OR of the precomputed reach-closed successor masks of its bits. An
+observer is held as that table (``_Table``): each estimate's mask, numbered
+in discovery order, and its moves over those numbers, which the product, the
+classification, the verifiers and DOT export read. ``estimates``, ``delta``
+and ``initials`` are read-only views of the table. An estimate is rendered
+into its public tuple only when a view or an output hands it out, by reading
+its bits in ascending order, which is natural order already; that one tuple
+object is the estimate from then on, in every view and every composition
+state. ``len(obs.estimates)`` renders nothing.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections.abc import Mapping
+from collections.abc import Set as AbstractSet
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator
 
-from .automaton import Event, Nfa, _bits, natural_key
+from .automaton import Event, Nfa, _bits, natural_key, sort_states
 from .errors import EmptyEstimate, EmptyInitial, InternalInvariantError, InvalidState
 
 #: Canonical estimate: naturally-sorted tuple of state ids.
@@ -43,40 +46,175 @@ class EstimateClass(Enum):
     HYBRID = "Hybrid"
 
 
-class _Table(NamedTuple):
-    """An observer's transition function over estimate ids: ``estimates[i]``
-    is the estimate with id ``i``, ``ids`` maps it back, and ``step[i]`` maps
-    an event to the id it reaches."""
+class _Table:
+    """An observer's transition function over estimate ids.
 
-    estimates: list[Estimate]
-    ids: dict[Estimate, int]
-    step: list[dict[str, int]]
+    Estimate ``i`` is the bitmask ``masks[i]`` over ``order`` (bit ``b``
+    stands for state ``order[b]``, ``position`` maps a state to its bit),
+    and ``ids`` maps a mask back to its id. ``step[i]`` maps an observable
+    event to the id it reaches, and ``initials`` lists the initial ids.
+    ``estimate(i)`` renders estimate ``i`` on first use and hands out that
+    one tuple from then on.
+    """
+
+    __slots__ = ("order", "position", "masks", "ids", "step", "initials", "_rendered")
+
+    def __init__(self, order, position, masks, ids, step, initials, rendered=None):
+        self.order: tuple[str, ...] = order
+        self.position: dict[str, int] = position
+        self.masks: list[int] = masks
+        self.ids: dict[int, int] = ids
+        self.step: list[dict[str, int]] = step
+        self.initials: list[int] = initials
+        self._rendered: list[Estimate | None] = rendered or [None] * len(masks)
+
+    def estimate(self, i: int) -> Estimate:
+        q = self._rendered[i]
+        if q is None:
+            order = self.order
+            q = self._rendered[i] = tuple([order[b] for b in _bits(self.masks[i])])
+        return q
+
+    def mask_of(self, states: Iterable[str]) -> int:
+        """The mask of those of ``states`` that have a bit."""
+        mask, position = 0, self.position
+        for x in states:
+            b = position.get(x)
+            if b is not None:
+                mask |= 1 << b
+        return mask
+
+    def id(self, estimate) -> int | None:
+        """The id of the estimate tuple ``estimate``, or None when it is not
+        an estimate of this observer. Renders nothing for a rendering of a
+        mask, whose bits ascend."""
+        if not isinstance(estimate, tuple):
+            return None
+        mask, last, ascending, position = 0, -1, True, self.position
+        for x in estimate:
+            b = position.get(x)
+            if b is None:
+                return None
+            ascending = ascending and b > last
+            last = b
+            mask |= 1 << b
+        i = self.ids.get(mask)
+        if i is None:
+            return None
+        q = self._rendered[i]
+        return i if (ascending if q is None else q == estimate) else None
+
+    def names(self, mask: int) -> list[str]:
+        order = self.order
+        return [order[b] for b in _bits(mask)]
 
 
-@dataclass(frozen=True, eq=False)
+class _EstimateSet(AbstractSet):
+    """Some estimates of one observer, held as ids; ``|``, ``&`` and ``-``
+    give frozensets."""
+
+    __slots__ = ("_table", "_ids")
+
+    def __init__(self, table: _Table, ids):
+        self._table, self._ids = table, ids
+
+    @classmethod
+    def _from_iterable(cls, items):
+        return frozenset(items)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[Estimate]:
+        return map(self._table.estimate, self._ids)
+
+    def __contains__(self, estimate) -> bool:
+        i = self._table.id(estimate)
+        return i is not None and i in self._ids
+
+
+class _Delta(Mapping):
+    """An observer's ``delta``: (estimate, event) -> estimate."""
+
+    __slots__ = ("_table", "_len")
+
+    def __init__(self, table: _Table):
+        self._table = table
+        self._len = sum(map(len, table.step))
+
+    def __getitem__(self, key) -> Estimate:
+        try:
+            q, event = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        table = self._table
+        i = table.id(q)
+        j = None if i is None else table.step[i].get(event)
+        if j is None:
+            raise KeyError(key)
+        return table.estimate(j)
+
+    def __iter__(self) -> Iterator[tuple[Estimate, str]]:
+        table = self._table
+        for i, moves in enumerate(table.step):
+            q = table.estimate(i)
+            for event in moves:
+                yield (q, event)
+
+    def __len__(self) -> int:
+        return self._len
+
+
 class Observer:
     """A deterministic automaton over state estimates.
 
     ``delta`` is a partial function (estimate, observable event) -> estimate;
     undefined steps are simply absent, never mapped to an empty estimate (the
-    empty estimate exists only inside composition states).
+    empty estimate exists only inside composition states). ``estimates``,
+    ``delta`` and ``initials`` are read-only views of the private table
+    ``_table``; see the module docstring.
     """
 
-    estimates: frozenset[Estimate]
-    events: tuple[Event, ...]
-    delta: Mapping[tuple[Estimate, str], Estimate]
-    initials: frozenset[Estimate]
-
-    @cached_property
-    def _table(self) -> _Table:
-        # Derived from ``delta`` for an observer built by hand; the subset
-        # construction sets it directly.
-        estimates = list(self.estimates)
+    def __init__(
+        self,
+        estimates: Iterable[Estimate],
+        events: Iterable[Event],
+        delta: Mapping[tuple[Estimate, str], Estimate],
+        initials: Iterable[Estimate],
+    ):
+        """An observer given estimate by estimate; the subset construction
+        builds its table directly instead. The given tuples are the
+        estimates, in whatever order they list their states."""
+        estimates = list(estimates)
+        order = tuple(sort_states({x for q in estimates for x in q}))
+        position = {x: b for b, x in enumerate(order)}
         ids = {q: i for i, q in enumerate(estimates)}
         step: list[dict[str, int]] = [{} for _ in estimates]
-        for (q, event), q2 in self.delta.items():
+        for (q, event), q2 in delta.items():
             step[ids[q]][event] = ids[q2]
-        return _Table(estimates, ids, step)
+        table = _Table(order, position, [], {}, step, [ids[q] for q in initials], estimates)
+        table.masks = [table.mask_of(q) for q in estimates]
+        table.ids = {m: i for i, m in enumerate(table.masks)}
+        self.events: tuple[Event, ...] = tuple(events)
+        self._table = table
+
+    @classmethod
+    def _of(cls, events: tuple[Event, ...], table: _Table) -> Observer:
+        obs = cls.__new__(cls)
+        obs.events, obs._table = events, table
+        return obs
+
+    @cached_property
+    def estimates(self) -> AbstractSet[Estimate]:
+        return _EstimateSet(self._table, range(len(self._table.masks)))
+
+    @cached_property
+    def delta(self) -> Mapping[tuple[Estimate, str], Estimate]:
+        return _Delta(self._table)
+
+    @cached_property
+    def initials(self) -> AbstractSet[Estimate]:
+        return _EstimateSet(self._table, frozenset(self._table.initials))
 
     def step(self, estimate: Estimate, event: str) -> Estimate | None:
         return self.delta.get((estimate, event))
@@ -86,27 +224,15 @@ class Observer:
 
 
 def _close_and_explore(nfa: Nfa, starts: list[int]) -> Observer:
-    """The observer reached from the distinct closed estimate masks ``starts``."""
+    """The observer reached from the distinct closed estimate masks ``starts``,
+    which get the ids 0, 1, ... in their order."""
     dense = nfa._dense
-    order = dense.order
     rows = [(e.name, dense.step[e.name]) for e in nfa.alphabet if e.observable]
-    ids: dict[int, int] = {}  # mask -> estimate id, ids in discovery order
-    estimates: list[Estimate] = []
-    todo: deque[list[int]] = deque()  # bits of the discovered, unexpanded estimates
-
-    def discover(mask: int) -> int:
-        bits = _bits(mask)
-        ids[mask] = len(estimates)
-        estimates.append(tuple([order[b] for b in bits]))
-        todo.append(bits)
-        return ids[mask]
-
-    initials = [discover(m) for m in starts]
+    masks = list(starts)  # id -> mask, ids in discovery order
+    ids = {mask: i for i, mask in enumerate(masks)}
     step: list[dict[str, int]] = []
-    delta: dict[tuple[Estimate, str], Estimate] = {}
-    while todo:
-        bits = todo.popleft()  # expanded in id order, so its id is len(step)
-        q = estimates[len(step)]
+    for source in masks:  # grows as estimates are discovered; expanded in id order
+        bits = _bits(source)
         moves = {}
         for sigma, row in rows:
             mask = 0
@@ -116,19 +242,12 @@ def _close_and_explore(nfa: Nfa, starts: list[int]) -> Observer:
                 continue
             j = ids.get(mask)
             if j is None:
-                j = discover(mask)
+                j = ids[mask] = len(masks)
+                masks.append(mask)
             moves[sigma] = j
-            delta[(q, sigma)] = estimates[j]
         step.append(moves)
-    table = _Table(estimates, {q: i for i, q in enumerate(estimates)}, step)
-    obs = Observer(
-        estimates=frozenset(table.ids),
-        events=tuple(e for e in nfa.alphabet if e.observable),
-        delta=delta,
-        initials=frozenset(estimates[i] for i in initials),
-    )
-    object.__setattr__(obs, "_table", table)
-    return obs
+    table = _Table(dense.order, dense.position, masks, ids, step, list(range(len(starts))))
+    return Observer._of(tuple(e for e in nfa.alphabet if e.observable), table)
 
 
 def subset_construction(nfa: Nfa) -> Observer:
@@ -148,7 +267,8 @@ def multi_initial_observer(nfa: Nfa, seeds: Iterable[Iterable[str]]) -> Observer
     Each seed must be a nonempty subset of the states, already closed under
     unobservable reach; closure is asserted rather than repaired, since a
     violation means the caller's construction is wrong. Seeds that are subsets
-    of one another are deliberately not merged.
+    of one another are deliberately not merged. The distinct seeds get the
+    estimate ids 0, 1, ... in the order given.
     """
     dense = nfa._dense
     starts: dict[int, None] = {}  # distinct seed masks, in first-seen order
@@ -173,14 +293,14 @@ def multi_initial_observer(nfa: Nfa, seeds: Iterable[Iterable[str]]) -> Observer
 
 def classify_estimates(obs: Observer, secret: Iterable[str]) -> dict[Estimate, EstimateClass]:
     """Partition estimates into all-secret, all-non-secret, and hybrid."""
-    secret = frozenset(secret)
+    table = obs._table
+    inside = table.mask_of(secret)
     out = {}
-    for q in obs.estimates:
-        inside = sum(1 for x in q if x in secret)
-        if inside == 0:
-            out[q] = EstimateClass.NON_SECRET
-        elif inside == len(q):
-            out[q] = EstimateClass.SECRET
+    for i, mask in enumerate(table.masks):
+        if not mask & inside:
+            out[table.estimate(i)] = EstimateClass.NON_SECRET
+        elif mask & ~inside:
+            out[table.estimate(i)] = EstimateClass.HYBRID
         else:
-            out[q] = EstimateClass.HYBRID
+            out[table.estimate(i)] = EstimateClass.SECRET
     return out

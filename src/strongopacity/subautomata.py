@@ -16,7 +16,7 @@ rebuilds these from scratch; there is no incremental re-extraction.
 from __future__ import annotations
 
 from .automaton import Nfa, _restrict
-from .observer import EstimateClass, Observer, classify_estimates
+from .observer import Observer
 
 
 def initial_secret_subautomaton(nfa: Nfa) -> Nfa:
@@ -37,9 +37,15 @@ def nonsecret_subautomaton(nfa: Nfa, obs: Observer) -> tuple[Nfa, frozenset[froz
     observer; every seed is non-empty and made of initial states of the
     pruned automaton.
     """
-    classes = classify_estimates(obs, nfa.secret)
-    seeds = frozenset(frozenset(q) - nfa.secret for q, c in classes.items() if c is EstimateClass.HYBRID)
-    return _without_secrets(nfa, frozenset().union(*seeds)), seeds
+    table = obs._table
+    secret = table.mask_of(nfa.secret)
+    # The remainders of the hybrid estimates, as masks over ``nfa``'s states.
+    remainders = {mask & ~secret for mask in table.masks if mask & secret and mask & ~secret}
+    seeds = frozenset(frozenset(table.names(mask)) for mask in remainders)
+    union = 0
+    for mask in remainders:
+        union |= mask
+    return _without_secrets(nfa, frozenset(table.names(union))), seeds
 
 
 def dss_subautomaton(nfa: Nfa) -> Nfa:

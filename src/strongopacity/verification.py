@@ -35,13 +35,12 @@ ones its tie-breaks compare.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from .automaton import Nfa, Run, accessible_part
 from .composition import CcAutomaton, CcState, _cc_dss, _cc_hat
-from .observer import EstimateClass, Observer, classify_estimates, estimate_name, subset_construction
+from .observer import Observer, estimate_name, subset_construction
 from .search import cc_observable_costs, cc_shortest_path
 from .subautomata import initial_secret_subautomaton
 
@@ -85,33 +84,40 @@ def observational_reach_within(cc: CcAutomaton, budget: int) -> dict[CcState, in
 def _cso_witness(obs: Observer, secret: frozenset[str]) -> Run | None:
     """Breadth-first observer path from the initial estimate to the nearest
     all-secret estimate (ties by estimate), each step the one on which the
-    search first discovered its estimate; None when no estimate is all-secret."""
-    classes = classify_estimates(obs, secret)
-    offenders = [q for q, c in classes.items() if c is EstimateClass.SECRET]
-    if not offenders:
+    search first discovered its estimate; None when no estimate is all-secret.
+
+    It runs on estimate ids and masks, layer by layer, and stops at the
+    first layer holding an all-secret estimate: only that layer's offenders
+    and the path are rendered."""
+    table = obs._table
+    inside = table.mask_of(secret)
+    if all(mask & ~inside for mask in table.masks):
         return None
-    (start,) = obs.initials
-    parent = {start: None}
-    order = {start: 0}
-    todo = deque([start])
-    while todo:
-        q = todo.popleft()
-        for event in obs.events:  # natural order, as the alphabet is kept
-            q2 = obs.step(q, event.name)
-            if q2 is None or q2 in parent:
-                continue
-            parent[q2] = (q, event.name)
-            order[q2] = order[q] + 1
-            todo.append(q2)
-    goal = min((q for q in offenders if q in parent), key=lambda q: (order[q], q))
+    (start,) = table.initials
+    parent: dict[int, tuple[int, str] | None] = {start: None}
+    names = [event.name for event in obs.events]  # natural order, as the alphabet is kept
+    level = [start]
+    while level:
+        hits = [i for i in level if not table.masks[i] & ~inside]
+        if hits:
+            break
+        found = []
+        for i in level:
+            moves = table.step[i]
+            for event in names:
+                j = moves.get(event)
+                if j is not None and j not in parent:
+                    parent[j] = (i, event)
+                    found.append(j)
+        level = found
+    here = min(hits, key=table.estimate)
     steps = []
-    here = goal
     while parent[here] is not None:
         prev, event = parent[here]
-        steps.append((event, estimate_name(here)))
+        steps.append((event, estimate_name(table.estimate(here))))
         here = prev
     steps.reverse()
-    return Run(start=estimate_name(start), steps=tuple(steps))
+    return Run(start=estimate_name(table.estimate(start)), steps=tuple(steps))
 
 
 def verify_cso(nfa: Nfa) -> Verdict:

@@ -1,4 +1,8 @@
+import re
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from strongopacity import (
     Event,
@@ -27,6 +31,24 @@ class TestNaturalOrder:
         assert sort_states(["1", "01"]) == sort_states(["01", "1"]) == ["01", "1"]
         assert sort_states(["a1", "a01"]) == sort_states(["a01", "a1"])
         assert natural_key("1") != natural_key("01")
+
+    def test_non_decimal_digits_are_text(self):
+        # '²' and '①' pass str.isdigit but are not decimal digits, so \d
+        # does not match them and they sort as text.
+        assert natural_key("²") == (((1, "²"),), "²")
+        assert natural_key("①") == (((1, "①"),), "①")
+        assert natural_key("1²") == (((0, 1), (1, "²")), "1²")
+        assert sort_states(["²", "10", "2", "1²"]) == ["1²", "2", "10", "²"]
+
+    def test_decimal_digits_of_any_script_are_runs(self):
+        assert natural_key("٣") == (((0, 3),), "٣")
+        assert natural_key("x٣1") == (((1, "x"), (0, 31)), "x٣1")
+
+    @given(st.text(alphabet="0123456789٣²①xa,{}", max_size=8))
+    def test_all_decimal_names_take_the_split_key(self, text):
+        runs = re.split(r"(\d+)", text)
+        slow = tuple((0, int(p)) if i % 2 else (1, p) for i, p in enumerate(runs) if p)
+        assert natural_key(text) == (slow, text)
 
 
 class TestNaturalProjection:

@@ -85,6 +85,30 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    def test_non_decimal_digit_names(self, tmp_path):
+        # '²' passes str.isdigit but is no decimal digit: a name, not a number.
+        model = tmp_path / "superscript.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "states": [{"id": "²", "initial": True}, {"id": "1²", "secret": True}],
+                    "events": [{"name": "①"}],
+                    "transitions": [{"from": "²", "event": "①", "to": "1²"}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "strongopacity", "verify", "--notion", "cso", str(model)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode in (0, 1) and "Traceback" not in done.stderr, done.stderr
+        assert done.stdout.splitlines()[0] in ("OPAQUE", "NOT OPAQUE")
+
 
 class TestEnforceCommand:
     def test_prints_cut_lines(self, capsys):

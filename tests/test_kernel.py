@@ -136,22 +136,33 @@ def as_sets(obs):
 
 
 def check_canonical(obs):
-    """Estimates are naturally sorted, each one a single tuple object, and the
-    private id table is the public ``delta``."""
-    canon = {q: q for q in obs.estimates}
-    for q in obs.estimates:
-        assert list(q) == sorted(q, key=natural_key)
-    for (q, _), q2 in obs.delta.items():
-        assert canon[q] is q and canon[q2] is q2
-    assert all(canon[q] is q for q in obs.initials)
+    """The private table is the public views, and each estimate is one tuple
+    object. The table holds each estimate as a bitmask over ``order`` and
+    its moves over estimate ids: each mask renders to its estimate, ``ids``
+    inverts ``masks`` and finds each rendered estimate again, and ``step``
+    and ``initials`` read over ids are ``delta`` and ``initials``. Every
+    view hands out the rendered tuple, on every read, and it is in natural
+    order."""
     table = obs._table
-    assert sorted(table.estimates) == sorted(obs.estimates)
-    steps = {
-        (q, sigma): table.estimates[j]
-        for q, moves in zip(table.estimates, table.step)
-        for sigma, j in moves.items()
-    }
-    assert steps == dict(obs.delta)
+    assert len(obs.estimates) == len(table.masks) == len(table.step)
+    assert table.ids == {mask: i for i, mask in enumerate(table.masks)}
+    rendered = [table.estimate(i) for i in range(len(table.masks))]
+    for i, q in enumerate(rendered):
+        assert table.estimate(i) is q
+        assert list(q) == sorted(q, key=natural_key)
+        assert set(q) == {x for b, x in enumerate(table.order) if table.masks[i] >> b & 1}
+        assert table.id(q) == i
+    canon = {id(q) for q in rendered}
+    for _ in range(2):
+        assert all(id(q) in canon for q in obs.estimates)
+        assert all(id(q) in canon for q in obs.initials)
+        for (q, sigma), q2 in obs.delta.items():
+            assert id(q) in canon and id(q2) in canon and obs.delta[(q, sigma)] is q2
+            assert obs.step(q, sigma) is q2
+    steps = {(rendered[i], sigma): rendered[j] for i, moves in enumerate(table.step) for sigma, j in moves.items()}
+    assert steps == dict(obs.delta) and len(obs.delta) == len(steps)
+    assert {rendered[i] for i in table.initials} == set(obs.initials)
+    assert len(obs.initials) == len(set(obs.initials))
 
 
 @given(cyclic_nfas())
@@ -177,6 +188,38 @@ def test_multi_initial_observer_matches_reference(nfa, data):
     obs = multi_initial_observer(nfa, seeds)
     assert as_sets(obs) == reference_observer(nfa, seeds)
     check_canonical(obs)
+
+
+@given(cyclic_nfas(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_observer_views_render_on_demand(nfa, data):
+    subsets = st.sets(st.sampled_from(sorted(nfa.states)), min_size=1)
+    seeds = [closure(nfa, seed) for seed in data.draw(st.lists(subsets, min_size=1, max_size=3))]
+    for obs, reference in (
+        (subset_construction(nfa), reference_observer(nfa, [nfa.initial])),
+        (multi_initial_observer(nfa, seeds), reference_observer(nfa, seeds)),
+    ):
+        # Sizes and the lookup of one estimate render no other estimate.
+        estimates, delta, initials = reference
+        assert (len(obs.estimates), len(obs.delta), len(obs.initials)) == (
+            len(estimates),
+            len(delta),
+            len(initials),
+        )
+        assert obs._table._rendered == [None] * len(estimates)
+        q = tuple(sorted(next(iter(initials)), key=natural_key))
+        assert q in obs.initials and q in obs.estimates
+        assert obs._table._rendered == [None] * len(estimates)
+        assert as_sets(obs) == reference
+        check_canonical(obs)
+        # No view holds what is not an estimate: a reordered, a foreign or
+        # a non-tuple estimate, nor a step off the table.
+        for q in obs.estimates:
+            for alien in (tuple(reversed(q)), q + ("nowhere",), list(q), frozenset(q)):
+                if alien != q:
+                    assert alien not in obs.estimates and obs.step(alien, "a") is None
+                    with pytest.raises(KeyError):
+                        obs.delta[(alien, "a")]
 
 
 def test_dense_reach_on_cycles_and_self_loops():

@@ -1,25 +1,40 @@
 import io
 import json
+import random
 import re
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from strongopacity import (
+    CcState,
     EmptyModel,
+    Event,
     InvalidEvent,
     InvalidState,
+    Nfa,
+    Observer,
     ParseError,
     UnknownReference,
+    cc_dss,
+    cc_full_observer,
     cc_hat,
     export_graph,
+    multi_initial_observer,
     parse_model,
+    product,
     serialize_model,
     subset_construction,
+    unobservable_reach,
 )
+from strongopacity.automaton import natural_key
 
 from conftest import MODELS
-from corpus import corpus
+from corpus import corpus, random_cyclic_nfa
+from test_golden import SEED as GOLDEN_SEED
+from test_kernel import cyclic_nfas
 
 
 def dot_lines(structure):
@@ -212,3 +227,136 @@ class TestExportGraph:
     def test_unsupported_structure(self):
         with pytest.raises(TypeError):
             export_graph(42, io.StringIO())
+
+
+# -- DOT export against the export that sorts names --------------------------
+
+
+def _quote(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _name_sorted_edges(edges):
+    """One line per (source, target) name pair, by natural keys of names."""
+    grouped = {}
+    for src, label, dst in edges:
+        grouped.setdefault((src, dst), []).append(label)
+    lines = []
+    for (src, dst), labels in sorted(grouped.items(), key=lambda kv: (natural_key(kv[0][0]), natural_key(kv[0][1]))):
+        joined = ",".join(sorted(set(labels), key=natural_key))
+        lines.append(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(joined)}];")
+    return lines
+
+
+def name_sorted_dot(structure):
+    """The DOT text of ``structure`` as the export once built it: nodes in
+    ``sorted`` order of the states (natural order, estimate tuples, or
+    ``CcState.sort_key``), edges grouped by name and sorted by natural keys
+    of the names."""
+    if isinstance(structure, Nfa):
+        lines = ["digraph nfa {"]
+        for x in sorted(structure.states, key=natural_key):
+            flags = f"initial={str(x in structure.initial).lower()}, secret={str(x in structure.secret).lower()}"
+            lines.append(f"  {_quote(x)} [{flags}];")
+        lines += _name_sorted_edges(structure.transitions)
+    elif isinstance(structure, Observer):
+        name = lambda q: "{" + ",".join(q) + "}"
+        lines = ["digraph observer {"]
+        for q in sorted(structure.estimates):
+            lines.append(f"  {_quote(name(q))} [initial={str(q in structure.initials).lower()}];")
+        lines += _name_sorted_edges((name(q), event, name(q2)) for (q, event), q2 in structure.delta.items())
+    else:
+        lines = ["digraph composition {"]
+        for s in sorted(structure.states, key=CcState.sort_key):
+            flags = f"initial={str(s in structure.initials).lower()}, empty={str(s.is_empty).lower()}"
+            lines.append(f"  {_quote(s.name)} [{flags}];")
+        lines += _name_sorted_edges((src.name, event.name, dst.name) for src, event, dst in structure.transitions)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# Digit runs, DOT and estimate punctuation, and names whose estimate and
+# composition names collide ('{a,b}' names both ('a,b',) and ('a', 'b')).
+STATE_NAMES = ["1", "01", "10", "2", "a", "b", "a,b", "{1}", "(2)", 'q"1', "b\\2", "1,{2", "x}", "c)", "0", "a,{"]
+EVENT_NAMES = ["a", "2", "10", "a,b", '"', "u\\", "(x,ε)", "b"]
+
+
+def renamed(nfa, states, events):
+    """``nfa`` with its states and events renamed by the maps given."""
+    return Nfa(
+        states=frozenset(states[x] for x in nfa.states),
+        alphabet=tuple(Event(events[e.name], e.observable, e.controllable) for e in nfa.alphabet),
+        transitions=frozenset((states[s], events[e], states[d]) for s, e, d in nfa.transitions),
+        initial=frozenset(states[x] for x in nfa.initial),
+        secret=frozenset(states[x] for x in nfa.secret),
+    )
+
+
+def check_dot_as_name_sorted(nfa, seeds, pairs):
+    """Every exported structure of ``nfa`` against the name-sorted export,
+    byte for byte; and each composition's sorted states and transitions
+    against a ``sort_key`` sort."""
+    structures = [nfa, subset_construction(nfa), multi_initial_observer(nfa, seeds)]
+    compositions = [cc_hat(nfa), cc_full_observer(nfa), cc_dss(nfa)]
+    obs = structures[1]
+    compositions.append(product(nfa, obs, [CcState(x, q) for x, q in pairs if q is None or q in obs.estimates], True))
+    for structure in structures + compositions:
+        sink = io.StringIO()
+        export_graph(structure, sink)
+        assert sink.getvalue() == name_sorted_dot(structure), type(structure).__name__
+    for cc in compositions:
+        assert cc.sorted_states() == sorted(cc.states, key=CcState.sort_key)
+        assert cc.sorted_transitions() == sorted(
+            cc.transitions, key=lambda t: (t[0].sort_key(), natural_key(t[1].name), t[2].sort_key())
+        )
+
+
+def test_dot_of_colliding_names_and_digit_estimates():
+    # The observer has ('b', 'c') and ('b,c',), both named '{b,c}', and the
+    # singletons ('10',) < ('2',), which natural order puts the other way.
+    nfa = Nfa(
+        states=frozenset({"a", "b", "c", "b,c", "2", "10", "d"}),
+        alphabet=(Event("x"), Event("y"), Event("z"), Event("w"), Event("u", observable=False)),
+        transitions=frozenset(
+            {("a", "x", "b"), ("a", "x", "c"), ("a", "y", "b,c"), ("a", "z", "2"), ("a", "w", "10"),
+             ("d", "x", "d"), ("2", "u", "d"), ("10", "x", "a")}
+        ),
+        initial=frozenset({"a", "d"}),
+        secret=frozenset({"b", "10"}),
+    )
+    pairs = [("d", ("b", "c")), ("d", ("b,c",)), ("a", ("2", "d")), ("a", ("10",)), ("2", None)]
+    check_dot_as_name_sorted(nfa, [{"a"}, {"b", "c"}, {"b,c"}, {"10"}], pairs)
+    dot = io.StringIO()
+    export_graph(subset_construction(nfa), dot)
+    lines = dot.getvalue().splitlines()
+    assert lines.count('  "{b,c}" [initial=false];') == 2
+    assert lines.index('  "{10}" [initial=false];') < lines.index('  "{2,d}" [initial=false];')
+
+
+@given(cyclic_nfas(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dot_matches_the_name_sorted_export(nfa, data):
+    states = dict(zip(sorted(nfa.states), data.draw(st.permutations(STATE_NAMES))))
+    events = dict(zip(sorted(e.name for e in nfa.alphabet), data.draw(st.permutations(EVENT_NAMES))))
+    nfa = renamed(nfa, states, events)
+    subsets = st.sets(st.sampled_from(sorted(nfa.states)), min_size=1)
+    seeds = [unobservable_reach(nfa, seed) for seed in data.draw(st.lists(subsets, min_size=1, max_size=3))]
+    estimates = sorted(subset_construction(nfa).estimates) + [None]
+    pair = st.tuples(st.sampled_from(sorted(nfa.states)), st.sampled_from(estimates))
+    check_dot_as_name_sorted(nfa, seeds, data.draw(st.lists(pair, min_size=1, max_size=4)))
+
+
+def test_dot_matches_the_name_sorted_export_on_golden_instances():
+    rng = random.Random(GOLDEN_SEED)
+    names = random.Random(1)
+    for index in range(30):
+        nfa = random_cyclic_nfa(rng)
+        states = dict(zip(sorted(nfa.states), names.sample(STATE_NAMES, len(STATE_NAMES))))
+        events = dict(zip(sorted(e.name for e in nfa.alphabet), names.sample(EVENT_NAMES, len(EVENT_NAMES))))
+        nfa = renamed(nfa, states, events)
+        seeds = [unobservable_reach(nfa, {x}) for x in sorted(nfa.states)[:3]]
+        pairs = [(x, q) for x in sorted(nfa.states)[:4] for q in sorted(subset_construction(nfa).estimates)[:3]]
+        try:
+            check_dot_as_name_sorted(nfa, seeds, pairs + [(sorted(nfa.states)[0], None)])
+        except AssertionError as exc:
+            raise AssertionError(f"instance {index}: {exc}") from exc
