@@ -201,9 +201,6 @@ class Nfa:
             index[dst].append((src, event))
         return {x: tuple(pairs) for x, pairs in index.items()}
 
-    def successors(self, state: str, event: str) -> frozenset[str]:
-        return frozenset(dst for ev, dst in self.by_source.get(state, ()) if ev == event)
-
     def has_run(self, run: Run) -> bool:
         """Whether ``run`` chains through actual transitions of this automaton."""
         if run.start not in self.states:

@@ -38,12 +38,13 @@ order), nonempty before empty, and the estimate's place in one plain sort
 of the estimate tuples that occur. A witness tie, where few states are
 compared, is broken by ``sort_key`` itself.
 
-The public constructors build whole compositions. The verifiers and the
-K-step enforcer ask ``product`` to stop early instead: it then explores one
-observable layer at a time and ends after layer K, or at the first offending
-empty-estimate state (after its layer, or after the layer before when every
-empty-estimate state offends). The result is a partial composition whose
-unexpanded states, the next layer, have no out-edges.
+``product`` is the only builder of a composition. It explores one
+observable layer at a time and records each state's layer. The public
+constructors explore every layer; the verifiers and the K-step enforcer ask
+it to stop early, after layer K or at the first offending empty-estimate
+state (after its layer, or after the layer before when every empty-estimate
+state offends). The result is then a partial composition whose unexpanded
+states, the next layer, have no out-edges.
 """
 
 from __future__ import annotations
@@ -332,11 +333,11 @@ class _Edges(Mapping):
 class CcAutomaton:
     """The reachable part of a concurrent composition.
 
-    It holds its int core (``_Core``): the states numbered as ``product``
-    found them and each state's out-edges, the only stored edge relation.
-    ``_layer`` holds each state's observable layer when a layered
-    ``product`` built the composition. ``initials``, ``states``,
-    ``transitions``, ``edges``/``by_source``, ``by_target``,
+    ``product`` builds it. It holds its int core (``_Core``): the states
+    numbered as ``product`` found them and each state's out-edges, the only
+    stored edge relation. ``_layer`` holds each state's observable layer,
+    its least number of observable steps from the initials. ``initials``,
+    ``states``, ``transitions``, ``edges``/``by_source``, ``by_target``,
     ``empty_states`` and ``secret_initials`` are read-only views of the
     core, built on first use; a view builds a state's ``CcState`` only when
     it hands it out, once per state. Keeps references to its operands so
@@ -344,55 +345,15 @@ class CcAutomaton:
     components.
     """
 
-    def __init__(
-        self,
-        left: Nfa,
-        right: Observer,
-        events: Iterable[CcEvent],
-        initials: Iterable[CcState],
-        edges: Mapping[CcState, Iterable[tuple[CcEvent, CcState]]],
-    ):
-        """A composition given state by state: ``edges`` maps every state
-        to its (event, target) out-edges. ``product`` numbers its states as
-        it finds them instead."""
-        events = tuple(events)
-        index = {e: i for i, e in enumerate(events)}
-        shift = _index_bits(len(events))
-        position, table = left._dense.position, right._table
-        empty = len(table.masks)
-        ids: dict[int, int] = {}
-        keys: list[int] = []
-        out: list = []
-
-        def number(s: CcState) -> int:
-            slot = empty if s.right is None else table.id(s.right)
-            if slot is None:
-                raise KeyError(s.right)
-            key = position[s.left] * (empty + 1) + slot
-            if key not in ids:
-                ids[key] = len(keys)
-                keys.append(key)
-                out.append(())
-            return ids[key]
-
-        starts = [number(s) for s in initials]
-        for s, pairs in edges.items():
-            src = number(s)
-            out[src] = [number(dst) << shift | index[event] for event, dst in pairs]
-        self._setup(left, right, events, ids, keys, out, starts, None)
-
-    @classmethod
-    def _of(cls, *parts) -> CcAutomaton:
-        cc = cls.__new__(cls)
-        cc._setup(*parts)
-        return cc
-
-    def _setup(self, left, right, events, ids, keys, out, initials, layer) -> None:
+    def __init__(self, left: Nfa, right: Observer, events, ids, keys, out, initials, layer) -> None:
+        """The composition whose int core ``product`` found: ``events``,
+        ``ids``, ``keys`` and ``out`` as in ``_Core``, the initial state ids
+        and each state's observable layer."""
         self.left, self.right = left, right
         self.events: frozenset[CcEvent] = frozenset(events)
         self._core = _Core(left, right, events, ids, keys, out)
         self._initial_ids = frozenset(initials)
-        self._layer: list[int] | None = layer
+        self._layer: list[int] = layer
 
     def _subset(self, ids: Iterable[int]) -> _StateSet:
         return _StateSet(self._core, frozenset(ids))
@@ -431,11 +392,6 @@ class CcAutomaton:
     def _controllable(self) -> list[bool]:
         """Per event index, whether its left event is controllable."""
         return [self.left.is_controllable(e.left_event) for e in self._core.events]
-
-    @cached_property
-    def controllable_events(self) -> frozenset[CcEvent]:
-        """The paired events whose left event is controllable."""
-        return frozenset(e for e, c in zip(self._core.events, self._controllable) if c)
 
     @cached_property
     def empty_states(self) -> AbstractSet[CcState]:
@@ -505,10 +461,6 @@ def _inverse(order: list[int]) -> list[int]:
     return place
 
 
-def _paired_events(left: Nfa) -> dict[str, CcEvent]:
-    return {e.name: CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet}
-
-
 class _Keys(list):
     """Initial pairs handed to ``product`` as (left position, slot) pairs
     instead of ``CcState`` objects (see ``_Core``): the package's own
@@ -538,16 +490,17 @@ def product(
     is expanded, as packed ints (see ``_Core``). No ``CcState`` is built
     here.
 
-    With no stop argument the closure is complete. Either stop argument
-    makes the search go one observable layer at a time (layer L holds the
+    The search goes one observable layer at a time (layer L holds the
     states whose cheapest path has L observable steps; inside a layer the
-    queue is first-in-first-out over unobservable moves), and end after
-    the first layer that expands an empty-estimate state whose left state
-    is in ``stop_on``, or after layer ``max_layer``. The states found but
-    not expanded then belong to the next layer and are listed with no
-    out-edges, so every state of the layers searched has its cost and its
-    in-edges from cheaper states exactly as in the complete closure. Each
-    state's layer is recorded in ``_layer``, so no search is needed for it.
+    queue is first-in-first-out over unobservable moves) and records each
+    state's layer in ``_layer``, so no search is needed for it. With no
+    stop argument it ends when no layer is left, and the closure is
+    complete. Otherwise it ends after the first layer that expands an
+    empty-estimate state whose left state is in ``stop_on``, or after layer
+    ``max_layer``. The states found but not expanded then belong to the
+    next layer and are listed with no out-edges, so every state of the
+    layers searched has its cost and its in-edges from cheaper states
+    exactly as in the complete closure.
 
     When ``stop_on`` holds every left state, every empty-estimate state
     offends, and the search ends one layer earlier: after the layer whose
@@ -584,7 +537,7 @@ def product(
     observable = left.observable_events
     width = empty + 1
     steps = table.step + [dict.fromkeys(observable, empty)]  # slot -> event -> slot
-    events = tuple(_paired_events(left).values())
+    events = tuple(CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet)
     index = {e.left_event: i for i, e in enumerate(events)}
     shift = _index_bits(len(events))
     # Per left position: the unobservable moves, as (event, target
@@ -600,7 +553,6 @@ def product(
                 loud[-1].append((index[sigma], sigma, position[dst]))
             else:
                 silent[-1].append((index[sigma], position[dst]))
-    layered = stop_on is not None or max_layer is not None
     offends = [stop_on is not None and x in stop_on for x in order]
     early = stop_on is not None and all(offends)  # every empty state offends
     ids: dict[int, int] = {}  # key -> id, of the states in the queue or expanded
@@ -608,8 +560,8 @@ def product(
     out: list = []  # id -> packed out-edges, () until expanded
     layers: list[int] = []  # id -> layer
     now: deque[tuple[int, int, int]] = deque()  # this layer's queue: (id, position, slot)
-    # Layered search only: the states found by an observable move and not
-    # (yet) by an unobservable one, the next layer, key -> queue entry.
+    # The states found by an observable move and not (yet) by an
+    # unobservable one, the next layer, key -> queue entry.
     later: dict[int, tuple[int, int, int]] = {}
     layer, stop = 0, False
     for pos, slot in starts:
@@ -652,22 +604,15 @@ def product(
                 key = dst_pos * width + dst_slot
                 dst = ids.get(key)
                 if dst is None:
-                    entry = later.get(key) if layered else None
-                    if entry is not None:
-                        dst = entry[0]
-                    else:
-                        dst = len(keys)
+                    entry = later.get(key)
+                    if entry is None:
+                        entry = later[key] = (len(keys), dst_pos, dst_slot)
                         keys.append(key)
                         out.append(())
-                        layers.append(layer)
-                        entry = (dst, dst_pos, dst_slot)
-                        if not layered:
-                            ids[key] = dst
-                            now.append(entry)
-                        else:
-                            later[key] = entry
-                            if early and dst_slot == empty:
-                                stop = True
+                        layers.append(layer + 1)
+                        if early and dst_slot == empty:
+                            stop = True
+                    dst = entry[0]
                 row.append(dst << shift | event)
             # Each state is expanded once and its left moves are distinct, so
             # every edge is listed once.
@@ -679,22 +624,11 @@ def product(
         layer += 1
         for key, entry in later.items():
             ids[key] = entry[0]
-            layers[entry[0]] = layer
             now.append(entry)
         later.clear()
     for key, (dst, _, _) in later.items():  # found, not expanded: the next layer
         ids[key] = dst
-        layers[dst] = layer + 1
-    return CcAutomaton._of(left, right, events, ids, keys, out, starts, layers if layered else None)
-
-
-def _empty_observer(nfa: Nfa) -> Observer:
-    return Observer(
-        estimates=frozenset(),
-        events=tuple(e for e in nfa.alphabet if e.observable),
-        delta={},
-        initials=frozenset(),
-    )
+    return CcAutomaton(left, right, events, ids, keys, out, starts, layers)
 
 
 def cc_hat(nfa: Nfa) -> CcAutomaton:
@@ -716,11 +650,10 @@ def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
     ``product``'s stop arguments."""
     ghat = initial_secret_subautomaton(nfa)
     if obs is None or not ghat.states:
-        events = frozenset(_paired_events(ghat).values())
-        return CcAutomaton(ghat, _empty_observer(ghat), events, initials=frozenset(), edges={})
+        return product(ghat, multi_initial_observer(ghat, []), _Keys(), empty_sink=True, **stop)
     pruned, seeds = nonsecret_subautomaton(nfa, obs)
     seeds = list(seeds)  # the right observer numbers its initials in this order
-    right = multi_initial_observer(pruned, seeds) if seeds else _empty_observer(pruned)
+    right = multi_initial_observer(pruned, seeds)
     # Estimates are masks over ``nfa``'s dense order: each secret member of
     # an estimate with one pairs with the id of its non-secret remainder.
     table = obs._table
@@ -778,7 +711,7 @@ def _cc_dss(nfa: Nfa, *, secret_only: bool = False, **stop) -> CcAutomaton:
     dss = dss_subautomaton(nfa)
     # The remainder's one initial estimate, or the empty estimate (slot 0
     # of an observer with no estimate) when it has none.
-    right = subset_construction(dss) if dss.initial else _empty_observer(dss)
+    right = subset_construction(dss) if dss.initial else multi_initial_observer(dss, [])
     starts = nfa.initial & nfa.secret if secret_only else nfa.initial
     position = nfa._dense.position
     return product(nfa, right, _Keys((position[x0], 0) for x0 in starts), empty_sink=True, **stop)

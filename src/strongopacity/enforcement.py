@@ -27,12 +27,13 @@ its sources, so the offenders, the costs, the frontier and the witness are
 those of the whole composition.
 
 A round runs no search for reachability or layers: ``product`` reaches every
-state it lists from the initials, and a layered product knows each state's
-observable layer. A scso, siso or inf-sso round searches forward from the
-initials over uncontrollable transitions (the Impossible check) and backward
-from the offenders over uncontrollable in-edges (the frontier). A K-step
-round searches backward from the offenders, and the system/observer
-composition only when an initial pair leaks.
+state it lists from the initials and records each state's observable layer,
+which a frontier with a budget and no sources reads as its distance. A
+scso, siso or inf-sso round searches forward from the initials over
+uncontrollable transitions (the Impossible check) and backward from the
+offenders over uncontrollable in-edges (the frontier). A K-step round
+searches backward from the offenders, and the system/observer composition
+only when an initial pair leaks.
 
 A round works on state numbers (see ``composition``): theta, the leaky
 initial pairs, the predecessor states matched to them, the K-step frontier
@@ -93,9 +94,11 @@ def last_controllable_frontier(
     ids = cc._core.ids_of(bad, strict=True)
     if not ids:
         return frozenset()
-    reach = None  # ``product`` reaches every state it lists from the initials
-    if budget is not None or sources is not None:
-        costs = cc_observable_costs(cc, cc.initials if sources is None else sources)
+    # ``product`` reaches every state it lists from the initials, and
+    # records each state's observable distance from them.
+    reach = cc._layer if budget is not None else None
+    if sources is not None:
+        costs = cc_observable_costs(cc, sources)
         reach = [None] * len(cc.states)
         for i, cost in costs._dist.items():
             reach[i] = cost >> costs._shift

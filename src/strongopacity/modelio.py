@@ -80,6 +80,8 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise _structural("document holds an integer too long to read") from None
     except RecursionError:
         raise _structural("document nests too deeply") from None
     if not isinstance(doc, dict):

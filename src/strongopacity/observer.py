@@ -9,7 +9,10 @@ estimate is a bitmask over the states' natural-order positions, and one step
 is the OR of the precomputed reach-closed successor masks of its bits. An
 observer is held as that table (``_Table``): each estimate's mask, numbered
 in discovery order, and its moves over those numbers, which the product, the
-classification, the verifiers and DOT export read. ``estimates``, ``delta``
+classification, the verifiers and DOT export read. The construction is the
+only way an observer is built; started from no estimate
+(``multi_initial_observer(nfa, [])``) it gives the empty observer that a
+composition with nothing to estimate pairs with. ``estimates``, ``delta``
 and ``initials`` are read-only views of the table. An estimate is rendered
 into its public tuple only when a view or an output hands it out, by reading
 its bits in ascending order, which is natural order already; that one tuple
@@ -25,7 +28,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .automaton import Event, Nfa, _bits, natural_key, sort_states
+from .automaton import Event, Nfa, _bits, natural_key
 from .errors import EmptyEstimate, EmptyInitial, InternalInvariantError, InvalidState
 
 #: Canonical estimate: naturally-sorted tuple of state ids.
@@ -59,14 +62,14 @@ class _Table:
 
     __slots__ = ("order", "position", "masks", "ids", "step", "initials", "_rendered")
 
-    def __init__(self, order, position, masks, ids, step, initials, rendered=None):
+    def __init__(self, order, position, masks, ids, step, initials):
         self.order: tuple[str, ...] = order
         self.position: dict[str, int] = position
         self.masks: list[int] = masks
         self.ids: dict[int, int] = ids
         self.step: list[dict[str, int]] = step
         self.initials: list[int] = initials
-        self._rendered: list[Estimate | None] = rendered or [None] * len(masks)
+        self._rendered: list[Estimate | None] = [None] * len(masks)
 
     def estimate(self, i: int) -> Estimate:
         q = self._rendered[i]
@@ -86,23 +89,19 @@ class _Table:
 
     def id(self, estimate) -> int | None:
         """The id of the estimate tuple ``estimate``, or None when it is not
-        an estimate of this observer. Renders nothing for a rendering of a
-        mask, whose bits ascend."""
+        an estimate of this observer. Renders nothing: every rendered
+        estimate lists its bits in ascending order, so no other order is
+        one."""
         if not isinstance(estimate, tuple):
             return None
-        mask, last, ascending, position = 0, -1, True, self.position
+        mask, last, position = 0, -1, self.position
         for x in estimate:
             b = position.get(x)
-            if b is None:
+            if b is None or b <= last:
                 return None
-            ascending = ascending and b > last
             last = b
             mask |= 1 << b
-        i = self.ids.get(mask)
-        if i is None:
-            return None
-        q = self._rendered[i]
-        return i if (ascending if q is None else q == estimate) else None
+        return self.ids.get(mask)
 
     def names(self, mask: int) -> list[str]:
         order = self.order
@@ -172,37 +171,13 @@ class Observer:
     undefined steps are simply absent, never mapped to an empty estimate (the
     empty estimate exists only inside composition states). ``estimates``,
     ``delta`` and ``initials`` are read-only views of the private table
-    ``_table``; see the module docstring.
+    ``_table``, which the subset construction builds; see the module
+    docstring.
     """
 
-    def __init__(
-        self,
-        estimates: Iterable[Estimate],
-        events: Iterable[Event],
-        delta: Mapping[tuple[Estimate, str], Estimate],
-        initials: Iterable[Estimate],
-    ):
-        """An observer given estimate by estimate; the subset construction
-        builds its table directly instead. The given tuples are the
-        estimates, in whatever order they list their states."""
-        estimates = list(estimates)
-        order = tuple(sort_states({x for q in estimates for x in q}))
-        position = {x: b for b, x in enumerate(order)}
-        ids = {q: i for i, q in enumerate(estimates)}
-        step: list[dict[str, int]] = [{} for _ in estimates]
-        for (q, event), q2 in delta.items():
-            step[ids[q]][event] = ids[q2]
-        table = _Table(order, position, [], {}, step, [ids[q] for q in initials], estimates)
-        table.masks = [table.mask_of(q) for q in estimates]
-        table.ids = {m: i for i, m in enumerate(table.masks)}
-        self.events: tuple[Event, ...] = tuple(events)
+    def __init__(self, events: tuple[Event, ...], table: _Table):
+        self.events = events
         self._table = table
-
-    @classmethod
-    def _of(cls, events: tuple[Event, ...], table: _Table) -> Observer:
-        obs = cls.__new__(cls)
-        obs.events, obs._table = events, table
-        return obs
 
     @cached_property
     def estimates(self) -> AbstractSet[Estimate]:
@@ -247,7 +222,7 @@ def _close_and_explore(nfa: Nfa, starts: list[int]) -> Observer:
             moves[sigma] = j
         step.append(moves)
     table = _Table(dense.order, dense.position, masks, ids, step, list(range(len(starts))))
-    return Observer._of(tuple(e for e in nfa.alphabet if e.observable), table)
+    return Observer(tuple(e for e in nfa.alphabet if e.observable), table)
 
 
 def subset_construction(nfa: Nfa) -> Observer:

@@ -27,8 +27,8 @@ the same layer. Every state cheaper than the cheapest offending one is then
 expanded, so its cost and its in-edges are exact, and the search on the
 partial composition gives the verdict and the witness the whole one gives.
 
-The offending states are picked by state number, from the layer a layered
-product records for each state and from the left state of each number, so
+The offending states are picked by state number, from the layer ``product``
+records for each state and from the left state of each number, so
 a verdict builds no ``CcState`` beyond those on its witness path and the
 ones its tie-breaks compare.
 """
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from .automaton import Nfa, Run, accessible_part
 from .composition import CcAutomaton, CcState, _cc_dss, _cc_hat
 from .observer import Observer, estimate_name, subset_construction
-from .search import cc_observable_costs, cc_shortest_path
+from .search import cc_shortest_path
 from .subautomata import initial_secret_subautomaton
 
 K_SSO = "k-sso"
@@ -74,11 +74,12 @@ def effective_k_bound(nfa: Nfa) -> int:
 
 def observational_reach_within(cc: CcAutomaton, budget: int) -> dict[CcState, int]:
     """States within ``budget`` observable steps of the initials, with their
-    minimal observable distance (unobservable transitions are free)."""
+    minimal observable distance (unobservable transitions are free), which
+    is the layer ``product`` recorded for the state."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    costs = cc_observable_costs(cc, cc.initials)
-    return {s: c[0] for s, c in costs.items() if c[0] <= budget}
+    state = cc._core.state
+    return {state(i): n for i, n in enumerate(cc._layer) if n <= budget}
 
 
 def _cso_witness(obs: Observer, secret: frozenset[str]) -> Run | None:

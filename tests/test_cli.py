@@ -77,7 +77,11 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--notion", "cso", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [b'{"states": [{"id": "\xff"}]}', b"[" * 100_000], ids=["non-utf8", "deep"])
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"states": [{"id": "\xff"}]}', b"[" * 100_000, b'{"states": [{"id": ' + b"9" * 5000 + b', "initial": true}]}'],
+        ids=["non-utf8", "deep", "huge-int"],
+    )
     def test_undecodable_model_file(self, content, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)

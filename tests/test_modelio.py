@@ -117,6 +117,18 @@ class TestParseModel:
         with pytest.raises(ParseError, match="nests too deeply"):
             parse_model(b"[" * 100_000)
 
+    def test_huge_integer_rejected(self):
+        # Past the interpreter's integer digit limit, json raises a plain
+        # ValueError: in an id, the version or a field nothing reads.
+        huge = b"9" * 5000
+        for doc in (
+            b'{"states": [{"id": ' + huge + b', "initial": true}]}',
+            b'{"version": ' + huge + b', "states": [{"id": "x"}]}',
+            b'{"states": [{"id": "x", "note": ' + huge + b"}]}",
+        ):
+            with pytest.raises(ParseError, match="integer too long"):
+                parse_model(doc)
+
     def test_duplicate_declarations(self):
         with pytest.raises(InvalidState):
             parse_model(b'{"states": [{"id": "x"}, {"id": "x"}]}')
