@@ -7,19 +7,21 @@ function of its inputs, so everything here is safe to share across threads.
 The adjacency indexes (``by_source``/``by_target``) are unordered. Order is
 applied only where something is output or a tie is broken: ``natural_key``,
 ``sorted_states`` and ``sorted_transitions``. A model's states are sorted by
-``natural_key`` once (``_order``); from then on a state's position in that
+``natural_key`` once (``_numbering``); from then on a state's position in that
 order and an event's position in the alphabet, kept in natural order, are
 its ranks, and ``sorted_transitions`` and DOT export sort by those ints.
 
-Each ``Nfa`` also caches a private dense index (``_dense``): its states
-numbered in natural order, and per state bitmasks over those numbers for its
-unobservable reach and its reach-closed successors under each observable
-event. The observer, the product and ``unobservable_reach`` run on it.
+Each ``Nfa`` also caches a private dense index (``_dense``): per state,
+bitmasks over those positions for its unobservable reach and its
+reach-closed successors under each observable event. The observer, the
+product and ``unobservable_reach`` run on it.
 
 Every derived automaton (``accessible_part``, ``disable_transitions``, the
-subautomata) comes from one walk of its parent's ``by_source`` (``_restrict``)
-and inherits the reached entries and the parent's natural order, filtered, so a
-model's states are sorted once.
+subautomata) comes from one walk of its parent's ``by_source`` (``_restrict``),
+inherits the reached entries and shares its root model's numbering: a state
+has one bit in a model, in everything derived from it and in their observers
+and compositions. Its index rows are root-sized but filled for its own
+states only, and a name handed in is checked against ``states``.
 """
 
 from __future__ import annotations
@@ -220,31 +222,34 @@ class Nfa:
         return Nfa(**fields)
 
     @cached_property
-    def _order(self) -> tuple[str, ...]:
-        return tuple(sort_states(self.states))
+    def _numbering(self) -> tuple[tuple[str, ...], dict[str, int]]:
+        """The root model's states in natural order and their positions."""
+        order = tuple(sort_states(self.states))
+        return order, {x: i for i, x in enumerate(order)}
 
     @cached_property
     def _dense(self) -> "_Dense":
         return _dense_index(self)
 
     def sorted_states(self) -> list[str]:
-        return list(self._order)
+        return sorted(self.states, key=self._numbering[1].__getitem__)
 
     def sorted_transitions(self) -> list[Transition]:
-        # Dense positions and alphabet positions are natural-order ranks.
-        rank = self._dense.position
+        # Positions in the numbering and in the alphabet are natural-order ranks.
+        rank = self._numbering[1]
         event_rank = {e.name: i for i, e in enumerate(self.alphabet)}
         return sorted(self.transitions, key=lambda t: (rank[t[0]], event_rank[t[1]], rank[t[2]]))
 
 
 class _Dense(NamedTuple):
-    """The states of an ``Nfa`` numbered in natural order, and its relations
-    as bitmasks over those numbers (bit ``i`` stands for ``order[i]``).
+    """An ``Nfa``'s numbering (``_numbering``, its root's: bit ``i`` stands
+    for ``order[i]``) and its relations as bitmasks over those numbers.
 
     ``reach[i]`` is the unobservable reach of state ``i``. For an observable
     ``sigma``, ``step[sigma][i]`` is the unobservable reach of the
     ``sigma``-successors of state ``i``; one observer step from an estimate
-    is the OR of ``step[sigma]`` over the estimate's bits.
+    is the OR of ``step[sigma]`` over the estimate's bits. A root state that
+    the ``Nfa`` lacks reads 0.
     """
 
     order: tuple[str, ...]
@@ -264,15 +269,15 @@ def _bits(mask: int) -> list[int]:
 
 
 def _dense_index(nfa: Nfa) -> _Dense:
-    order = nfa._order
-    position = {x: i for i, x in enumerate(order)}
-    by_source = nfa.by_source
-    moves = [by_source[x] for x in order]
+    order, position = nfa._numbering
+    moves = [(position[x], pairs) for x, pairs in nfa.by_source.items()]
     unobs = nfa.unobservable_events
-    silent = [[position[dst] for event, dst in pairs if event in unobs] for pairs in moves]
-    reach = _closures(silent)
+    silent: list = [()] * len(order)
+    for i, pairs in moves:
+        silent[i] = [position[dst] for event, dst in pairs if event in unobs]
+    reach = _closures(silent, [i for i, _ in moves])
     step = {e.name: [0] * len(order) for e in nfa.alphabet if e.observable}
-    for i, pairs in enumerate(moves):
+    for i, pairs in moves:
         for event, dst in pairs:
             row = step.get(event)
             if row is not None:
@@ -280,9 +285,10 @@ def _dense_index(nfa: Nfa) -> _Dense:
     return _Dense(order, position, reach, step)
 
 
-def _closures(edges: list[list[int]]) -> list[int]:
+def _closures(edges: list, nodes: list[int]) -> list[int]:
     """Per node ``i`` of the graph ``edges`` (``edges[i]`` lists the targets
-    of ``i``), the bitmask of nodes reachable from ``i``, itself included.
+    of ``i``), the bitmask of nodes reachable from ``i``, itself included;
+    0 for a node that neither ``nodes`` lists nor a listed node reaches.
 
     Iterative Tarjan: a strongly connected component is closed once every
     component it reaches is, so it shares one mask and each edge is read once
@@ -295,7 +301,7 @@ def _closures(edges: list[list[int]]) -> list[int]:
     on_stack = [False] * n
     stack: list[int] = []
     counter = 0
-    for root in range(n):
+    for root in nodes:
         if number[root]:
             continue
         counter += 1
@@ -361,7 +367,7 @@ def unobservable_reach(nfa: Nfa, sources: Iterable[str]) -> frozenset[str]:
     dense = nfa._dense
     mask = 0
     for x in sources:
-        if x not in dense.position:
+        if x not in nfa.states:
             raise InvalidState(f"not a state: {x!r}")
         mask |= dense.reach[dense.position[x]]
     return frozenset(dense.order[i] for i in _bits(mask))
@@ -371,8 +377,8 @@ def _restrict(nfa: Nfa, initial: frozenset[str], edges: dict[str, tuple[tuple[st
     """The part of ``nfa`` that ``edges``, a restriction of ``nfa.by_source``
     (some states, each with some of its out-edges), reaches from ``initial``;
     ``nfa`` itself when that drops nothing. One walk builds it: the reached
-    entries become its ``by_source``, and ``nfa``'s natural order, filtered,
-    its own, so neither is built again."""
+    entries become its ``by_source``, and it shares ``nfa``'s numbering, so
+    neither is built again."""
     alive = set(initial)
     todo = list(alive)
     while todo:
@@ -382,16 +388,14 @@ def _restrict(nfa: Nfa, initial: frozenset[str], edges: dict[str, tuple[tuple[st
                 todo.append(dst)
     if len(alive) == len(nfa.states) and edges is nfa.by_source and initial == nfa.initial:
         return nfa
-    order = nfa._order
-    if len(alive) < len(order):
-        order = tuple(x for x in order if x in alive)
-        edges = {x: edges[x] for x in order}
+    if len(alive) < len(nfa.states):
+        edges = {x: edges[x] for x in alive}
     transitions = nfa.transitions
     if edges is not nfa.by_source:
         transitions = frozenset((x, event, dst) for x, pairs in edges.items() for event, dst in pairs)
     child = Nfa(alive, nfa.alphabet, transitions, initial, nfa.secret & alive)
     object.__setattr__(child, "by_source", edges)
-    object.__setattr__(child, "_order", order)
+    object.__setattr__(child, "_numbering", nfa._numbering)
     return child
 
 

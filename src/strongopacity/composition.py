@@ -15,28 +15,27 @@ observer step collapses the estimate to the empty sink:
 A product state whose estimate has collapsed marks a leaking-secret run; the
 empty estimate is absorbing.
 
-The product is explored over int keys, a left state's dense natural-order
-position paired with an estimate's id in the observer's transition table,
-and numbers each state as it finds it. A composition is held as that int
-core: each state's key and its out-edges, each packed into one int (target
-number, event number), recorded once as the state is expanded; they are the
-only stored edge relation. The initial states, the state set, the
-transition set, the ``by_source``/``by_target`` indexes and the
-empty-estimate and secret-initial sets are read-only views of the core. A
-view renders a state into its public ``CcState`` only when it hands it
-out, once per state (states share the observer's estimate tuples, which the
-observer renders only then, and cache their hash), and finds the number of
-a ``CcState`` handed in from its key. The package's own constructors seed
-``product`` with int keys as well (``_Keys``), so a composition they build
-holds no ``CcState`` until one is handed out. The searches, the offending
-sets and the frontier run on state numbers. State numbers follow the
-exploration order, which follows the hash-seeded order of ``Nfa.by_source``,
-so no output reads them directly. Sorted output (``sorted_states``,
-``sorted_transitions``, DOT export) is ordered by one int per state that
-reproduces ``CcState.sort_key``: the left state's dense position (natural
-order), nonempty before empty, and the estimate's place in one plain sort
-of the estimate tuples that occur. A witness tie, where few states are
-compared, is broken by ``sort_key`` itself.
+The product is explored over int keys, a left state's bit in its model's
+numbering (see ``automaton``) paired with an estimate's id in the
+observer's table, and numbers each state as it finds it. A composition is
+held as that int core: each state's key and its out-edges, each packed into
+one int (target number, event number), recorded once as the state is
+expanded. The initial states, the state set, the transition set, the
+``by_source``/``by_target`` indexes and the empty-estimate and
+secret-initial sets are read-only views of the core. A view renders a state
+into its public ``CcState`` only when it hands it out, once per state
+(states share the observer's estimate tuples and cache their hash), and
+finds the number of a ``CcState`` handed in from its key. The package's own
+constructors seed ``product`` with int keys (``_Keys``); the left automaton
+and the observed one share their model's numbering, so ``_cc_hat`` reads an
+estimate's bit as a left position and names no state. The searches, the
+offending sets and the frontier run on state numbers, which follow the
+hash-seeded order of ``Nfa.by_source``, so no output reads them directly.
+Sorted output (``sorted_states``, ``sorted_transitions``, DOT export) is
+ordered by one int per state that reproduces ``CcState.sort_key``: the left
+state's bit (natural order), nonempty before empty, and the estimate's
+place in one plain sort of the estimate tuples that occur. A witness tie is
+broken by ``sort_key`` itself.
 
 ``product`` is the only builder of a composition. It explores one
 observable layer at a time and records each state's layer. The public
@@ -151,11 +150,12 @@ class _Core:
     """A composition's int core, which its views and searches read.
 
     States are numbered in the order ``product`` finds them. ``keys[i]`` is
-    state ``i``'s key, ``position * width + slot``: its left state's
-    position in the left automaton's dense order, and its estimate's id in
-    the observer's ``_table`` (the slot one past the last for the empty
-    estimate). ``out[i]`` lists the out-edges of state ``i`` once each, as
-    ``target << ebits | event``, an event being an index into ``events``.
+    state ``i``'s key, ``position * width + slot``: its left state's bit in
+    the left automaton's numbering, which it shares with its model (see
+    ``automaton``), and its estimate's id in the observer's ``_table`` (the
+    slot one past the last for the empty estimate). ``out[i]`` lists the
+    out-edges of state ``i`` once each, as ``target << ebits | event``, an
+    event being an index into ``events``.
     ``state`` builds a state's ``CcState`` once, when it is first handed
     out, and ``id`` finds the number of a ``CcState`` from its key. The core
     holds no reference to its ``CcAutomaton``, so a composition and its
@@ -176,7 +176,7 @@ class _Core:
         self.keys: list[int] = keys
         self.out: list = out
         self.edge_count = sum(map(len, out))
-        self.order, self.position = left._dense.order, left._dense.position
+        self.order, self.position = left._numbering
         self.table = right._table
         self.width = len(self.table.masks) + 1
         self.rendered: list[CcState | None] = [None] * len(keys)
@@ -484,16 +484,19 @@ def product(
     unobservable event moves the left side only. Once empty, the right side
     stays empty while the left moves freely.
 
-    The search runs over int keys, a left state's dense position paired
-    with an estimate's slot in the observer's ``_table``, and numbers each
-    state as it finds it; each state's out-edges are recorded once, as it
-    is expanded, as packed ints (see ``_Core``). No ``CcState`` is built
-    here.
+    The search runs over int keys, a left state's bit in its model's
+    numbering paired with an estimate's slot in the observer's ``_table``,
+    and numbers each state as it finds it; each state's out-edges are
+    recorded once, as it is expanded, as packed ints (see ``_Core``). No
+    ``CcState`` is built here.
 
     The search goes one observable layer at a time (layer L holds the
     states whose cheapest path has L observable steps; inside a layer the
     queue is first-in-first-out over unobservable moves) and records each
-    state's layer in ``_layer``, so no search is needed for it. With no
+    state's layer in ``_layer``, so no search is needed for it. A state
+    that an observable move finds gets layer L + 1 and waits in a list for
+    the next layer; when an unobservable move of layer L finds it too, its
+    layer is lowered to L and it is expanded in this layer instead. With no
     stop argument it ends when no layer is left, and the closure is
     complete. Otherwise it ends after the first layer that expands an
     empty-estimate state whose left state is in ``stop_on``, or after layer
@@ -517,7 +520,7 @@ def product(
         raise AlphabetMismatch(
             f"observer events {sorted(right_names)} exceed left observable alphabet"
         )
-    order, position = left._dense.order, left._dense.position
+    order, position = left._numbering
     table = right._table
     # A slot is an estimate's id, or ``empty``, one past the last, for the
     # empty estimate, which every observable event maps back to itself.
@@ -542,27 +545,27 @@ def product(
     shift = _index_bits(len(events))
     # Per left position: the unobservable moves, as (event, target
     # position), and the observable ones, as (event, event name, target
-    # position); an event is an index into ``events``.
-    silent: list[list[tuple[int, int]]] = []
-    loud: list[list[tuple[int, str, int]]] = []
-    for x in order:
-        silent.append([])
-        loud.append([])
-        for sigma, dst in left.by_source[x]:
+    # position); an event is an index into ``events``. Only the left
+    # automaton's own positions are filled.
+    silent: list = [None] * len(order)
+    loud: list = [None] * len(order)
+    offends = [False] * len(order)
+    for x, pairs in left.by_source.items():
+        pos = position[x]
+        silent[pos], loud[pos] = quiet, moves = [], []
+        for sigma, dst in pairs:
             if sigma in observable:
-                loud[-1].append((index[sigma], sigma, position[dst]))
+                moves.append((index[sigma], sigma, position[dst]))
             else:
-                silent[-1].append((index[sigma], position[dst]))
-    offends = [stop_on is not None and x in stop_on for x in order]
-    early = stop_on is not None and all(offends)  # every empty state offends
-    ids: dict[int, int] = {}  # key -> id, of the states in the queue or expanded
+                quiet.append((index[sigma], position[dst]))
+        offends[pos] = stop_on is not None and x in stop_on
+    early = stop_on is not None and all(x in stop_on for x in left.states)  # every empty state offends
+    ids: dict[int, int] = {}  # key -> id, of every state found
     keys: list[int] = []  # id -> key
     out: list = []  # id -> packed out-edges, () until expanded
-    layers: list[int] = []  # id -> layer
+    layers: list[int] = []  # id -> layer, lowered when an unobservable move finds a state sooner
     now: deque[tuple[int, int, int]] = deque()  # this layer's queue: (id, position, slot)
-    # The states found by an observable move and not (yet) by an
-    # unobservable one, the next layer, key -> queue entry.
-    later: dict[int, tuple[int, int, int]] = {}
+    later: list[tuple[int, int, int]] = []  # the states found by an observable move, as queue entries
     layer, stop = 0, False
     for pos, slot in starts:
         key = pos * width + slot
@@ -581,18 +584,14 @@ def product(
                 key = dst_pos * width + slot
                 dst = ids.get(key)
                 if dst is None:
-                    if key in later:  # found by an observable move, yet in this layer
-                        entry = later.pop(key)
-                        dst = entry[0]
-                        layers[dst] = layer
-                    else:
-                        dst = len(keys)
-                        keys.append(key)
-                        out.append(())
-                        layers.append(layer)
-                        entry = (dst, dst_pos, slot)
-                    ids[key] = dst
-                    now.append(entry)
+                    dst = ids[key] = len(keys)
+                    keys.append(key)
+                    out.append(())
+                    layers.append(layer)
+                    now.append((dst, dst_pos, slot))
+                elif layers[dst] > layer:  # found by an observable move, yet in this layer
+                    layers[dst] = layer
+                    now.append((dst, dst_pos, slot))
                 row.append(dst << shift | event)
             moves = steps[slot]
             for event, sigma, dst_pos in loud[pos]:
@@ -604,30 +603,27 @@ def product(
                 key = dst_pos * width + dst_slot
                 dst = ids.get(key)
                 if dst is None:
-                    entry = later.get(key)
-                    if entry is None:
-                        entry = later[key] = (len(keys), dst_pos, dst_slot)
-                        keys.append(key)
-                        out.append(())
-                        layers.append(layer + 1)
-                        if early and dst_slot == empty:
-                            stop = True
-                    dst = entry[0]
+                    dst = ids[key] = len(keys)
+                    keys.append(key)
+                    out.append(())
+                    layers.append(layer + 1)
+                    later.append((dst, dst_pos, dst_slot))
+                    if early and dst_slot == empty:
+                        stop = True
                 row.append(dst << shift | event)
             # Each state is expanded once and its left moves are distinct, so
             # every edge is listed once.
             out[src] = row
             if slot == empty and offends[pos]:
                 stop = True
-        if stop or not later or layer == max_layer:
+        if stop or layer == max_layer:
             break
         layer += 1
-        for key, entry in later.items():
-            ids[key] = entry[0]
-            now.append(entry)
-        later.clear()
-    for key, (dst, _, _) in later.items():  # found, not expanded: the next layer
-        ids[key] = dst
+        # An entry whose layer was lowered has been expanded already.
+        now.extend(entry for entry in later if layers[entry[0]] == layer)
+        if not now:
+            break
+        later = []
     return CcAutomaton(left, right, events, ids, keys, out, starts, layers)
 
 
@@ -651,16 +647,14 @@ def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
     ghat = initial_secret_subautomaton(nfa)
     if obs is None or not ghat.states:
         return product(ghat, multi_initial_observer(ghat, []), _Keys(), empty_sink=True, **stop)
-    pruned, seeds = nonsecret_subautomaton(nfa, obs)
-    seeds = list(seeds)  # the right observer numbers its initials in this order
-    right = multi_initial_observer(pruned, seeds)
-    # Estimates are masks over ``nfa``'s dense order: each secret member of
-    # an estimate with one pairs with the id of its non-secret remainder.
-    table = obs._table
+    right = multi_initial_observer(*nonsecret_subautomaton(nfa, obs))
+    # ``nfa``, ``ghat`` and the remainder share one numbering: each secret
+    # bit of an estimate is a left position of ``ghat``, paired with the
+    # initial id of the estimate's non-secret remainder.
+    table, rtable = obs._table, right._table
     secret = table.mask_of(nfa.secret)
-    slots = {table.mask_of(seed): j for j, seed in enumerate(seeds)}
-    slots[0] = len(right._table.masks)  # no remainder: the empty estimate
-    order, position = table.order, ghat._dense.position
+    slots = {rtable.masks[j]: j for j in rtable.initials}
+    slots[0] = len(rtable.masks)  # no remainder: the empty estimate
     initials = _Keys()
     for mask in table.masks:
         inside = mask & secret
@@ -671,7 +665,7 @@ def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
             raise InternalInvariantError(
                 f"hybrid remainder missing from observer initials: {tuple(table.names(mask & ~secret))}"
             )
-        initials.extend((position[order[b]], slot) for b in _bits(inside))
+        initials.extend((b, slot) for b in _bits(inside))
     return product(ghat, right, initials, empty_sink=True, **stop)
 
 

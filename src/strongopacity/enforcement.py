@@ -37,9 +37,10 @@ only when an initial pair leaks.
 
 A round works on state numbers (see ``composition``): theta, the leaky
 initial pairs, the predecessor states matched to them, the K-step frontier
-and the cut are found without building a ``CcState``. Only what crosses a
-public call is rendered: the frontier that ``last_controllable_frontier``
-returns, a witness, and the few leaky initial pairs.
+and the cut are found without building a ``CcState``; a leaky initial pair
+and its predecessor states match by an int pair (``_pair``). Only what
+crosses a public call is rendered: the frontier that
+``last_controllable_frontier`` returns, and a witness.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .automaton import Nfa, Run, Transition, accessible_part, disable_transitions
-from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, cc_dss
+from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, _Core, cc_dss
 from .errors import InternalInvariantError
 from .observer import subset_construction
 from .search import _Costs, cc_observable_costs, cc_shortest_path
@@ -159,22 +160,19 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
         # with no controllable transition and observable length within K.
         unc_back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)
         back, shift = unc_back._dist, unc_back._shift
-        leaky = [cc._core.state(i) for i in cc.initials._ids if i in back and back[i] >> shift <= k]
+        leaky = {_pair(cc._core, i): i for i in cc.initials._ids if i in back and back[i] >> shift <= k}
         marked = None
         if leaky:  # only a leaky initial needs the system/observer composition
             ccobs = _cc_full_observer(current, obs)
-            marked = ccobs._subset(_matching(ccobs, leaky, current.secret))
+            # The predecessor states: a leaky pair's left bit and remainder.
+            core, keep = ccobs._core, ~obs._table.mask_of(current.secret)
+            marked = ccobs._subset(i for i in range(len(core.keys)) if _pair(core, i, keep) in leaky)
             if not marked:
                 raise InternalInvariantError("no predecessor states correspond to a leaking initial")
             prefix = cc_shortest_path(ccobs, ccobs.initials, marked, uncontrollable_only=True)
             if prefix is not None:
-                end = prefix.end
-                remainder = frozenset(end.right) - current.secret
-                anchor = min(
-                    (i for i in leaky if i.left == end.left and frozenset(i.right or ()) == remainder),
-                    key=CcState.sort_key,
-                )
-                suffix = cc_shortest_path(cc, [anchor], theta, uncontrollable_only=True)
+                anchor = leaky[_pair(core, core.id(prefix.end), keep)]
+                suffix = cc_shortest_path(cc, cc._subset([anchor]), theta, uncontrollable_only=True)
                 head = prefix.to_left_run()
                 return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
 
@@ -189,23 +187,12 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
     raise InternalInvariantError("enforcement loop exceeded its round bound")
 
 
-def _matching(ccobs: CcAutomaton, leaky: list[CcState], secret: frozenset[str]) -> list[int]:
-    """The ids of the states of ``ccobs`` whose left state and non-secret
-    remainder are a leaky initial's, in one scan of the int keys, with
-    remainders compared as masks over the observer's states."""
-    core = ccobs._core
-    table, width = core.table, core.width
-    keep = ~table.mask_of(secret)
-    wanted: dict[int, set[int]] = {}  # left position -> remainder masks
-    for i in leaky:
-        wanted.setdefault(core.position[i.left], set()).add(table.mask_of(i.right or ()))
-    found = []
-    for n, key in enumerate(core.keys):
-        pos, slot = divmod(key, width)
-        # The full observer's estimate always holds the left state: no slot is empty.
-        if pos in wanted and table.masks[slot] & keep in wanted[pos]:
-            found.append(n)
-    return found
+def _pair(core: _Core, i: int, keep: int = -1) -> tuple[int, int]:
+    """State ``i``'s left bit and its estimate's mask (0 if empty) cut to
+    ``keep``: over the one numbering of a model and all derived from it, so
+    the pairs of two compositions built on them compare as they are."""
+    pos, slot = divmod(core.keys[i], core.width)
+    return pos, (core.table.masks[slot] & keep if slot < len(core.table.masks) else 0)
 
 
 def _left_cut(frontier: Iterable[CcTransition]) -> set[Transition]:

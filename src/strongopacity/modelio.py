@@ -20,13 +20,14 @@ form of each structure and renders names only for output: each distinct
 node name gets one natural sort key and one quote, the edges are grouped
 and sorted by the int ranks of their endpoint names, and the labels of a
 pair are sorted only when it has more than one. Nodes follow
-``sorted_states`` (an automaton's dense order, an observer's estimate
+``sorted_states`` (an automaton's natural order, an observer's estimate
 tuples in plain order, a composition's ``CcState.sort_key`` ranks).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import IO, Iterable, Union
 
 from .automaton import Event, Nfa, natural_key
@@ -35,6 +36,7 @@ from .errors import EmptyModel, InvalidEvent, InvalidState, IoError, ParseError,
 from .observer import Observer, estimate_name
 
 MODEL_VERSION = 1
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _structural(message: str) -> ParseError:
@@ -50,6 +52,14 @@ def _field_id(entry: dict, key: str, section: str, i: int) -> str:
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
     raise _structural(f"{section}[{i}].{key} must be a string (or integer) identifier")
+
+
+def _check_encodable(names: set[str], entries: list, section: str, key: str) -> None:
+    """Reject a name holding a lone surrogate, which a JSON escape can give
+    but no output can encode; the error names the first such entry."""
+    if _SURROGATE.search("".join(names)):
+        i = next(i for i, entry in enumerate(entries) if _SURROGATE.search(str(entry[key])))
+        raise _structural(f"{section}[{i}].{key} holds a lone surrogate, which no output can encode")
 
 
 def _flag(entry: dict, key: str, default: bool, section: str, i: int) -> bool:
@@ -105,6 +115,7 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
             initial.add(sid)
         if _flag(entry, "secret", False, "states", i):
             secret.add(sid)
+    _check_encodable(states, raw_states, "states", "id")
 
     alphabet = []
     seen_events = set()
@@ -122,6 +133,7 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
                 controllable=_flag(entry, "controllable", True, "events", i),
             )
         )
+    _check_encodable(seen_events, _entries(doc, "events"), "events", "name")
 
     transitions = set()
     for i, entry in enumerate(_entries(doc, "transitions")):
@@ -212,7 +224,7 @@ def _edge_lines(quoted: list[str], labels: list[str], edges: Iterable[tuple[int,
 
 def _nfa_lines(nfa: Nfa) -> list[str]:
     # States are distinct names in natural order already, and so are events.
-    order = nfa._order
+    order = nfa.sorted_states()
     position = {x: i for i, x in enumerate(order)}
     quoted = [_quote(x) for x in order]
     lines = ["digraph nfa {"]

@@ -5,8 +5,9 @@ canonicalized as a naturally-sorted tuple so that set identity is syntactic
 and estimates can name product states downstream.
 
 The construction runs on the system's dense index (``Nfa._dense``): an
-estimate is a bitmask over the states' natural-order positions, and one step
-is the OR of the precomputed reach-closed successor masks of its bits. An
+estimate is a bitmask over the numbering that a model shares with all that
+derives from it (see ``automaton``), and one step is the OR of the
+precomputed reach-closed successor masks of its bits. An
 observer is held as that table (``_Table``): each estimate's mask, numbered
 in discovery order, and its moves over those numbers, which the product, the
 classification, the verifiers and DOT export read. The construction is the
@@ -52,10 +53,10 @@ class EstimateClass(Enum):
 class _Table:
     """An observer's transition function over estimate ids.
 
-    Estimate ``i`` is the bitmask ``masks[i]`` over ``order`` (bit ``b``
-    stands for state ``order[b]``, ``position`` maps a state to its bit),
-    and ``ids`` maps a mask back to its id. ``step[i]`` maps an observable
-    event to the id it reaches, and ``initials`` lists the initial ids.
+    Estimate ``i`` is the bitmask ``masks[i]`` over the model's ``order``
+    (bit ``b`` stands for state ``order[b]``, ``position`` maps a state to
+    its bit), and ``ids`` maps a mask back to its id. ``step[i]`` maps an
+    observable event to the id it reaches, and ``initials`` the initial ids.
     ``estimate(i)`` renders estimate ``i`` on first use and hands out that
     one tuple from then on.
     """
@@ -253,9 +254,9 @@ def multi_initial_observer(nfa: Nfa, seeds: Iterable[Iterable[str]]) -> Observer
             raise EmptyEstimate("empty observer seed")
         mask = closed = 0
         for x in members:
-            i = dense.position.get(x)
-            if i is None:
+            if x not in nfa.states:
                 raise InvalidState(f"not a state: {x!r}")
+            i = dense.position[x]
             mask |= 1 << i
             closed |= dense.reach[i]
         if closed != mask:

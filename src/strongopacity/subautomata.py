@@ -9,7 +9,8 @@
   the non-secret initial states.
 
 Each is one walk of its parent's ``by_source`` (``automaton._restrict``) and
-keeps the parent's edge tuples and natural order. Each enforcement round
+keeps the parent's edge tuples and its root model's numbering, so a state
+has one bit in the system and in each subautomaton. Each enforcement round
 rebuilds these from scratch; there is no incremental re-extraction.
 """
 
@@ -39,13 +40,10 @@ def nonsecret_subautomaton(nfa: Nfa, obs: Observer) -> tuple[Nfa, frozenset[froz
     """
     table = obs._table
     secret = table.mask_of(nfa.secret)
-    # The remainders of the hybrid estimates, as masks over ``nfa``'s states.
+    # The remainders of the hybrid estimates, as masks over ``nfa``'s numbering.
     remainders = {mask & ~secret for mask in table.masks if mask & secret and mask & ~secret}
     seeds = frozenset(frozenset(table.names(mask)) for mask in remainders)
-    union = 0
-    for mask in remainders:
-        union |= mask
-    return _without_secrets(nfa, frozenset(table.names(union))), seeds
+    return _without_secrets(nfa, frozenset().union(*seeds)), seeds
 
 
 def dss_subautomaton(nfa: Nfa) -> Nfa:

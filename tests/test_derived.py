@@ -138,6 +138,18 @@ def test_derived_automata_of_golden_instances():
         check_derived(with_unreachable(nfa), rng.sample(controllable, min(2, len(controllable))))
 
 
+def test_derived_automata_share_their_model_numbering():
+    model = with_unreachable(delayed_leak_nfa())
+    root = model._dense
+    for derived in derived_automata(model, [("0", "a", "1")]):
+        assert derived._dense.order is root.order and derived._dense.position is root.position
+        assert len(derived._dense.reach) == len(model.states)
+        if derived.initial:
+            assert subset_construction(derived)._table.position is root.position
+    for cc in (cc_hat(model), cc_dss(model)):
+        assert cc._core.position is root.position and cc.right._table.position is root.position
+
+
 class TestDroppedState:
     """``9`` is a state of the model but not of its accessible part, and
     ``0`` is none of the secret-restart side's."""

@@ -129,6 +129,18 @@ class TestParseModel:
             with pytest.raises(ParseError, match="integer too long"):
                 parse_model(doc)
 
+    def test_lone_surrogate_id_rejected(self):
+        # A JSON escape can name a lone surrogate, which no UTF-8 output can
+        # hold; a surrogate pair is one character and is accepted.
+        for doc, path in (
+            (b'{"states": [{"id": "\\ud800", "initial": true}]}', r"states\[0\]\.id"),
+            (b'{"states": [{"id": "x"}], "events": [{"name": "a\\udfff"}]}', r"events\[0\]\.name"),
+        ):
+            with pytest.raises(ParseError, match=path + " holds a lone surrogate"):
+                parse_model(doc)
+        nfa = parse_model(b'{"states": [{"id": "\\ud83d\\ude00", "initial": true}]}')
+        assert serialize_model(nfa).decode("utf-8").count("\U0001f600") == 1
+
     def test_duplicate_declarations(self):
         with pytest.raises(InvalidState):
             parse_model(b'{"states": [{"id": "x"}, {"id": "x"}]}')
