@@ -13,8 +13,9 @@ its ranks, and ``sorted_transitions`` and DOT export sort by those ints.
 
 Each ``Nfa`` also caches a private dense index (``_dense``): per state,
 bitmasks over those positions for its unobservable reach and its
-reach-closed successors under each observable event. The observer, the
-product and ``unobservable_reach`` run on it.
+reach-closed successors under each observable event. The numbering itself
+is read from ``_numbering`` alone, so only code that needs those rows (the
+observer and ``unobservable_reach``) builds the index.
 
 Every derived automaton (``accessible_part``, ``disable_transitions``, the
 subautomata) comes from one walk of its parent's ``by_source`` (``_restrict``),
@@ -37,6 +38,8 @@ from .errors import InvalidEvent, InvalidState, UncontrollableCut
 Transition = tuple[str, str, str]
 
 _DIGIT_RUN = re.compile(r"(\d+)")
+#: A lone surrogate: a JSON escape can give one, but no output can encode it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def natural_key(text: str) -> tuple:
@@ -135,6 +138,10 @@ class Nfa:
         names = [e.name for e in alphabet]
         if len(set(names)) != len(names):
             raise InvalidEvent("duplicate event name in alphabet")
+        if _SURROGATE.search("".join(names)):
+            raise InvalidEvent("event name holds a lone surrogate, which no output can encode")
+        if _SURROGATE.search("".join(self.states)):
+            raise InvalidState("state name holds a lone surrogate, which no output can encode")
         by_name = {e.name: e for e in alphabet}
         for src, event, dst in self.transitions:
             if src not in self.states or dst not in self.states:
@@ -242,8 +249,8 @@ class Nfa:
 
 
 class _Dense(NamedTuple):
-    """An ``Nfa``'s numbering (``_numbering``, its root's: bit ``i`` stands
-    for ``order[i]``) and its relations as bitmasks over those numbers.
+    """An ``Nfa``'s relations as bitmasks over its numbering (``_numbering``,
+    its root's: bit ``i`` stands for ``order[i]``).
 
     ``reach[i]`` is the unobservable reach of state ``i``. For an observable
     ``sigma``, ``step[sigma][i]`` is the unobservable reach of the
@@ -252,8 +259,6 @@ class _Dense(NamedTuple):
     the ``Nfa`` lacks reads 0.
     """
 
-    order: tuple[str, ...]
-    position: dict[str, int]
     reach: list[int]
     step: dict[str, list[int]]
 
@@ -282,7 +287,7 @@ def _dense_index(nfa: Nfa) -> _Dense:
             row = step.get(event)
             if row is not None:
                 row[i] |= reach[position[dst]]
-    return _Dense(order, position, reach, step)
+    return _Dense(reach, step)
 
 
 def _closures(edges: list, nodes: list[int]) -> list[int]:
@@ -364,13 +369,13 @@ def natural_projection(word: Iterable[str], alphabet: Iterable[Event]) -> tuple[
 
 def unobservable_reach(nfa: Nfa, sources: Iterable[str]) -> frozenset[str]:
     """Least fixed point of ``sources`` under unobservable transitions."""
-    dense = nfa._dense
+    order, position = nfa._numbering
     mask = 0
     for x in sources:
         if x not in nfa.states:
             raise InvalidState(f"not a state: {x!r}")
-        mask |= dense.reach[dense.position[x]]
-    return frozenset(dense.order[i] for i in _bits(mask))
+        mask |= nfa._dense.reach[position[x]]
+    return frozenset(order[i] for i in _bits(mask))
 
 
 def _restrict(nfa: Nfa, initial: frozenset[str], edges: dict[str, tuple[tuple[str, str], ...]]) -> Nfa:

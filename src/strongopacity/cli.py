@@ -14,6 +14,7 @@ model error. Output is deterministic for a fixed input.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 from functools import cache
 from typing import Sequence
@@ -186,7 +187,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
                 export_graph(structure, handle)
             return 0
         if args.command == "bound":
-            print(effective_k_bound(model))
+            # ``str`` of an int longer than the interpreter's digit limit
+            # raises; a Decimal prints every digit.
+            print(decimal.Decimal(effective_k_bound(model)))
             return 0
     except SystemExit as exc:  # parser.error() on a --k misuse
         return int(exc.code or 0)

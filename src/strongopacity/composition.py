@@ -17,15 +17,18 @@ empty estimate is absorbing.
 
 The product is explored over int keys, a left state's bit in its model's
 numbering (see ``automaton``) paired with an estimate's id in the
-observer's table, and numbers each state as it finds it. A composition is
-held as that int core: each state's key and its out-edges, each packed into
-one int (target number, event number), recorded once as the state is
-expanded. The initial states, the state set, the transition set, the
-``by_source``/``by_target`` indexes and the empty-estimate and
-secret-initial sets are read-only views of the core. A view renders a state
-into its public ``CcState`` only when it hands it out, once per state
-(states share the observer's estimate tuples and cache their hash), and
-finds the number of a ``CcState`` handed in from its key. The package's own
+observer's table, or -1 for the empty estimate, so that exactly the
+empty-estimate states have negative keys (see ``_Core``); it numbers each
+state as it finds it. A composition is held as that int core: each state's
+key and its out-edges, each packed into one int (target number, event
+number), recorded once as the state is expanded. The initial states, the
+state set, the transition set, the ``by_source``/``by_target`` indexes and
+the empty-estimate and secret-initial sets are read-only views of the core;
+each set is an ``_IdSet`` over state ids, the view an observer's estimate
+sets use too. A view renders a state into its public ``CcState`` only when
+it hands it out, once per state (states share the observer's estimate
+tuples and cache their hash), and finds the number of a ``CcState`` handed
+in from its key. The package's own
 constructors seed ``product`` with int keys (``_Keys``); the left automaton
 and the observed one share their model's numbering, so ``_cc_hat`` reads an
 estimate's bit as a left position and names no state. The searches, the
@@ -60,6 +63,8 @@ from .errors import AlphabetMismatch, InternalInvariantError, InvalidState
 from .observer import (
     Estimate,
     Observer,
+    _IdSet,
+    _View,
     estimate_name,
     multi_initial_observer,
     subset_construction,
@@ -150,12 +155,15 @@ class _Core:
     """A composition's int core, which its views and searches read.
 
     States are numbered in the order ``product`` finds them. ``keys[i]`` is
-    state ``i``'s key, ``position * width + slot``: its left state's bit in
+    state ``i``'s key, ``slot * size + position``: its left state's bit in
     the left automaton's numbering, which it shares with its model (see
-    ``automaton``), and its estimate's id in the observer's ``_table`` (the
-    slot one past the last for the empty estimate). ``out[i]`` lists the
-    out-edges of state ``i`` once each, as ``target << ebits | event``, an
-    event being an index into ``events``.
+    ``automaton``) and whose length is ``size``, and its estimate's id in
+    the observer's ``_table``, or -1 for the empty estimate. So the
+    empty-estimate states are exactly those with a negative key,
+    ``divmod(key, size)`` gives (slot, position) for every key, and the
+    layout does not depend on how many estimates the observer holds.
+    ``out[i]`` lists the out-edges of state ``i`` once each, as
+    ``target << ebits | event``, an event being an index into ``events``.
     ``state`` builds a state's ``CcState`` once, when it is first handed
     out, and ``id`` finds the number of a ``CcState`` from its key. The core
     holds no reference to its ``CcAutomaton``, so a composition and its
@@ -165,7 +173,7 @@ class _Core:
 
     __slots__ = (
         "events", "ebits", "emask", "ids", "keys", "out", "edge_count",
-        "order", "position", "table", "width", "rendered",
+        "order", "position", "size", "table", "rendered",
     )
 
     def __init__(self, left: Nfa, right: Observer, events: tuple[CcEvent, ...], ids, keys, out):
@@ -177,18 +185,16 @@ class _Core:
         self.out: list = out
         self.edge_count = sum(map(len, out))
         self.order, self.position = left._numbering
+        self.size = len(self.order)
         self.table = right._table
-        self.width = len(self.table.masks) + 1
         self.rendered: list[CcState | None] = [None] * len(keys)
-
-    def right(self, slot: int) -> Estimate | None:
-        return None if slot == self.width - 1 else self.table.estimate(slot)
 
     def state(self, i: int) -> CcState:
         state = self.rendered[i]
         if state is None:
-            pos, slot = divmod(self.keys[i], self.width)
-            state = self.rendered[i] = CcState(self.order[pos], self.right(slot))
+            slot, pos = divmod(self.keys[i], self.size)
+            right = None if slot < 0 else self.table.estimate(slot)
+            state = self.rendered[i] = CcState(self.order[pos], right)
         return state
 
     def id(self, state) -> int:
@@ -196,15 +202,15 @@ class _Core:
         if not isinstance(state, CcState):
             return -1
         pos = self.position.get(state.left)
-        slot = self.width - 1 if state.right is None else self.table.id(state.right)
+        slot = -1 if state.right is None else self.table.id(state.right)
         if pos is None or slot is None:
             return -1
-        return self.ids.get(pos * self.width + slot, -1)
+        return self.ids.get(slot * self.size + pos, -1)
 
     def ids_of(self, states: Iterable[CcState], strict: bool = False) -> Collection[int]:
         """The ids of those of ``states`` that are states of this
         composition; with ``strict``, any other state is an error."""
-        if isinstance(states, _StateSet) and states._core is self:
+        if isinstance(states, _IdSet) and states._find == self.id:
             return states._ids
         ids = set()
         for s in states:
@@ -216,7 +222,7 @@ class _Core:
         return ids
 
     def left_of(self, i: int) -> str:
-        return self.order[self.keys[i] // self.width]
+        return self.order[self.keys[i] % self.size]
 
     def transition(self, src: int, edge: int) -> CcTransition:
         return (self.state(src), self.events[edge & self.emask], self.state(edge >> self.ebits))
@@ -240,35 +246,6 @@ class _Core:
                     else:
                         rows[dst] = [src << shift | event]
         return rows
-
-
-class _View(AbstractSet):
-    """A read-only set view of a composition; ``|``, ``&`` and ``-`` give
-    frozensets."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _from_iterable(cls, items):
-        return frozenset(items)
-
-
-class _StateSet(_View):
-    """Some states of one composition, held as state ids."""
-
-    __slots__ = ("_core", "_ids")
-
-    def __init__(self, core: _Core, ids: Collection[int]):
-        self._core, self._ids = core, ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self) -> Iterator[CcState]:
-        return map(self._core.state, self._ids)
-
-    def __contains__(self, state) -> bool:
-        return self._core.id(state) in self._ids
 
 
 class _Transitions(_View):
@@ -355,12 +332,13 @@ class CcAutomaton:
         self._initial_ids = frozenset(initials)
         self._layer: list[int] = layer
 
-    def _subset(self, ids: Iterable[int]) -> _StateSet:
-        return _StateSet(self._core, frozenset(ids))
+    def _subset(self, ids: Iterable[int]) -> _IdSet:
+        return _IdSet(self._core.state, self._core.id, frozenset(ids))
 
     @cached_property
     def states(self) -> AbstractSet[CcState]:
-        return _StateSet(self._core, range(len(self._core.keys)))
+        core = self._core
+        return _IdSet(core.state, core.id, range(len(core.keys)))
 
     @cached_property
     def transitions(self) -> AbstractSet[CcTransition]:
@@ -368,7 +346,7 @@ class CcAutomaton:
 
     @cached_property
     def initials(self) -> AbstractSet[CcState]:
-        return _StateSet(self._core, self._initial_ids)
+        return self._subset(self._initial_ids)
 
     @cached_property
     def by_source(self) -> Mapping[CcState, tuple[tuple[CcEvent, CcState], ...]]:
@@ -395,8 +373,7 @@ class CcAutomaton:
 
     @cached_property
     def empty_states(self) -> AbstractSet[CcState]:
-        width = self._core.width
-        return self._subset(i for i, key in enumerate(self._core.keys) if key % width == width - 1)
+        return self._subset(i for i, key in enumerate(self._core.keys) if key < 0)
 
     @cached_property
     def secret_initials(self) -> AbstractSet[CcState]:
@@ -409,12 +386,12 @@ class CcAutomaton:
         nonempty before empty, then the estimate's place in one plain sort
         of the estimate tuples that occur."""
         core = self._core
-        width, empty = core.width, core.width - 1
-        slots = sorted({key % width for key in core.keys} - {empty}, key=core.table.estimate)
+        size = core.size
+        slots = sorted({key // size for key in core.keys if key >= 0}, key=core.table.estimate)
         place = {slot: r for r, slot in enumerate(slots)}
-        place[empty] = len(slots)
+        place[-1] = len(slots)  # the empty estimate
         span = len(slots) + 1
-        rank = [key // width * span + place[key % width] for key in core.keys]
+        rank = [key % size * span + place[key // size] for key in core.keys]
         return sorted(range(len(rank)), key=rank.__getitem__)
 
     def sorted_states(self) -> list[CcState]:
@@ -438,11 +415,11 @@ class CcAutomaton:
         """Per state id, its ``CcState.name``, with each estimate's name
         built once and no ``CcState`` built."""
         core = self._core
-        order, width = core.order, core.width
-        estimate_names: dict[int, str] = {width - 1: EMPTY_MARK}
+        order, size = core.order, core.size
+        estimate_names: dict[int, str] = {-1: EMPTY_MARK}
         names = []
         for key in core.keys:
-            pos, slot = divmod(key, width)
+            slot, pos = divmod(key, size)
             text = estimate_names.get(slot)
             if text is None:
                 text = estimate_names[slot] = estimate_name(core.table.estimate(slot))
@@ -462,9 +439,10 @@ def _inverse(order: list[int]) -> list[int]:
 
 
 class _Keys(list):
-    """Initial pairs handed to ``product`` as (left position, slot) pairs
-    instead of ``CcState`` objects (see ``_Core``): the package's own
-    constructors seed a composition this way, building no state."""
+    """Initial pairs handed to ``product`` as (left position, slot) pairs,
+    slot -1 for the empty estimate, instead of ``CcState`` objects (see
+    ``_Core``): the package's own constructors seed a composition this way,
+    building no state."""
 
 
 def product(
@@ -485,10 +463,10 @@ def product(
     stays empty while the left moves freely.
 
     The search runs over int keys, a left state's bit in its model's
-    numbering paired with an estimate's slot in the observer's ``_table``,
-    and numbers each state as it finds it; each state's out-edges are
-    recorded once, as it is expanded, as packed ints (see ``_Core``). No
-    ``CcState`` is built here.
+    numbering paired with an estimate's slot in the observer's ``_table``
+    (-1 for the empty estimate), and numbers each state as it finds it;
+    each state's out-edges are recorded once, as it is expanded, as packed
+    ints (see ``_Core``). No ``CcState`` is built here.
 
     The search goes one observable layer at a time (layer L holds the
     states whose cheapest path has L observable steps; inside a layer the
@@ -521,10 +499,8 @@ def product(
             f"observer events {sorted(right_names)} exceed left observable alphabet"
         )
     order, position = left._numbering
+    size = len(order)
     table = right._table
-    # A slot is an estimate's id, or ``empty``, one past the last, for the
-    # empty estimate, which every observable event maps back to itself.
-    empty = len(table.masks)
     if isinstance(initials, _Keys):
         starts = initials
     else:
@@ -532,14 +508,15 @@ def product(
         for s in initials:
             if s.left not in left.states:
                 raise AlphabetMismatch(f"initial left component is not a left state: {s.left!r}")
-            slot = empty if s.right is None else table.id(s.right)
+            slot = -1 if s.right is None else table.id(s.right)
             if slot is None:
                 raise AlphabetMismatch(f"initial right component is not an estimate: {s.right}")
             starts.append((position[s.left], slot))
 
     observable = left.observable_events
-    width = empty + 1
-    steps = table.step + [dict.fromkeys(observable, empty)]  # slot -> event -> slot
+    # slot -> event -> slot. A slot is an estimate's id, or -1 for the empty
+    # estimate, whose row, the last, maps every observable event back to it.
+    steps = table.step + [dict.fromkeys(observable, -1)]
     events = tuple(CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet)
     index = {e.left_event: i for i, e in enumerate(events)}
     shift = _index_bits(len(events))
@@ -568,7 +545,7 @@ def product(
     later: list[tuple[int, int, int]] = []  # the states found by an observable move, as queue entries
     layer, stop = 0, False
     for pos, slot in starts:
-        key = pos * width + slot
+        key = slot * size + pos
         if key not in ids:
             ids[key] = len(keys)
             keys.append(key)
@@ -581,7 +558,7 @@ def product(
             src, pos, slot = now.popleft()
             row = []
             for event, dst_pos in silent[pos]:
-                key = dst_pos * width + slot
+                key = slot * size + dst_pos
                 dst = ids.get(key)
                 if dst is None:
                     dst = ids[key] = len(keys)
@@ -599,8 +576,8 @@ def product(
                 if dst_slot is None:
                     if not empty_sink:
                         continue
-                    dst_slot = empty
-                key = dst_pos * width + dst_slot
+                    dst_slot = -1
+                key = dst_slot * size + dst_pos
                 dst = ids.get(key)
                 if dst is None:
                     dst = ids[key] = len(keys)
@@ -608,13 +585,13 @@ def product(
                     out.append(())
                     layers.append(layer + 1)
                     later.append((dst, dst_pos, dst_slot))
-                    if early and dst_slot == empty:
+                    if early and dst_slot < 0:
                         stop = True
                 row.append(dst << shift | event)
             # Each state is expanded once and its left moves are distinct, so
             # every edge is listed once.
             out[src] = row
-            if slot == empty and offends[pos]:
+            if slot < 0 and offends[pos]:
                 stop = True
         if stop or layer == max_layer:
             break
@@ -654,7 +631,7 @@ def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
     table, rtable = obs._table, right._table
     secret = table.mask_of(nfa.secret)
     slots = {rtable.masks[j]: j for j in rtable.initials}
-    slots[0] = len(rtable.masks)  # no remainder: the empty estimate
+    slots[0] = -1  # no remainder: the empty estimate
     initials = _Keys()
     for mask in table.masks:
         inside = mask & secret
@@ -682,7 +659,7 @@ def cc_full_observer(nfa: Nfa) -> CcAutomaton:
 def _cc_full_observer(nfa: Nfa, obs: Observer) -> CcAutomaton:
     """``cc_full_observer`` of an accessible ``nfa`` with its observer ``obs``."""
     (slot,) = obs._table.initials
-    position = nfa._dense.position
+    position = nfa._numbering[1]
     return product(nfa, obs, _Keys((position[x0], slot) for x0 in nfa.initial), empty_sink=False)
 
 
@@ -703,9 +680,12 @@ def _cc_dss(nfa: Nfa, *, secret_only: bool = False, **stop) -> CcAutomaton:
     """``cc_dss`` of an accessible ``nfa``; ``stop`` holds ``product``'s
     stop arguments."""
     dss = dss_subautomaton(nfa)
-    # The remainder's one initial estimate, or the empty estimate (slot 0
-    # of an observer with no estimate) when it has none.
-    right = subset_construction(dss) if dss.initial else multi_initial_observer(dss, [])
+    # The remainder's one initial estimate (slot 0), or the empty estimate
+    # (slot -1) when it has none.
+    if dss.initial:
+        right, slot = subset_construction(dss), 0
+    else:
+        right, slot = multi_initial_observer(dss, []), -1
     starts = nfa.initial & nfa.secret if secret_only else nfa.initial
-    position = nfa._dense.position
-    return product(nfa, right, _Keys((position[x0], 0) for x0 in starts), empty_sink=True, **stop)
+    position = nfa._numbering[1]
+    return product(nfa, right, _Keys((position[x0], slot) for x0 in starts), empty_sink=True, **stop)

@@ -191,8 +191,9 @@ def _pair(core: _Core, i: int, keep: int = -1) -> tuple[int, int]:
     """State ``i``'s left bit and its estimate's mask (0 if empty) cut to
     ``keep``: over the one numbering of a model and all derived from it, so
     the pairs of two compositions built on them compare as they are."""
-    pos, slot = divmod(core.keys[i], core.width)
-    return pos, (core.table.masks[slot] & keep if slot < len(core.table.masks) else 0)
+    key = core.keys[i]
+    slot, pos = divmod(key, core.size)
+    return pos, (0 if key < 0 else core.table.masks[slot] & keep)
 
 
 def _left_cut(frontier: Iterable[CcTransition]) -> set[Transition]:

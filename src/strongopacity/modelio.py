@@ -27,16 +27,14 @@ tuples in plain order, a composition's ``CcState.sort_key`` ranks).
 from __future__ import annotations
 
 import json
-import re
 from typing import IO, Iterable, Union
 
-from .automaton import Event, Nfa, natural_key
+from .automaton import _SURROGATE, Event, Nfa, natural_key
 from .composition import CcAutomaton
 from .errors import EmptyModel, InvalidEvent, InvalidState, IoError, ParseError, UnknownReference
 from .observer import Observer, estimate_name
 
 MODEL_VERSION = 1
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _structural(message: str) -> ParseError:
@@ -258,11 +256,10 @@ def _composition_lines(cc: CcAutomaton) -> list[str]:
     core = cc._core
     rank, names = _ranked(cc._names())
     quoted = [_quote(name) for name in names]
-    empty = core.width - 1
     lines = ["digraph composition {"]
     for i in cc._sorted_ids():  # ``sorted_states`` order
         init = "true" if i in cc._initial_ids else "false"
-        flag = "true" if core.keys[i] % core.width == empty else "false"
+        flag = "true" if core.keys[i] < 0 else "false"  # the empty estimate
         lines.append(f"  {quoted[rank[i]]} [initial={init}, empty={flag}];")
     event_rank, events = _ranked([e.name for e in core.events])
     ebits, emask = core.ebits, core.emask

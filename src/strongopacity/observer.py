@@ -5,16 +5,18 @@ canonicalized as a naturally-sorted tuple so that set identity is syntactic
 and estimates can name product states downstream.
 
 The construction runs on the system's dense index (``Nfa._dense``): an
-estimate is a bitmask over the numbering that a model shares with all that
-derives from it (see ``automaton``), and one step is the OR of the
-precomputed reach-closed successor masks of its bits. An
+estimate is a bitmask over the numbering (``Nfa._numbering``) that a model
+shares with all that derives from it (see ``automaton``), and one step is
+the OR of the precomputed reach-closed successor masks of its bits. An
 observer is held as that table (``_Table``): each estimate's mask, numbered
 in discovery order, and its moves over those numbers, which the product, the
 classification, the verifiers and DOT export read. The construction is the
 only way an observer is built; started from no estimate
 (``multi_initial_observer(nfa, [])``) it gives the empty observer that a
-composition with nothing to estimate pairs with. ``estimates``, ``delta``
-and ``initials`` are read-only views of the table. An estimate is rendered
+composition with nothing to estimate pairs with, and reads no index rows.
+``estimates``, ``delta`` and ``initials`` are read-only views of the table;
+the two sets are ``_IdSet``s over estimate ids, the view that a
+composition's state sets use too. An estimate is rendered
 into its public tuple only when a view or an output hands it out, by reading
 its bits in ascending order, which is natural order already; that one tuple
 object is the estimate from then on, in every view and every composition
@@ -109,27 +111,35 @@ class _Table:
         return [order[b] for b in _bits(mask)]
 
 
-class _EstimateSet(AbstractSet):
-    """Some estimates of one observer, held as ids; ``|``, ``&`` and ``-``
-    give frozensets."""
+class _View(AbstractSet):
+    """A read-only set view; ``|``, ``&`` and ``-`` give frozensets."""
 
-    __slots__ = ("_table", "_ids")
-
-    def __init__(self, table: _Table, ids):
-        self._table, self._ids = table, ids
+    __slots__ = ()
 
     @classmethod
     def _from_iterable(cls, items):
         return frozenset(items)
 
+
+class _IdSet(_View):
+    """Some items of one structure held as ids: the estimates of an
+    observer, or the states of a composition. ``render`` hands out the item
+    of an id, and ``find`` gives the id of an item, or None or -1 when it is
+    none of the structure's."""
+
+    __slots__ = ("_render", "_find", "_ids")
+
+    def __init__(self, render, find, ids):
+        self._render, self._find, self._ids = render, find, ids
+
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __iter__(self) -> Iterator[Estimate]:
-        return map(self._table.estimate, self._ids)
+    def __iter__(self) -> Iterator:
+        return map(self._render, self._ids)
 
-    def __contains__(self, estimate) -> bool:
-        i = self._table.id(estimate)
+    def __contains__(self, item) -> bool:
+        i = self._find(item)
         return i is not None and i in self._ids
 
 
@@ -182,7 +192,8 @@ class Observer:
 
     @cached_property
     def estimates(self) -> AbstractSet[Estimate]:
-        return _EstimateSet(self._table, range(len(self._table.masks)))
+        table = self._table
+        return _IdSet(table.estimate, table.id, range(len(table.masks)))
 
     @cached_property
     def delta(self) -> Mapping[tuple[Estimate, str], Estimate]:
@@ -190,7 +201,8 @@ class Observer:
 
     @cached_property
     def initials(self) -> AbstractSet[Estimate]:
-        return _EstimateSet(self._table, frozenset(self._table.initials))
+        table = self._table
+        return _IdSet(table.estimate, table.id, frozenset(table.initials))
 
     def step(self, estimate: Estimate, event: str) -> Estimate | None:
         return self.delta.get((estimate, event))
@@ -202,8 +214,9 @@ class Observer:
 def _close_and_explore(nfa: Nfa, starts: list[int]) -> Observer:
     """The observer reached from the distinct closed estimate masks ``starts``,
     which get the ids 0, 1, ... in their order."""
-    dense = nfa._dense
-    rows = [(e.name, dense.step[e.name]) for e in nfa.alphabet if e.observable]
+    rows = []
+    if starts:  # the empty observer reads no index rows
+        rows = [(e.name, nfa._dense.step[e.name]) for e in nfa.alphabet if e.observable]
     masks = list(starts)  # id -> mask, ids in discovery order
     ids = {mask: i for i, mask in enumerate(masks)}
     step: list[dict[str, int]] = []
@@ -222,7 +235,7 @@ def _close_and_explore(nfa: Nfa, starts: list[int]) -> Observer:
                 masks.append(mask)
             moves[sigma] = j
         step.append(moves)
-    table = _Table(dense.order, dense.position, masks, ids, step, list(range(len(starts))))
+    table = _Table(*nfa._numbering, masks, ids, step, list(range(len(starts))))
     return Observer(tuple(e for e in nfa.alphabet if e.observable), table)
 
 
@@ -230,10 +243,10 @@ def subset_construction(nfa: Nfa) -> Observer:
     """The standard observer: one initial estimate, the unobservable reach of X0."""
     if not nfa.initial:
         raise EmptyInitial("observer of an automaton with no initial states")
-    dense = nfa._dense
+    reach, position = nfa._dense.reach, nfa._numbering[1]
     start = 0
     for x in nfa.initial:
-        start |= dense.reach[dense.position[x]]
+        start |= reach[position[x]]
     return _close_and_explore(nfa, [start])
 
 
@@ -246,7 +259,7 @@ def multi_initial_observer(nfa: Nfa, seeds: Iterable[Iterable[str]]) -> Observer
     of one another are deliberately not merged. The distinct seeds get the
     estimate ids 0, 1, ... in the order given.
     """
-    dense = nfa._dense
+    position = nfa._numbering[1]
     starts: dict[int, None] = {}  # distinct seed masks, in first-seen order
     for seed in seeds:
         members = set(seed)
@@ -256,9 +269,9 @@ def multi_initial_observer(nfa: Nfa, seeds: Iterable[Iterable[str]]) -> Observer
         for x in members:
             if x not in nfa.states:
                 raise InvalidState(f"not a state: {x!r}")
-            i = dense.position[x]
+            i = position[x]
             mask |= 1 << i
-            closed |= dense.reach[i]
+            closed |= nfa._dense.reach[i]
         if closed != mask:
             raise InternalInvariantError(
                 f"seed not closed under unobservable reach: {make_estimate(members)}"

@@ -14,12 +14,13 @@ backward, but a backward walk over uncontrollable transitions only, the one
 kind that enforcement runs, walks a private int index of the uncontrollable
 in-edges, built on first use. Its answer is a read-only mapping from
 ``CcState`` to ``Cost`` over the int cost map; callers in the package read
-the int map itself. A path is read back from its cost map along the
-in-edges: the cheapest target, ties by ``sort_key()``, then at each step the
-cheapest in-edge least by (predecessor ``sort_key()``, event name in natural
-order). Neither rule depends on visit order or numbering, so witnesses are
-reproducible, and only the states they compare and the path itself are
-rendered into ``CcState`` objects.
+the int map itself. ``cc_shortest_path`` runs that search and reads its
+path back from the cost map along the in-edges: the cheapest target, ties
+by ``sort_key()``, then at each step the cheapest in-edge least by
+(predecessor ``sort_key()``, event name in natural order). Neither rule
+depends on visit order or numbering, so witnesses are reproducible, and
+only the states they compare and the path itself are rendered into
+``CcState`` objects.
 """
 
 from __future__ import annotations
@@ -142,17 +143,21 @@ class CcPath:
         )
 
 
-def _walk_back(
+def cc_shortest_path(
     cc: CcAutomaton,
-    costs: _Costs,
+    sources: Iterable[CcState],
     targets: Iterable[CcState],
     *,
     uncontrollable_only: bool = False,
 ) -> CcPath | None:
-    """The canonical cheapest path to any of ``targets``, read from the cost
-    map ``costs`` that ``cc_observable_costs`` returned for the same sources
-    and transition filter. None when no target is in the map."""
-    dist, shift = costs._dist, costs._shift
+    """The canonical cheapest path from ``sources`` to any of ``targets``.
+
+    Returns None when no target is reachable (under the transition filter).
+    An empty path is returned when a source is itself a target. The path is
+    read back from the cost map along the in-edges (see the module text).
+    """
+    costs = cc_observable_costs(cc, sources, uncontrollable_only=uncontrollable_only)
+    dist = costs._dist
     core = cc._core
     hit = [t for t in core.ids_of(targets) if t in dist]
     if not hit:
@@ -160,7 +165,7 @@ def _walk_back(
     state, events, ebits, emask = core.state, core.events, core.ebits, core.emask
     here = min(hit, key=lambda t: (dist[t], state(t).sort_key()))
     rows = cc._unc_into if uncontrollable_only else cc.by_target._rows
-    weights = _weights(cc, shift, False)
+    weights = _weights(cc, costs._shift, False)
     edges: list[CcTransition] = []
     while dist[here]:  # every transition costs, so only sources are free
         cost = dist[here]
@@ -177,19 +182,3 @@ def _walk_back(
         here = pred
     edges.reverse()
     return CcPath(start=state(here), edges=tuple(edges))
-
-
-def cc_shortest_path(
-    cc: CcAutomaton,
-    sources: Iterable[CcState],
-    targets: Iterable[CcState],
-    *,
-    uncontrollable_only: bool = False,
-) -> CcPath | None:
-    """The canonical cheapest path from ``sources`` to any of ``targets``.
-
-    Returns None when no target is reachable (under the transition filter).
-    An empty path is returned when a source is itself a target.
-    """
-    dist = cc_observable_costs(cc, sources, uncontrollable_only=uncontrollable_only)
-    return _walk_back(cc, dist, targets, uncontrollable_only=uncontrollable_only)

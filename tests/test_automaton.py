@@ -200,6 +200,16 @@ class TestModelTypes:
         with pytest.raises(InvalidState):
             build_nfa(["x"], ["a"], [], ["y"], [])
 
+    def test_lone_surrogate_names_rejected(self):
+        # No output can encode a lone surrogate; a surrogate pair is one
+        # character and is accepted.
+        with pytest.raises(InvalidState, match="lone surrogate"):
+            Nfa(frozenset({"\ud800"}), (Event("a"),), frozenset(), frozenset({"\ud800"}))
+        with pytest.raises(InvalidEvent, match="lone surrogate"):
+            Nfa(frozenset({"x"}), (Event("a\udfff"),), frozenset(), frozenset({"x"}))
+        nfa = Nfa(frozenset({"\U0001f600"}), (Event("\U0001f600"),), frozenset(), frozenset({"\U0001f600"}))
+        assert nfa.states == {"\U0001f600"}
+
     def test_empty_nfa_is_legal(self):
         nfa = Nfa(
             states=frozenset(),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,28 @@ class TestBoundCommand:
         assert run_cli(["bound", DELAYED]) == 0
         assert capsys.readouterr().out.strip() == "383"
 
+    def test_bound_past_the_int_digit_limit(self, tmp_path, capsys):
+        # A chain of 14,400 states from a secret initial one: the bound,
+        # 14,400 * 2^14,399 - 1, has more decimal digits than ``str`` of an
+        # int gives by default.
+        n = 14_400
+        model = tmp_path / "chain.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "states": [{"id": str(i), "initial": i == 0, "secret": i == 0} for i in range(n)],
+                    "events": [{"name": "a"}],
+                    "transitions": [{"from": str(i), "event": "a", "to": str(i + 1)} for i in range(n - 1)],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert run_cli(["bound", str(model)]) == 0
+        captured = capsys.readouterr()
+        text = captured.out.strip()
+        assert captured.err == "" and text.isdecimal() and len(text) > 4300
+        assert Decimal(text) == n * 2 ** (n - 1) - 1
+
     def test_exit_code_contract(self, capsys):
         # 0 = opaque/enforced, 1 = not opaque/impossible, 2 = usage/model error
         assert run_cli(["verify", "--notion", "cso", DELAYED]) == 0
@@ -272,3 +295,30 @@ class TestNotionOption:
             assert run_cli([command, "--help"]) == 0
             usage = capsys.readouterr().out
             assert "--notion {k-sso,cso,scso,siso,inf-sso}" in usage
+
+
+class TestProcessEntryPoint:
+    """``python -m strongopacity`` prints and exits as ``run_cli`` returns."""
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["verify", "--notion", "scso", TWO_INITIALS], 1),
+            (["enforce", "--notion", "scso", TWO_INITIALS], 0),
+            (["bound", DELAYED], 0),
+            (["verify", "--notion", "k-sso", DELAYED], 2),  # --k missing
+        ],
+        ids=["verify", "enforce", "bound", "usage"],
+    )
+    def test_same_output_and_exit_code(self, argv, exit_code, capsys):
+        assert run_cli(argv) == exit_code
+        out = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "strongopacity", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (exit_code, out), done.stderr

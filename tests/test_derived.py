@@ -39,11 +39,14 @@ from strongopacity import (
     serialize_model,
     subset_construction,
     unobservable_reach,
+    verify_inf_sso,
+    verify_scso,
+    verify_siso,
 )
 from strongopacity.automaton import natural_key
 from strongopacity.composition import _cc_dss, _cc_hat
 
-from conftest import delayed_leak_nfa
+from conftest import delayed_leak_nfa, two_initials_nfa
 from corpus import random_cyclic_nfa
 from test_golden import SEED as GOLDEN_SEED
 from test_kernel import cyclic_nfas
@@ -140,14 +143,26 @@ def test_derived_automata_of_golden_instances():
 
 def test_derived_automata_share_their_model_numbering():
     model = with_unreachable(delayed_leak_nfa())
-    root = model._dense
+    order, position = model._numbering
     for derived in derived_automata(model, [("0", "a", "1")]):
-        assert derived._dense.order is root.order and derived._dense.position is root.position
+        assert derived._numbering[0] is order and derived._numbering[1] is position
         assert len(derived._dense.reach) == len(model.states)
         if derived.initial:
-            assert subset_construction(derived)._table.position is root.position
+            assert subset_construction(derived)._table.position is position
     for cc in (cc_hat(model), cc_dss(model)):
-        assert cc._core.position is root.position and cc.right._table.position is root.position
+        assert cc._core.position is position and cc.right._table.position is position
+
+
+def test_deleted_secret_states_work_leaves_the_dense_index_unbuilt():
+    # The composition reads positions from the numbering; only the
+    # remainder's observer needs reach and step rows, and those of the
+    # remainder.
+    for model in (with_unreachable(delayed_leak_nfa()), two_initials_nfa()):
+        acc = accessible_part(model)
+        cc_dss(acc)
+        for verify in (verify_scso, verify_siso, verify_inf_sso):
+            verify(acc)
+        assert "_dense" not in vars(acc)
 
 
 class TestDroppedState:

@@ -230,11 +230,11 @@ def test_dense_reach_on_cycles_and_self_loops():
         ),
         initial=frozenset({"0"}),
     )
-    dense = nfa._dense
-    assert list(dense.order) == sorted(NAMES, key=natural_key)
+    order, position = nfa._numbering
+    assert list(order) == sorted(NAMES, key=natural_key)
     for x in NAMES:
-        mask = dense.reach[dense.position[x]]
-        assert {y for i, y in enumerate(dense.order) if mask >> i & 1} == closure(nfa, {x})
+        mask = nfa._dense.reach[position[x]]
+        assert {y for i, y in enumerate(order) if mask >> i & 1} == closure(nfa, {x})
     assert set(subset_construction(nfa.replace(initial={"x2"})).delta.values()) == {
         ("0", "1", "2", "9", "x10")
     }
