@@ -23,6 +23,12 @@ inherits the reached entries and shares its root model's numbering: a state
 has one bit in a model, in everything derived from it and in their observers
 and compositions. Its index rows are root-sized but filled for its own
 states only, and a name handed in is checked against ``states``.
+
+Each input is validated once. The public ``Nfa(...)`` constructor and
+``Nfa.replace`` are the door for library input and check every field.
+``modelio.parse_model`` checks a document itself, and a derived automaton
+is a restriction of a validated parent; both are built by ``Nfa._trusted``,
+which checks nothing again.
 """
 
 from __future__ import annotations
@@ -62,7 +68,15 @@ def natural_key(text: str) -> tuple:
 
 
 def sort_states(states: Iterable[str]) -> list[str]:
-    return sorted(states, key=natural_key)
+    """``states`` sorted by ``natural_key``. When every name is decimal that
+    order is (value, text): text first, then a stable sort by value."""
+    names = list(states)
+    if all(map(str.isdecimal, names)):
+        names.sort()
+        names.sort(key=int)
+    else:
+        names.sort(key=natural_key)
+    return names
 
 
 @dataclass(frozen=True)
@@ -120,6 +134,13 @@ class Nfa:
     triples in the input are deduplicated silently (set semantics). Empty-state
     automata are legal values: they arise when enforcement deletes everything
     reachable.
+
+    The constructor validates library input: a name that is not a string, a
+    transition that is not a triple, a duplicate event, a lone surrogate, an
+    undeclared endpoint or event, or a marked state outside ``states`` raises
+    ``InvalidState``/``InvalidEvent``. ``parse_model`` checks documents and
+    derived automata are restrictions of a checked parent; those two build
+    through ``_trusted`` without checking again.
     """
 
     states: frozenset[str]
@@ -133,7 +154,16 @@ class Nfa:
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "secret", frozenset(self.secret))
-        alphabet = tuple(sorted(self.alphabet, key=lambda e: natural_key(e.name)))
+        alphabet = tuple(self.alphabet)
+        for x in self.states:
+            if not isinstance(x, str):
+                raise InvalidState(f"state name must be a string, not {x!r}")
+        for e in alphabet:
+            if not isinstance(e, Event):
+                raise InvalidEvent(f"alphabet entry must be an Event, not {e!r}")
+            if not isinstance(e.name, str):
+                raise InvalidEvent(f"event name must be a string, not {e.name!r}")
+        alphabet = tuple(sorted(alphabet, key=lambda e: natural_key(e.name)))
         object.__setattr__(self, "alphabet", alphabet)
         names = [e.name for e in alphabet]
         if len(set(names)) != len(names):
@@ -143,7 +173,10 @@ class Nfa:
         if _SURROGATE.search("".join(self.states)):
             raise InvalidState("state name holds a lone surrogate, which no output can encode")
         by_name = {e.name: e for e in alphabet}
-        for src, event, dst in self.transitions:
+        for t in self.transitions:
+            if not isinstance(t, tuple) or len(t) != 3:
+                raise InvalidState(f"transition must be a (source, event, target) triple, not {t!r}")
+            src, event, dst = t
             if src not in self.states or dst not in self.states:
                 raise InvalidState(f"transition endpoint outside state set: {(src, event, dst)}")
             if event not in by_name:
@@ -151,6 +184,14 @@ class Nfa:
         for x in self.initial | self.secret:
             if x not in self.states:
                 raise InvalidState(f"marked state outside state set: {x!r}")
+
+    @classmethod
+    def _trusted(cls, states, alphabet, transitions, initial, secret) -> "Nfa":
+        """An ``Nfa`` of fields its caller has already checked, built without
+        ``__post_init__``: frozensets, and the alphabet in natural order."""
+        nfa = cls.__new__(cls)
+        nfa.__dict__.update(states=states, alphabet=alphabet, transitions=transitions, initial=initial, secret=secret)
+        return nfa
 
     # -- lookups ------------------------------------------------------------
 
@@ -278,8 +319,9 @@ def _dense_index(nfa: Nfa) -> _Dense:
     moves = [(position[x], pairs) for x, pairs in nfa.by_source.items()]
     unobs = nfa.unobservable_events
     silent: list = [()] * len(order)
-    for i, pairs in moves:
-        silent[i] = [position[dst] for event, dst in pairs if event in unobs]
+    if unobs:
+        for i, pairs in moves:
+            silent[i] = [position[dst] for event, dst in pairs if event in unobs]
     reach = _closures(silent, [i for i, _ in moves])
     step = {e.name: [0] * len(order) for e in nfa.alphabet if e.observable}
     for i, pairs in moves:
@@ -297,7 +339,9 @@ def _closures(edges: list, nodes: list[int]) -> list[int]:
 
     Iterative Tarjan: a strongly connected component is closed once every
     component it reaches is, so it shares one mask and each edge is read once
-    to find components and once to close them.
+    to find components and once to close them. A listed node with no edges
+    is closed at once, without a frame; in a fully observable model every
+    node is one.
     """
     n = len(edges)
     reach = [0] * n
@@ -310,6 +354,10 @@ def _closures(edges: list, nodes: list[int]) -> list[int]:
         if number[root]:
             continue
         counter += 1
+        if not edges[root]:  # a sink is its own closed component
+            number[root] = counter
+            reach[root] = 1 << root
+            continue
         number[root] = low[root] = counter
         stack.append(root)
         on_stack[root] = True
@@ -398,7 +446,8 @@ def _restrict(nfa: Nfa, initial: frozenset[str], edges: dict[str, tuple[tuple[st
     transitions = nfa.transitions
     if edges is not nfa.by_source:
         transitions = frozenset((x, event, dst) for x, pairs in edges.items() for event, dst in pairs)
-    child = Nfa(alive, nfa.alphabet, transitions, initial, nfa.secret & alive)
+    alive = frozenset(alive)
+    child = Nfa._trusted(alive, nfa.alphabet, transitions, initial, nfa.secret & alive)
     object.__setattr__(child, "by_source", edges)
     object.__setattr__(child, "_numbering", nfa._numbering)
     return child

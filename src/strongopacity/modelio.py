@@ -76,7 +76,10 @@ def _entries(doc: dict, section: str) -> list:
 
 def parse_model(text: Union[bytes, str]) -> Nfa:
     """Parse and validate a model document into an automaton; a structural
-    error names the offending entry by its path, e.g. ``states[3].secret``."""
+    error names the offending entry by its path, e.g. ``states[3].secret``.
+
+    The checks here cover everything ``Nfa``'s constructor checks, so the
+    automaton is built by ``Nfa._trusted`` and validated only once."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -101,17 +104,28 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
     raw_states = doc.get("states")
     if not isinstance(raw_states, list) or not raw_states:
         raise EmptyModel("model declares no states")
+    # Each field is read directly when it has its common type (a string id,
+    # a boolean flag); ``_field_id`` and ``_flag`` see only the rest, to
+    # accept an integer id or to raise.
     states, initial, secret = set(), set(), set()
     for i, entry in enumerate(raw_states):
         if not isinstance(entry, dict) or "id" not in entry:
             raise _structural(f"states[{i}] needs an 'id'")
-        sid = _field_id(entry, "id", "states", i)
+        sid = entry["id"]
+        if type(sid) is not str:
+            sid = _field_id(entry, "id", "states", i)
         if sid in states:
             raise InvalidState(f"state declared twice: {sid!r} (states[{i}])")
         states.add(sid)
-        if _flag(entry, "initial", False, "states", i):
+        flag = entry.get("initial", False)
+        if type(flag) is not bool:
+            _flag(entry, "initial", False, "states", i)  # raises
+        if flag:
             initial.add(sid)
-        if _flag(entry, "secret", False, "states", i):
+        flag = entry.get("secret", False)
+        if type(flag) is not bool:
+            _flag(entry, "secret", False, "states", i)  # raises
+        if flag:
             secret.add(sid)
     _check_encodable(states, raw_states, "states", "id")
 
@@ -135,11 +149,15 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
 
     transitions = set()
     for i, entry in enumerate(_entries(doc, "transitions")):
-        if not isinstance(entry, dict) or not {"from", "event", "to"} <= entry.keys():
+        if not isinstance(entry, dict) or "from" not in entry or "event" not in entry or "to" not in entry:
             raise _structural(f"transitions[{i}] needs 'from', 'event' and 'to'")
-        src = _field_id(entry, "from", "transitions", i)
-        dst = _field_id(entry, "to", "transitions", i)
-        name = _field_id(entry, "event", "transitions", i)
+        src, dst, name = entry["from"], entry["to"], entry["event"]
+        if type(src) is not str:
+            src = _field_id(entry, "from", "transitions", i)
+        if type(dst) is not str:
+            dst = _field_id(entry, "to", "transitions", i)
+        if type(name) is not str:
+            name = _field_id(entry, "event", "transitions", i)
         if src not in states:
             raise UnknownReference(src, kind="state")
         if dst not in states:
@@ -148,12 +166,12 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
             raise UnknownReference(name, kind="event")
         transitions.add((src, name, dst))
 
-    return Nfa(
-        states=frozenset(states),
-        alphabet=tuple(alphabet),
-        transitions=frozenset(transitions),
-        initial=frozenset(initial),
-        secret=frozenset(secret),
+    return Nfa._trusted(
+        frozenset(states),
+        tuple(sorted(alphabet, key=lambda e: natural_key(e.name))),
+        frozenset(transitions),
+        frozenset(initial),
+        frozenset(secret),
     )
 
 

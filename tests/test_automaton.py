@@ -51,6 +51,22 @@ class TestNaturalOrder:
         assert natural_key(text) == (slow, text)
 
 
+# Names that are all decimal, in several scripts and with leading zeros, and
+# names that are not: a non-decimal digit, mixed runs and plain text.
+DECIMAL_NAMES = st.text(alphabet="0123456789٣٠۵१", min_size=1, max_size=4)
+OTHER_NAMES = st.sampled_from(["²", "x٣1", "a", "a01", "b10", "①", "1²", ""]) | st.text(alphabet="01٣xa²", max_size=4)
+
+
+@given(st.sets(DECIMAL_NAMES | st.sampled_from(["0", "00"]), max_size=12))
+def test_sort_states_on_decimal_names_is_the_natural_order(names):
+    assert sort_states(frozenset(names)) == sorted(names, key=natural_key)
+
+
+@given(st.sets(DECIMAL_NAMES | OTHER_NAMES, max_size=12))
+def test_sort_states_on_mixed_names_is_the_natural_order(names):
+    assert sort_states(frozenset(names)) == sorted(names, key=natural_key)
+
+
 class TestNaturalProjection:
     def test_empty_word(self, delayed_leak):
         assert natural_projection((), delayed_leak.alphabet) == ()
@@ -209,6 +225,20 @@ class TestModelTypes:
             Nfa(frozenset({"x"}), (Event("a\udfff"),), frozenset(), frozenset({"x"}))
         nfa = Nfa(frozenset({"\U0001f600"}), (Event("\U0001f600"),), frozenset(), frozenset({"\U0001f600"}))
         assert nfa.states == {"\U0001f600"}
+
+    def test_non_string_state_rejected(self):
+        with pytest.raises(InvalidState, match=r"^state name must be a string, not 1$"):
+            Nfa(frozenset({1}), (Event("a"),), frozenset(), frozenset({1}))
+
+    def test_non_string_event_name_rejected(self):
+        with pytest.raises(InvalidEvent, match=r"^event name must be a string, not 2$"):
+            Nfa(frozenset({"x"}), (Event(2),), frozenset(), frozenset({"x"}))
+        with pytest.raises(InvalidEvent, match=r"^alphabet entry must be an Event, not 'a'$"):
+            Nfa(frozenset({"x"}), ("a",), frozenset(), frozenset({"x"}))
+
+    def test_transition_that_is_not_a_triple_rejected(self):
+        with pytest.raises(InvalidState, match=r"^transition must be a \(source, event, target\) triple"):
+            Nfa(frozenset({"x"}), (Event("a"),), frozenset({("x", "a")}), frozenset({"x"}))
 
     def test_empty_nfa_is_legal(self):
         nfa = Nfa(

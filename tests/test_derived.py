@@ -122,6 +122,8 @@ def answers(nfa: Nfa) -> list:
 def check_derived(model: Nfa, cut) -> None:
     for derived in derived_automata(model, cut):
         fresh = Nfa(derived.states, derived.alphabet, derived.transitions, derived.initial, derived.secret)
+        # A derived automaton is built without ``Nfa.__post_init__``.
+        assert derived == fresh and hash(derived) == hash(fresh)
         assert answers(derived) == answers(fresh)
 
 

@@ -63,7 +63,7 @@ from strongopacity import (
     verify_scso,
     verify_siso,
 )
-from strongopacity.automaton import natural_key
+from strongopacity.automaton import _closures, natural_key
 from strongopacity.search import cc_observable_costs, cc_shortest_path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -238,6 +238,40 @@ def test_dense_reach_on_cycles_and_self_loops():
     assert set(subset_construction(nfa.replace(initial={"x2"})).delta.values()) == {
         ("0", "1", "2", "9", "x10")
     }
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A graph on up to 24 nodes, most of them without out-edges, with
+    self-loops and cycles, and the nodes that its closure is asked for."""
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    edges = [[] for _ in range(n)]
+    for src, dst in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        edges[src].append(dst)
+    return edges, draw(st.lists(node, unique=True))
+
+
+@given(sparse_graphs())
+@settings(max_examples=300, deadline=None)
+def test_closures_are_breadth_first_reach(graph):
+    # Edge-free nodes are closed without a Tarjan frame, whether listed or
+    # reached only through another node.
+    edges, nodes = graph
+
+    def bfs(x):
+        seen, todo = {x}, deque([x])
+        while todo:
+            for y in edges[todo.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    reach = _closures(edges, nodes)
+    reached = set().union(*map(bfs, nodes))
+    for x in range(len(edges)):
+        assert reach[x] == (sum(1 << y for y in bfs(x)) if x in reached else 0)
 
 
 class TestMultiInitialErrors:

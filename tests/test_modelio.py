@@ -16,6 +16,7 @@ from strongopacity import (
     InvalidState,
     Nfa,
     Observer,
+    OpacityError,
     ParseError,
     UnknownReference,
     cc_dss,
@@ -169,6 +170,71 @@ class TestParseModel:
         with pytest.raises(ParseError, match="^" + re.escape(path) + " must be true or false"):
             parse_model("{" + entry + "}")
 
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            *(
+                ({"from": "x", "event": "a", "to": "x", key: bad}, ParseError,
+                 f"transitions[1].{key} must be a string (or integer) identifier")
+                for key in ("from", "to", "event")
+                for bad in (True, False, 1.5, None, ["x"])
+            ),
+            (["x", "a", "x"], ParseError, "transitions[1] needs 'from', 'event' and 'to'"),
+            ("x", ParseError, "transitions[1] needs 'from', 'event' and 'to'"),
+            (None, ParseError, "transitions[1] needs 'from', 'event' and 'to'"),
+            ({"from": "x", "event": "a"}, ParseError, "transitions[1] needs 'from', 'event' and 'to'"),
+            ({"event": "a", "to": "x"}, ParseError, "transitions[1] needs 'from', 'event' and 'to'"),
+            # With several faults, the first field in from/to/event order wins,
+            # and a wrong type wins over an undeclared name.
+            ({"from": True, "event": None, "to": 1.5}, ParseError,
+             "transitions[1].from must be a string (or integer) identifier"),
+            ({"from": "y", "event": None, "to": "x"}, ParseError,
+             "transitions[1].event must be a string (or integer) identifier"),
+            ({"from": 2, "event": "a", "to": "x"}, UnknownReference, "undeclared state: '2'"),
+            ({"from": "x", "event": 3, "to": "x"}, UnknownReference, "undeclared event: '3'"),
+        ],
+    )
+    def test_malformed_transition_field_rejected(self, entry, error, message):
+        doc = {
+            "states": [{"id": "x", "initial": True}, {"id": "1"}],
+            "events": [{"name": "a"}, {"name": "2"}],
+            "transitions": [{"from": "x", "event": "a", "to": "1"}, entry],
+        }
+        with pytest.raises(OpacityError) as excinfo:
+            parse_model(json.dumps(doc))
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"id": True}, "states[1].id must be a string (or integer) identifier"),
+            ({"id": 1.5, "initial": "yes"}, "states[1].id must be a string (or integer) identifier"),
+            ({"id": None}, "states[1].id must be a string (or integer) identifier"),
+            ({"id": "y", "initial": 1, "secret": "no"}, "states[1].initial must be true or false, not 1"),
+            ({"id": "y", "secret": "no"}, 'states[1].secret must be true or false, not "no"'),
+            (["x"], "states[1] needs an 'id'"),
+        ],
+    )
+    def test_malformed_state_field_rejected(self, entry, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_model(json.dumps({"states": [{"id": "x"}, entry]}))
+        assert str(excinfo.value) == message
+
+    def test_integer_ids_are_accepted(self):
+        nfa = parse_model(
+            '{"states": [{"id": "x", "initial": true}, {"id": 1, "secret": true}],'
+            ' "events": [{"name": "a"}, {"name": 2}],'
+            ' "transitions": [{"from": 1, "event": "a", "to": "x"}, {"from": "x", "event": 2, "to": 1}]}'
+        )
+        assert nfa == Nfa(
+            frozenset({"x", "1"}),
+            (Event("a"), Event("2")),
+            frozenset({("1", "a", "x"), ("x", "2", "1")}),
+            frozenset({"x"}),
+            frozenset({"1"}),
+        )
+
     @pytest.mark.parametrize("version", ["99", "0", "true", "1.0", '"1"'])
     def test_unsupported_version_rejected(self, version):
         with pytest.raises(ParseError, match="version must be 1"):
@@ -208,6 +274,28 @@ class TestRoundTrip:
     def test_random_corpus(self):
         for nfa in corpus(20260804, 25):
             assert parse_model(serialize_model(nfa)) == nfa
+
+    def test_parse_builds_what_the_public_constructor_builds(self):
+        # ``parse_model`` builds its automaton without ``Nfa.__post_init__``;
+        # the events are listed last to first, so the alphabet is sorted.
+        rng = random.Random(GOLDEN_SEED)
+        docs = [path.read_bytes() for path in sorted(MODELS.glob("*.json"))]
+        docs += [serialize_model(random_cyclic_nfa(rng)) for _ in range(200)]
+        for text in docs:
+            doc = json.loads(text)
+            doc["events"].reverse()
+            parsed = parse_model(json.dumps(doc))
+            fresh = Nfa(
+                states={s["id"] for s in doc["states"]},
+                alphabet=[Event(e["name"], e["observable"], e["controllable"]) for e in doc["events"]],
+                transitions={(t["from"], t["event"], t["to"]) for t in doc["transitions"]},
+                initial={s["id"] for s in doc["states"] if s["initial"]},
+                secret={s["id"] for s in doc["states"] if s["secret"]},
+            )
+            assert parsed == fresh
+            assert parsed.alphabet == fresh.alphabet
+            assert hash(parsed) == hash(fresh)
+            assert parsed.sorted_states() == fresh.sorted_states()
 
     def test_serialization_is_deterministic(self):
         nfa = parse_model((MODELS / "two_initials.json").read_bytes())
