@@ -9,7 +9,8 @@ applied only where something is output or a tie is broken: ``natural_key``,
 ``sorted_states`` and ``sorted_transitions``. A model's states are sorted by
 ``natural_key`` once (``_numbering``); from then on a state's position in that
 order and an event's position in the alphabet, kept in natural order, are
-its ranks, and ``sorted_transitions`` and DOT export sort by those ints.
+its ranks, and ``sorted_transitions``, the CLI's cut lines and DOT export
+sort by those ints.
 
 Each ``Nfa`` also caches a private dense index (``_dense``): per state,
 bitmasks over those positions for its unobservable reach and its
@@ -33,7 +34,9 @@ which checks nothing again.
 
 from __future__ import annotations
 
+import math
 import re
+import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -56,15 +59,29 @@ def natural_key(text: str) -> tuple:
     digits (``\\d``, any script); other characters that ``str.isdigit``
     accepts, such as '²', are text.
     """
-    if text.isdecimal():  # one run: the key the split below gives
-        return (((0, int(text)),), text)
-    # The split alternates text and digit runs: the odd parts are the runs.
-    parts = tuple(
-        (0, int(part)) if i % 2 else (1, part)
-        for i, part in enumerate(_DIGIT_RUN.split(text))
-        if part != ""
-    )
+    try:
+        if text.isdecimal():  # one run: the key the split below gives
+            return (((0, int(text)),), text)
+        # The split alternates text and digit runs: the odd parts are the runs.
+        parts = tuple(
+            (0, int(part)) if i % 2 else (1, part)
+            for i, part in enumerate(_DIGIT_RUN.split(text))
+            if part != ""
+        )
+    except ValueError:  # a run past the interpreter's limit on int conversion
+        parts = tuple(_long_run_key(p) if p.isdecimal() else (1, p) for p in _DIGIT_RUN.split(text) if p)
     return (parts, text)
+
+
+def _long_run_key(run: str) -> tuple:
+    """A digit run's key when ``int`` may refuse the run: ``(0, value)``
+    when its digits past the leading zeros convert, and otherwise a key
+    above every such one, ordered by those digits as a number."""
+    digits = "".join(str(unicodedata.decimal(c)) for c in run).lstrip("0")
+    try:
+        return (0, int(digits or "0"))
+    except ValueError:  # more digits than any convertible value has
+        return (0, math.inf, len(digits), digits)
 
 
 def sort_states(states: Iterable[str]) -> list[str]:
@@ -73,9 +90,12 @@ def sort_states(states: Iterable[str]) -> list[str]:
     names = list(states)
     if all(map(str.isdecimal, names)):
         names.sort()
-        names.sort(key=int)
-    else:
-        names.sort(key=natural_key)
+        try:
+            names.sort(key=int)
+            return names
+        except ValueError:  # a name past the interpreter's limit on int conversion
+            pass
+    names.sort(key=natural_key)
     return names
 
 
@@ -283,10 +303,15 @@ class Nfa:
         return sorted(self.states, key=self._numbering[1].__getitem__)
 
     def sorted_transitions(self) -> list[Transition]:
-        # Positions in the numbering and in the alphabet are natural-order ranks.
+        return self._sort_transitions(self.transitions)
+
+    def _sort_transitions(self, transitions: Iterable[Transition]) -> list[Transition]:
+        """``transitions``, over this automaton's states and events, in
+        natural order: by positions in the numbering and in the alphabet,
+        which are natural-order ranks."""
         rank = self._numbering[1]
         event_rank = {e.name: i for i, e in enumerate(self.alphabet)}
-        return sorted(self.transitions, key=lambda t: (rank[t[0]], event_rank[t[1]], rank[t[2]]))
+        return sorted(transitions, key=lambda t: (rank[t[0]], event_rank[t[1]], rank[t[2]]))
 
 
 class _Dense(NamedTuple):

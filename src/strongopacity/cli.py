@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import decimal
 import sys
-from functools import cache
 from typing import Sequence
 
-from .automaton import Nfa, Run, accessible_part, natural_key
+from .automaton import Nfa, Run, accessible_part
 from .composition import cc_dss, cc_full_observer, cc_hat
 from .enforcement import (
     Enforced,
@@ -134,17 +133,14 @@ def _print_verdict(verdict: Verdict) -> int:
     return 0 if verdict.opaque else 1
 
 
-def _transition_lines(transitions) -> list[str]:
-    key = cache(natural_key)  # one key per distinct name
-    return [
-        f"{src} -{event}-> {dst}"
-        for src, event, dst in sorted(transitions, key=lambda t: (key(t[0]), key(t[1]), key(t[2])))
-    ]
+def _transition_lines(model: Nfa, transitions) -> list[str]:
+    """``transitions`` of ``model``, one line each, in natural order."""
+    return [f"{src} -{event}-> {dst}" for src, event, dst in model._sort_transitions(transitions)]
 
 
-def _print_outcome(outcome: EnforcementOutcome, args) -> int:
+def _print_outcome(outcome: EnforcementOutcome, args, model: Nfa) -> int:
     if isinstance(outcome, Enforced):
-        lines = _transition_lines(outcome.disabled)
+        lines = _transition_lines(model, outcome.disabled)
         for line in lines:
             print(line)
         if args.emit_ec:
@@ -175,14 +171,14 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
             k = (_checked_k(parser, args, model),) if takes_k else ()
             if args.command == "verify":
                 return _print_verdict(verifier(model, *k))
-            return _print_outcome(enforcer(model, *k), args)
+            return _print_outcome(enforcer(model, *k), args, model)
         if args.command == "export":
             structure = {
                 "observer": subset_construction,
                 "cc-hat": cc_hat,
                 "cc-obs": cc_full_observer,
                 "cc-dss": cc_dss,
-            }[args.structure](accessible_part(model))
+            }[args.structure](model)
             with open(args.out, "w", encoding="utf-8") as handle:
                 export_graph(structure, handle)
             return 0

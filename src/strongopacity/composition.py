@@ -25,20 +25,21 @@ number), recorded once as the state is expanded. The initial states, the
 state set, the transition set, the ``by_source``/``by_target`` indexes and
 the empty-estimate and secret-initial sets are read-only views of the core;
 each set is an ``_IdSet`` over state ids, the view an observer's estimate
-sets use too. A view renders a state into its public ``CcState`` only when
-it hands it out, once per state (states share the observer's estimate
-tuples and cache their hash), and finds the number of a ``CcState`` handed
-in from its key. The package's own
-constructors seed ``product`` with int keys (``_Keys``); the left automaton
-and the observed one share their model's numbering, so ``_cc_hat`` reads an
-estimate's bit as a left position and names no state. The searches, the
+sets use too, and each index an ``_IdMap`` over the int rows. A view
+renders a state into its public ``CcState`` only when it hands it out, once
+per state (states share the observer's estimate tuples and cache their
+hash), and finds the number of a ``CcState`` handed in from its key. The
+package's own constructors seed ``product`` with int keys (``_Keys``); the
+left automaton and the observed one share their model's numbering, so
+``_cc_hat`` reads an estimate's bit as a left position and names no state.
+The searches, the
 offending sets and the frontier run on state numbers, which follow the
 hash-seeded order of ``Nfa.by_source``, so no output reads them directly.
-Sorted output (``sorted_states``, ``sorted_transitions``, DOT export) is
-ordered by one int per state that reproduces ``CcState.sort_key``: the left
-state's bit (natural order), nonempty before empty, and the estimate's
-place in one plain sort of the estimate tuples that occur. A witness tie is
-broken by ``sort_key`` itself.
+Sorted output (``sorted_states``, ``sorted_transitions``, DOT export) and
+the witness tie-breaks of ``search`` read one order of states,
+``_Core.sort_key``: ``CcState.sort_key`` with the left state's bit, its
+place in the natural order of the numbering, standing in for its natural
+key.
 
 ``product`` is the only builder of a composition. It explores one
 observable layer at a time and records each state's layer. The public
@@ -63,6 +64,7 @@ from .errors import AlphabetMismatch, InternalInvariantError, InvalidState
 from .observer import (
     Estimate,
     Observer,
+    _IdMap,
     _IdSet,
     _View,
     estimate_name,
@@ -165,10 +167,11 @@ class _Core:
     ``out[i]`` lists the out-edges of state ``i`` once each, as
     ``target << ebits | event``, an event being an index into ``events``.
     ``state`` builds a state's ``CcState`` once, when it is first handed
-    out, and ``id`` finds the number of a ``CcState`` from its key. The core
-    holds no reference to its ``CcAutomaton``, so a composition and its
-    cached views form no reference cycle and are freed as soon as they are
-    dropped.
+    out, and ``id`` finds the number of a ``CcState`` from its key.
+    ``sort_key`` is the one order of states that any output or tie-break
+    reads. The core holds no reference to its ``CcAutomaton``, so a
+    composition and its cached views form no reference cycle and are freed
+    as soon as they are dropped.
     """
 
     __slots__ = (
@@ -221,6 +224,13 @@ class _Core:
                 raise InvalidState(f"not a composition state: {s.name}")
         return ids
 
+    def sort_key(self, i: int) -> tuple:
+        """``CcState.sort_key`` of state ``i``, its left state's position
+        standing in for ``natural_key(left)``: the numbering is natural
+        order."""
+        slot, pos = divmod(self.keys[i], self.size)
+        return (pos, slot < 0, () if slot < 0 else self.table.estimate(slot))
+
     def left_of(self, i: int) -> str:
         return self.order[self.keys[i] % self.size]
 
@@ -230,6 +240,14 @@ class _Core:
     def left_transition(self, src: int, edge: int) -> tuple[str, str, str]:
         event = self.events[edge & self.emask].left_event
         return (self.left_of(src), event, self.left_of(edge >> self.ebits))
+
+    def out_edges(self, row: list) -> tuple:
+        """The packed out-edges ``row`` as (event, target) pairs."""
+        return tuple((self.events[e & self.emask], self.state(e >> self.ebits)) for e in row)
+
+    def in_edges(self, row: list) -> tuple:
+        """The packed in-edges ``row`` as (source, event) pairs."""
+        return tuple((self.state(e >> self.ebits), self.events[e & self.emask]) for e in row)
 
     def in_index(self, keep: list[bool]) -> list:
         """Per state, its in-edges whose event ``keep`` holds, each packed
@@ -272,39 +290,6 @@ class _Transitions(_View):
         src, event, dst = transition
         i, j = core.id(src), core.id(dst)
         return i >= 0 and j >= 0 and j << core.ebits | core.events.index(event) in core.out[i]
-
-
-class _Edges(Mapping):
-    """A composition's edges indexed by state, rendered from the int rows
-    ``_rows``: out-edges as (event, target) pairs, or in-edges as
-    (source, event) pairs."""
-
-    __slots__ = ("_core", "_rows", "_forward")
-
-    def __init__(self, core: _Core, rows: list, forward: bool):
-        self._core, self._rows, self._forward = core, rows, forward
-
-    def _row(self, i: int) -> tuple:
-        core = self._core
-        state, events, shift, mask = core.state, core.events, core.ebits, core.emask
-        if self._forward:
-            return tuple((events[e & mask], state(e >> shift)) for e in self._rows[i])
-        return tuple((state(e >> shift), events[e & mask]) for e in self._rows[i])
-
-    def __getitem__(self, state: CcState) -> tuple:
-        i = self._core.id(state)
-        if i < 0:
-            raise KeyError(state)
-        return self._row(i)
-
-    def __contains__(self, state) -> bool:
-        return self._core.id(state) >= 0
-
-    def __iter__(self) -> Iterator[CcState]:
-        return map(self._core.state, range(len(self._rows)))
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
 
 class CcAutomaton:
@@ -350,11 +335,14 @@ class CcAutomaton:
 
     @cached_property
     def by_source(self) -> Mapping[CcState, tuple[tuple[CcEvent, CcState], ...]]:
-        return _Edges(self._core, self._core.out, forward=True)
+        core = self._core
+        return _IdMap(core.state, core.id, range(len(core.out)), core.out, core.out_edges)
 
     @cached_property
     def by_target(self) -> Mapping[CcState, tuple[tuple[CcState, CcEvent], ...]]:
-        return _Edges(self._core, self._core.in_index([True] * len(self._core.events)), forward=False)
+        core = self._core
+        rows = core.in_index([True] * len(core.events))
+        return _IdMap(core.state, core.id, range(len(rows)), rows, core.in_edges)
 
     @property
     def edges(self) -> Mapping[CcState, tuple[tuple[CcEvent, CcState], ...]]:
@@ -381,35 +369,20 @@ class CcAutomaton:
         return self._subset(i for i in self._initial_ids if left_of(i) in secret)
 
     def _sorted_ids(self) -> list[int]:
-        """The state ids in ``CcState.sort_key`` order, sorted by one int
-        per state: the left state's dense position (natural order), then
-        nonempty before empty, then the estimate's place in one plain sort
-        of the estimate tuples that occur."""
-        core = self._core
-        size = core.size
-        slots = sorted({key // size for key in core.keys if key >= 0}, key=core.table.estimate)
-        place = {slot: r for r, slot in enumerate(slots)}
-        place[-1] = len(slots)  # the empty estimate
-        span = len(slots) + 1
-        rank = [key % size * span + place[key // size] for key in core.keys]
-        return sorted(range(len(rank)), key=rank.__getitem__)
+        """The state ids in ``sort_key`` order."""
+        return sorted(range(len(self._core.keys)), key=self._core.sort_key)
 
     def sorted_states(self) -> list[CcState]:
         return [self._core.state(i) for i in self._sorted_ids()]
 
     def sorted_transitions(self) -> list[CcTransition]:
         core = self._core
-        events = core.events
-        ranks = _inverse(self._sorted_ids())
-        event_ranks = _inverse(sorted(range(len(events)), key=lambda e: natural_key(events[e].name)))
-        n, m = len(ranks), len(events)
-        keyed = [
-            ((ranks[src] * m + event_ranks[edge & core.emask]) * n + ranks[edge >> core.ebits], src, edge)
-            for src, row in enumerate(core.out)
-            for edge in row
-        ]
-        keyed.sort()
-        return [core.transition(src, edge) for _, src, edge in keyed]
+        shift, mask = core.ebits, core.emask
+        state_key = list(map(core.sort_key, range(len(core.keys))))
+        event_key = [natural_key(e.name) for e in core.events]
+        edges = [(src, edge) for src, row in enumerate(core.out) for edge in row]
+        edges.sort(key=lambda p: (state_key[p[0]], event_key[p[1] & mask], state_key[p[1] >> shift]))
+        return [core.transition(src, edge) for src, edge in edges]
 
     def _names(self) -> list[str]:
         """Per state id, its ``CcState.name``, with each estimate's name
@@ -428,14 +401,6 @@ class CcAutomaton:
 
     def state_names(self) -> frozenset[str]:
         return frozenset(s.name for s in self.states)
-
-
-def _inverse(order: list[int]) -> list[int]:
-    """Per item, its place in ``order``, a permutation of the items."""
-    place = [0] * len(order)
-    for r, i in enumerate(order):
-        place[i] = r
-    return place
 
 
 class _Keys(list):

@@ -52,7 +52,7 @@ from .automaton import Nfa, Run, Transition, accessible_part, disable_transition
 from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, _Core, cc_dss
 from .errors import InternalInvariantError
 from .observer import subset_construction
-from .search import _Costs, cc_observable_costs, cc_shortest_path
+from .search import _cost_shift, cc_observable_costs, cc_shortest_path
 from .verification import INF_SSO, SCSO, SISO, _dss_offenders
 
 
@@ -99,31 +99,32 @@ def last_controllable_frontier(
     # records each state's observable distance from them.
     reach = cc._layer if budget is not None else None
     if sources is not None:
-        costs = cc_observable_costs(cc, sources)
+        costs = cc_observable_costs(cc, sources)._data
+        shift = _cost_shift(cc)
         reach = [None] * len(cc.states)
-        for i, cost in costs._dist.items():
-            reach[i] = cost >> costs._shift
-    bad_costs = cc_observable_costs(cc, cc._subset(ids), uncontrollable_only=True, backward=True)
-    return frozenset(cc._core.transition(src, edge) for src, edge in _frontier(cc, reach, bad_costs, budget))
+        for i, cost in costs.items():
+            reach[i] = cost >> shift
+    bad = cc_observable_costs(cc, cc._subset(ids), uncontrollable_only=True, backward=True)._data
+    return frozenset(cc._core.transition(src, edge) for src, edge in _frontier(cc, reach, bad, budget))
 
 
 def _frontier(
     cc: CcAutomaton,
     reach: list[int | None] | None,
-    bad_costs: _Costs,
+    bad: dict[int, int],
     budget: int | None,
 ) -> list[tuple[int, int]]:
     """``last_controllable_frontier`` from maps the caller holds, as (source
     id, packed edge) pairs: ``reach``, each state's observable distance from
     the sources (None for a state they do not reach; ``reach`` is None when
-    they reach every state and no budget applies), and ``bad_costs``, the
+    they reach every state and no budget applies), and ``bad``, the packed
     costs into the offending states through uncontrollable transitions."""
     frontier = []
     controllable = cc._controllable
-    bad, shift = bad_costs._dist, bad_costs._shift
+    shift = _cost_shift(cc)
     ebits, emask = cc._core.ebits, cc._core.emask
     observable = [e.observable for e in cc._core.events]
-    for src, row in enumerate(cc.by_source._rows):
+    for src, row in enumerate(cc.by_source._data):
         for edge in row:
             if edge >> ebits not in bad or not controllable[edge & emask]:
                 continue
@@ -158,8 +159,8 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
 
         # Initial pairs from which an offending state is reachable by a run
         # with no controllable transition and observable length within K.
-        unc_back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)
-        back, shift = unc_back._dist, unc_back._shift
+        back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)._data
+        shift = _cost_shift(cc)
         leaky = {_pair(cc._core, i): i for i in cc.initials._ids if i in back and back[i] >> shift <= k}
         marked = None
         if leaky:  # only a leaky initial needs the system/observer composition
@@ -176,7 +177,7 @@ def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
                 head = prefix.to_left_run()
                 return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
 
-        cut = {cc._core.left_transition(src, edge) for src, edge in _frontier(cc, layer, unc_back, budget=k)}
+        cut = {cc._core.left_transition(src, edge) for src, edge in _frontier(cc, layer, back, budget=k)}
         if marked:
             cut |= _left_cut(last_controllable_frontier(ccobs, marked, budget=None))
         cut &= current.transitions

@@ -21,7 +21,7 @@ node name gets one natural sort key and one quote, the edges are grouped
 and sorted by the int ranks of their endpoint names, and the labels of a
 pair are sorted only when it has more than one. Nodes follow
 ``sorted_states`` (an automaton's natural order, an observer's estimate
-tuples in plain order, a composition's ``CcState.sort_key`` ranks).
+tuples in plain order, a composition's one state order, ``_Core.sort_key``).
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def _observer_lines(obs: Observer) -> list[str]:
     lines = ["digraph observer {"]
     for i in sorted(range(len(rank)), key=table.estimate):  # ``sorted_estimates`` order
         lines.append(f"  {quoted[rank[i]]} [initial={'true' if i in initial else 'false'}];")
-    events = sorted({e for moves in table.step for e in moves}, key=natural_key)
+    events = [e.name for e in obs.events]  # natural order, as the alphabet is kept
     event_rank = {e: r for r, e in enumerate(events)}
     edges = ((rank[i], event_rank[e], rank[j]) for i, moves in enumerate(table.step) for e, j in moves.items())
     lines += _edge_lines(quoted, events, edges)

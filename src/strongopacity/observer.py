@@ -16,7 +16,8 @@ only way an observer is built; started from no estimate
 composition with nothing to estimate pairs with, and reads no index rows.
 ``estimates``, ``delta`` and ``initials`` are read-only views of the table;
 the two sets are ``_IdSet``s over estimate ids, the view that a
-composition's state sets use too. An estimate is rendered
+composition's state sets use too, beside ``_IdMap``, the map view of a
+composition's edges and of a search's costs. An estimate is rendered
 into its public tuple only when a view or an output hands it out, by reading
 its bits in ascending order, which is natural order already; that one tuple
 object is the estimate from then on, in every view and every composition
@@ -121,7 +122,7 @@ class _View(AbstractSet):
         return frozenset(items)
 
 
-class _IdSet(_View):
+class _Ids:
     """Some items of one structure held as ids: the estimates of an
     observer, or the states of a composition. ``render`` hands out the item
     of an id, and ``find`` gives the id of an item, or None or -1 when it is
@@ -141,6 +142,30 @@ class _IdSet(_View):
     def __contains__(self, item) -> bool:
         i = self._find(item)
         return i is not None and i in self._ids
+
+
+class _IdSet(_Ids, _View):
+    """A read-only set of items held as ids."""
+
+    __slots__ = ()
+
+
+class _IdMap(_Ids, Mapping):
+    """A read-only map whose keys are items held as ids, over int data:
+    ``data[i]`` is what key ``i`` stores, and ``value`` renders it into the
+    value handed out. The package reads ``_data`` itself."""
+
+    __slots__ = ("_data", "_value")
+
+    def __init__(self, render, find, ids, data, value):
+        super().__init__(render, find, ids)
+        self._data, self._value = data, value
+
+    def __getitem__(self, item):
+        i = self._find(item)
+        if i is None or i not in self._ids:
+            raise KeyError(item)
+        return self._value(self._data[i])
 
 
 class _Delta(Mapping):

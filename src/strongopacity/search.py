@@ -12,15 +12,16 @@ int edges. It visits states in whatever order the state numbers give. It
 walks the int rows under ``by_source`` forward and under ``by_target``
 backward, but a backward walk over uncontrollable transitions only, the one
 kind that enforcement runs, walks a private int index of the uncontrollable
-in-edges, built on first use. Its answer is a read-only mapping from
-``CcState`` to ``Cost`` over the int cost map; callers in the package read
-the int map itself. ``cc_shortest_path`` runs that search and reads its
-path back from the cost map along the in-edges: the cheapest target, ties
-by ``sort_key()``, then at each step the cheapest in-edge least by
-(predecessor ``sort_key()``, event name in natural order). Neither rule
-depends on visit order or numbering, so witnesses are reproducible, and
-only the states they compare and the path itself are rendered into
-``CcState`` objects.
+in-edges, built on first use. Its answer is an ``_IdMap`` from ``CcState``
+to ``Cost`` over the int cost map, whose layout ``_cost_shift`` gives;
+callers in the package read the int map itself. ``cc_shortest_path`` runs
+that search and reads its path back from the cost map along the in-edges:
+the cheapest target, ties by the composition's one state order
+(``_Core.sort_key``, which is ``CcState.sort_key``), then at each step the
+cheapest in-edge least by (predecessor in that order, event name in natural
+order). Neither rule depends on visit order or numbering, so witnesses are
+reproducible, and only the path itself is rendered into ``CcState``
+objects.
 """
 
 from __future__ import annotations
@@ -28,38 +29,19 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .automaton import Run, natural_key
-from .composition import CcAutomaton, CcState, CcTransition, _Core
+from .composition import CcAutomaton, CcState, CcTransition
+from .observer import _IdMap
 
 Cost = tuple[int, int]
 
 
-class _Costs(Mapping):
-    """``cc_observable_costs``'s answer: a read-only map from each state
-    reached to its ``Cost``, over the int cost map ``_dist`` (state id ->
-    observable << _shift | total)."""
-
-    __slots__ = ("_core", "_dist", "_shift")
-
-    def __init__(self, core: _Core, dist: dict[int, int], shift: int):
-        self._core, self._dist, self._shift = core, dist, shift
-
-    def __getitem__(self, state: CcState) -> Cost:
-        cost = self._dist.get(self._core.id(state))
-        if cost is None:
-            raise KeyError(state)
-        return (cost >> self._shift, cost & ((1 << self._shift) - 1))
-
-    def __contains__(self, state) -> bool:
-        return self._core.id(state) in self._dist
-
-    def __iter__(self) -> Iterator[CcState]:
-        return map(self._core.state, self._dist)
-
-    def __len__(self) -> int:
-        return len(self._dist)
+def _cost_shift(cc: CcAutomaton) -> int:
+    """The bits of a packed cost that hold its total, below its observable
+    part: a total never exceeds the number of states."""
+    return len(cc._core.keys).bit_length()
 
 
 def _weights(cc: CcAutomaton, shift: int, uncontrollable_only: bool) -> list[int | None]:
@@ -84,14 +66,13 @@ def cc_observable_costs(
     is uncontrollable.
     """
     if not backward:
-        rows = cc.by_source._rows
+        rows = cc.by_source._data
     elif uncontrollable_only:
         rows = cc._unc_into  # holds no controllable edge
     else:
-        rows = cc.by_target._rows
-    # A total never exceeds the number of states, so ``shift`` bits hold it,
-    # and a heap entry, cost << shift | state id, is one int.
-    shift = len(rows).bit_length()
+        rows = cc.by_target._data
+    # A heap entry, cost << shift | state id, is one int.
+    shift = _cost_shift(cc)
     low = (1 << shift) - 1
     weights = _weights(cc, shift, uncontrollable_only and not backward)
     core = cc._core
@@ -114,7 +95,7 @@ def cc_observable_costs(
             if old is None or nc < old:
                 dist[nxt] = nc
                 heapq.heappush(heap, nc << shift | nxt)
-    return _Costs(core, dist, shift)
+    return _IdMap(core.state, core.id, dist, dist, lambda cost: (cost >> shift, cost & low))
 
 
 @dataclass(frozen=True)
@@ -156,16 +137,15 @@ def cc_shortest_path(
     An empty path is returned when a source is itself a target. The path is
     read back from the cost map along the in-edges (see the module text).
     """
-    costs = cc_observable_costs(cc, sources, uncontrollable_only=uncontrollable_only)
-    dist = costs._dist
+    dist = cc_observable_costs(cc, sources, uncontrollable_only=uncontrollable_only)._data
     core = cc._core
     hit = [t for t in core.ids_of(targets) if t in dist]
     if not hit:
         return None
-    state, events, ebits, emask = core.state, core.events, core.ebits, core.emask
-    here = min(hit, key=lambda t: (dist[t], state(t).sort_key()))
-    rows = cc._unc_into if uncontrollable_only else cc.by_target._rows
-    weights = _weights(cc, costs._shift, False)
+    sort_key, events, ebits, emask = core.sort_key, core.events, core.ebits, core.emask
+    here = min(hit, key=lambda t: (dist[t], sort_key(t)))
+    rows = cc._unc_into if uncontrollable_only else cc.by_target._data
+    weights = _weights(cc, _cost_shift(cc), False)
     edges: list[CcTransition] = []
     while dist[here]:  # every transition costs, so only sources are free
         cost = dist[here]
@@ -174,11 +154,11 @@ def cc_shortest_path(
             pred, event = edge >> ebits, edge & emask
             if pred not in dist or dist[pred] + weights[event] != cost:
                 continue
-            tie = (state(pred).sort_key(), natural_key(events[event].name))
+            tie = (sort_key(pred), natural_key(events[event].name))
             if best is None or tie < best[0]:
                 best = (tie, pred, event)
         _, pred, event = best
-        edges.append((state(pred), events[event], state(here)))
+        edges.append(core.transition(pred, here << ebits | event))
         here = pred
     edges.reverse()
-    return CcPath(start=state(here), edges=tuple(edges))
+    return CcPath(start=core.state(here), edges=tuple(edges))

@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 
 import hypothesis.strategies as st
 import pytest
@@ -65,6 +66,46 @@ def test_sort_states_on_decimal_names_is_the_natural_order(names):
 @given(st.sets(DECIMAL_NAMES | OTHER_NAMES, max_size=12))
 def test_sort_states_on_mixed_names_is_the_natural_order(names):
     assert sort_states(frozenset(names)) == sorted(names, key=natural_key)
+
+
+def decimal_key(text):
+    """``natural_key`` with each digit run read as a ``Decimal``, which
+    converts a run of any length."""
+    return (tuple((0, Decimal(p)) if p.isdecimal() else (1, p) for p in re.split(r"(\d+)", text) if p), text)
+
+
+# Digit runs around and past the interpreter's limit on int conversion
+# (4,300 digits by default), some of them behind leading zeros.
+LONG_RUNS = st.builds(
+    lambda zeros, digit, count: "0" * zeros + digit * count,
+    st.sampled_from([0, 1, 4400]),
+    st.sampled_from("129٣"),
+    st.sampled_from([1, 2, 4300, 4301, 5000]),
+)
+LONG_NAMES = st.lists(LONG_RUNS | st.sampled_from(["x", "a,"]), min_size=1, max_size=3).map("".join)
+
+
+class TestLongDigitRuns:
+    LONG = "1" * 5000
+
+    def test_model_states_sort_by_value(self):
+        names = ["2", "0" * 5000 + "3", "10", "9" * 4999, self.LONG, "x3", "x" + self.LONG, "x" + "1" * 4999 + "2"]
+        nfa = Nfa(
+            states=frozenset(names),
+            alphabet=(Event("a"),),
+            transitions=frozenset({(self.LONG, "a", "2")}),
+            initial=frozenset({self.LONG}),
+        )
+        assert nfa.sorted_states() == names
+        assert accessible_part(nfa).sorted_states() == [names[0], self.LONG]
+        decimal = names[:5] + ["3"]
+        assert sort_states(frozenset(decimal)) == ["2", "0" * 5000 + "3", "3", "10", "9" * 4999, self.LONG]
+
+    @given(st.sets(LONG_NAMES, max_size=6))
+    def test_natural_key_orders_long_runs_by_value(self, names):
+        want = sorted(names, key=decimal_key)
+        assert sorted(names, key=natural_key) == want
+        assert sort_states(frozenset(names)) == want
 
 
 class TestNaturalProjection:

@@ -198,6 +198,53 @@ class TestExportCommand:
         capsys.readouterr()
 
 
+class TestLongDecimalNames:
+    """A state named by more decimal digits than ``int`` converts by default
+    (4,300) sorts by value, and no command fails on it."""
+
+    LONG = "1" * 5000
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "states": [{"id": self.LONG, "initial": True}, {"id": "2", "secret": True}],
+                    "events": [{"name": "a"}],
+                    "transitions": [{"from": self.LONG, "event": "a", "to": "2"}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "--notion", "cso"], 1),
+            (["verify", "--notion", "scso"], 1),
+            (["verify", "--notion", "k-sso", "--k", "1"], 1),
+            (["enforce", "--notion", "inf-sso"], 0),
+            (["bound"], 0),
+            (["export", "--structure", "observer"], 0),
+            (["export", "--structure", "cc-hat"], 0),
+            (["export", "--structure", "cc-obs"], 0),
+            (["export", "--structure", "cc-dss"], 0),
+        ],
+    )
+    def test_every_command_answers(self, argv, code, model, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "out.dot")] if argv[0] == "export" else []
+        assert run_cli(argv + out + [model]) == code
+        assert capsys.readouterr().err == ""
+
+    def test_export_lists_states_by_value(self, model, tmp_path, capsys):
+        dot = tmp_path / "cc.dot"
+        assert run_cli(["export", "--structure", "cc-obs", model, "--out", str(dot)]) == 0
+        nodes = [line.split('"')[1] for line in dot.read_text(encoding="utf-8").splitlines() if "initial=" in line]
+        assert nodes == ["(2,{2})", f"({self.LONG},{{{self.LONG}}})"]
+
+
 class TestBoundCommand:
     def test_prints_bound(self, capsys):
         assert run_cli(["bound", DELAYED]) == 0

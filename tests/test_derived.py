@@ -28,6 +28,7 @@ from strongopacity import (
     Nfa,
     accessible_part,
     cc_dss,
+    cc_full_observer,
     cc_hat,
     disable_transitions,
     dss_subautomaton,
@@ -44,6 +45,7 @@ from strongopacity import (
     verify_siso,
 )
 from strongopacity.automaton import natural_key
+from strongopacity.cli import run_cli
 from strongopacity.composition import _cc_dss, _cc_hat
 
 from conftest import delayed_leak_nfa, two_initials_nfa
@@ -223,3 +225,18 @@ def test_a_model_without_unobservable_events():
         frozenset({"1"}),
     )
     check_derived(with_unreachable(nfa), [("0", "a", "1")])
+
+
+@pytest.mark.parametrize("structure", ["observer", "cc-hat", "cc-obs", "cc-dss"])
+def test_cli_export_of_a_model_with_unreachable_states(structure, tmp_path):
+    # Each structure's constructor takes the accessible part itself, and the
+    # observer of a model is that of its accessible part.
+    build = {"observer": subset_construction, "cc-hat": cc_hat, "cc-obs": cc_full_observer, "cc-dss": cc_dss}
+    rng = random.Random(GOLDEN_SEED)
+    models = [with_unreachable(delayed_leak_nfa()), with_unreachable(two_initials_nfa())]
+    models += [with_unreachable(random_cyclic_nfa(rng)) for _ in range(6)]
+    path, out = tmp_path / "model.json", tmp_path / "out.dot"
+    for model in models:
+        path.write_bytes(serialize_model(model))
+        assert run_cli(["export", "--structure", structure, str(path), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == dot(build[structure](accessible_part(model)))
