@@ -99,6 +99,14 @@ def sort_states(states: Iterable[str]) -> list[str]:
     return names
 
 
+def _check_k(k, name: str = "K") -> None:
+    """Reject a step bound that is not a non-negative int (a bool is not one)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"{name} must be a non-negative int, not {k!r}")
+    if k < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 @dataclass(frozen=True)
 class Event:
     """A named event with its observability and controllability flags.
@@ -155,12 +163,13 @@ class Nfa:
     automata are legal values: they arise when enforcement deletes everything
     reachable.
 
-    The constructor validates library input: a name that is not a string, a
-    transition that is not a triple, a duplicate event, a lone surrogate, an
-    undeclared endpoint or event, or a marked state outside ``states`` raises
-    ``InvalidState``/``InvalidEvent``. ``parse_model`` checks documents and
-    derived automata are restrictions of a checked parent; those two build
-    through ``_trusted`` without checking again.
+    The constructor validates library input: a name that is not a string, an
+    event flag that is not a bool, a transition that is not a triple, a
+    duplicate event, a lone surrogate, an undeclared endpoint or event, or a
+    marked state outside ``states`` raises ``InvalidState``/``InvalidEvent``.
+    ``parse_model`` checks documents and derived automata are restrictions
+    of a checked parent; those two build through ``_trusted`` without
+    checking again.
     """
 
     states: frozenset[str]
@@ -183,6 +192,8 @@ class Nfa:
                 raise InvalidEvent(f"alphabet entry must be an Event, not {e!r}")
             if not isinstance(e.name, str):
                 raise InvalidEvent(f"event name must be a string, not {e.name!r}")
+            if not isinstance(e.observable, bool) or not isinstance(e.controllable, bool):
+                raise InvalidEvent(f"event flags must be True or False: {e!r}")
         alphabet = tuple(sorted(alphabet, key=lambda e: natural_key(e.name)))
         object.__setattr__(self, "alphabet", alphabet)
         names = [e.name for e in alphabet]

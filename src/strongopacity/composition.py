@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
-from .automaton import Nfa, _bits, accessible_part, natural_key
+from .automaton import Nfa, _bits, _check_k, accessible_part, natural_key
 from .errors import AlphabetMismatch, InternalInvariantError, InvalidState
 from .observer import (
     Estimate,
@@ -456,8 +456,8 @@ def product(
     entered by an observable move from a layer searched, and it has its
     exact cost and every in-edge that a cheapest path can end with.
     """
-    if max_layer is not None and max_layer < 0:
-        raise ValueError("max_layer must be non-negative")
+    if max_layer is not None:
+        _check_k(max_layer, "max_layer")
     right_names = {e.name for e in right.events}
     if not right_names <= left.observable_events:
         raise AlphabetMismatch(

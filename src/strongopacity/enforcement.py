@@ -1,9 +1,11 @@
 """Transition-disablement synthesis for the strong opacity notions.
 
 The enforcement mechanism picks a set of controllable transitions to disable
-before the system runs, cutting every leaking-secret run. Each round of the
-fixpoint loop rebuilds the verification structures for the current subsystem,
-collects the offending empty-estimate states, and either
+before the system runs, cutting every leaking-secret run. One fixpoint loop
+(``_enforce``) serves every notion. Each round rebuilds, for the current
+subsystem, the composition that the notion's rule (``verification._RULES``)
+names, collects the offending empty-estimate states by the same rule
+(``verification._offenders``), and, when there are any, either
 
 * declares the problem impossible, when some offending state is reached by a
   run containing no controllable transition (for the K-step notion this means
@@ -13,6 +15,12 @@ collects the offending empty-estimate states, and either
   controllable transition from whose target an offending state is reachable
   using uncontrollable transitions only (within the remaining observable-step
   budget, for the K-step notion).
+
+Those two answers come from the round of the composition: the K-step round
+(``_k_step_round``) on the secret-restart composition, or the
+deleted-secret-states round (``_dss_round``) for scso, siso and inf-sso.
+The loop alone keeps the round bound, drops what a cut names outside the
+current subsystem, and raises when a round makes no progress.
 
 Disabling can turn previously matched runs into leaking ones, which is exactly
 why the loop rebuilds and repeats; every round removes at least one
@@ -48,12 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .automaton import Nfa, Run, Transition, accessible_part, disable_transitions
+from .automaton import Nfa, Run, Transition, _check_k, accessible_part, disable_transitions
 from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, _Core, cc_dss
 from .errors import InternalInvariantError
-from .observer import subset_construction
+from .observer import Observer, _IdSet, subset_construction
 from .search import _cost_shift, cc_observable_costs, cc_shortest_path
-from .verification import INF_SSO, SCSO, SISO, _dss_offenders
+from .verification import _RULES, INF_SSO, K_SSO, SCSO, SISO, _offenders
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,8 @@ def last_controllable_frontier(
     must not exceed it: that is exactly membership in some offending run of
     observable length within the budget.
     """
+    if budget is not None:
+        _check_k(budget, "budget")
     ids = cc._core.ids_of(bad, strict=True)
     if not ids:
         return frozenset()
@@ -139,53 +149,71 @@ def _frontier(
     return frontier
 
 
-def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
-    """Disable controllable transitions until the system is strongly K-step
-    opaque, or report that no cut can achieve it."""
-    if k < 0:
-        raise ValueError("K must be non-negative")
+def _enforce(nfa: Nfa, notion: str, k: int | None = None) -> EnforcementOutcome:
+    """The fixpoint loop. Each round builds the composition that the rule of
+    ``notion`` names for the current subsystem, up to layer ``k`` for k-sso,
+    and finds its offenders. With none the subsystem is enforced; otherwise
+    the round of that composition answers Impossible or the transitions to
+    disable."""
+    rule = _RULES[notion]
     current = accessible_part(nfa)
     disabled: set[Transition] = set()
     for _ in range(len(current.controllable_transitions) + 2):
-        obs = subset_construction(current) if current.secret else None
-        # Observable cost never falls along a path, so every state that this
-        # round reads (theta, its predecessors, the frontier, the Impossible
-        # suffix) lies within layer K of the composition.
-        cc = _cc_hat(current, obs, max_layer=k)
-        layer = cc._layer
-        theta = cc._subset(i for i in cc.empty_states._ids if layer[i] <= k)
-        if not theta:
+        if rule.dss:
+            cc = cc_dss(current, secret_only=rule.secret_only)
+        else:
+            obs = subset_construction(current) if current.secret else None
+            # Observable cost never falls along a path, so every state that
+            # this round reads (the offenders, their predecessors, the
+            # frontier, the Impossible suffix) lies within layer K.
+            cc = _cc_hat(current, obs, max_layer=k)
+        bad = _offenders(cc, rule, k)
+        if not bad:
             return Enforced(frozenset(disabled), current)
-
-        # Initial pairs from which an offending state is reachable by a run
-        # with no controllable transition and observable length within K.
-        back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)._data
-        shift = _cost_shift(cc)
-        leaky = {_pair(cc._core, i): i for i in cc.initials._ids if i in back and back[i] >> shift <= k}
-        marked = None
-        if leaky:  # only a leaky initial needs the system/observer composition
-            ccobs = _cc_full_observer(current, obs)
-            # The predecessor states: a leaky pair's left bit and remainder.
-            core, keep = ccobs._core, ~obs._table.mask_of(current.secret)
-            marked = ccobs._subset(i for i in range(len(core.keys)) if _pair(core, i, keep) in leaky)
-            if not marked:
-                raise InternalInvariantError("no predecessor states correspond to a leaking initial")
-            prefix = cc_shortest_path(ccobs, ccobs.initials, marked, uncontrollable_only=True)
-            if prefix is not None:
-                anchor = leaky[_pair(core, core.id(prefix.end), keep)]
-                suffix = cc_shortest_path(cc, cc._subset([anchor]), theta, uncontrollable_only=True)
-                head = prefix.to_left_run()
-                return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
-
-        cut = {cc._core.left_transition(src, edge) for src, edge in _frontier(cc, layer, back, budget=k)}
-        if marked:
-            cut |= _left_cut(last_controllable_frontier(ccobs, marked, budget=None))
+        cut = _dss_round(cc, bad) if rule.dss else _k_step_round(current, obs, cc, bad, k)
+        if isinstance(cut, Impossible):
+            return cut
         cut &= current.transitions
         if not cut:
             raise InternalInvariantError("enforcement round made no progress")
         disabled |= cut
         current = disable_transitions(current, cut)
     raise InternalInvariantError("enforcement loop exceeded its round bound")
+
+
+def _k_step_round(current: Nfa, obs: Observer, cc: CcAutomaton, theta: _IdSet, k: int) -> Impossible | set[Transition]:
+    """A K-step round on the secret-restart composition ``cc`` of
+    ``current`` up to layer K, whose offenders ``theta`` are found."""
+    # Initial pairs from which an offending state is reachable by a run
+    # with no controllable transition and observable length within K.
+    back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)._data
+    shift = _cost_shift(cc)
+    leaky = {_pair(cc._core, i): i for i in cc.initials._ids if i in back and back[i] >> shift <= k}
+    cut = {cc._core.left_transition(src, edge) for src, edge in _frontier(cc, cc._layer, back, budget=k)}
+    if leaky:  # only a leaky initial needs the system/observer composition
+        ccobs = _cc_full_observer(current, obs)
+        # The predecessor states: a leaky pair's left bit and remainder.
+        core, keep = ccobs._core, ~obs._table.mask_of(current.secret)
+        marked = ccobs._subset(i for i in range(len(core.keys)) if _pair(core, i, keep) in leaky)
+        if not marked:
+            raise InternalInvariantError("no predecessor states correspond to a leaking initial")
+        prefix = cc_shortest_path(ccobs, ccobs.initials, marked, uncontrollable_only=True)
+        if prefix is not None:
+            anchor = leaky[_pair(core, core.id(prefix.end), keep)]
+            suffix = cc_shortest_path(cc, cc._subset([anchor]), theta, uncontrollable_only=True)
+            head = prefix.to_left_run()
+            return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
+        cut |= _left_cut(last_controllable_frontier(ccobs, marked, budget=None))
+    return cut
+
+
+def _dss_round(cc: CcAutomaton, bad: _IdSet) -> Impossible | set[Transition]:
+    """A scso, siso or inf-sso round on the deleted-secret-states
+    composition ``cc``, whose offenders ``bad`` are found."""
+    offending = cc_shortest_path(cc, cc.initials, bad, uncontrollable_only=True)
+    if offending is not None:
+        return Impossible(offending.to_left_run())
+    return _left_cut(last_controllable_frontier(cc, bad))
 
 
 def _pair(core: _Core, i: int, keep: int = -1) -> tuple[int, int]:
@@ -201,35 +229,23 @@ def _left_cut(frontier: Iterable[CcTransition]) -> set[Transition]:
     return {(src.left, event.left_event, dst.left) for src, event, dst in frontier}
 
 
-def _enforce_dss(nfa: Nfa, notion: str) -> EnforcementOutcome:
-    current = accessible_part(nfa)
-    disabled: set[Transition] = set()
-    for _ in range(len(current.controllable_transitions) + 2):
-        cc = cc_dss(current, secret_only=notion == SISO)
-        bad = _dss_offenders(cc, notion)
-        if not bad:
-            return Enforced(frozenset(disabled), current)
-        offending = cc_shortest_path(cc, cc.initials, bad, uncontrollable_only=True)
-        if offending is not None:
-            return Impossible(offending.to_left_run())
-        cut = _left_cut(last_controllable_frontier(cc, bad)) & current.transitions
-        if not cut:
-            raise InternalInvariantError("enforcement round made no progress")
-        disabled |= cut
-        current = disable_transitions(current, cut)
-    raise InternalInvariantError("enforcement loop exceeded its round bound")
+def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:
+    """Disable controllable transitions until the system is strongly K-step
+    opaque, or report that no cut can achieve it."""
+    _check_k(k)
+    return _enforce(nfa, K_SSO, k)
 
 
 def enforce_scso(nfa: Nfa) -> EnforcementOutcome:
     """Enforce strong current-state opacity by transition disablement."""
-    return _enforce_dss(nfa, SCSO)
+    return _enforce(nfa, SCSO)
 
 
 def enforce_siso(nfa: Nfa) -> EnforcementOutcome:
     """Enforce strong initial-state opacity by transition disablement."""
-    return _enforce_dss(nfa, SISO)
+    return _enforce(nfa, SISO)
 
 
 def enforce_inf_sso(nfa: Nfa) -> EnforcementOutcome:
     """Enforce strong infinite-step opacity by transition disablement."""
-    return _enforce_dss(nfa, INF_SSO)
+    return _enforce(nfa, INF_SSO)

@@ -26,6 +26,7 @@ from .automaton import (
     Nfa,
     Run,
     Transition,
+    _check_k,
     accessible_part,
     disable_transitions,
     natural_key,
@@ -135,8 +136,7 @@ def _nonsecret_projections(acc: Nfa, runs, project) -> set:
 
 def oracle_k_sso(nfa: Nfa, k: int, cap: int) -> bool:
     """Literal two-quantifier evaluation of strong K-step opacity."""
-    if k < 0:
-        raise ValueError("K must be non-negative")
+    _check_k(k)
     acc, horizon, runs, project = _prepared(nfa, cap)
     matched = set()
     for run in runs:

@@ -1,31 +1,41 @@
 """Decision procedures for the strong state-based opacity notions.
 
-The K-step check first runs the current-state pre-check on the observer (a
-system that already reveals a secret at distance zero fails every K), then
-looks for an empty-estimate state within K observable steps of the
-secret-restart composition. K needs no cap: that composition has at most
-|X̂|·2^|X\\X_S| states, so none lies further than ``effective_k_bound``, and
-runtime never depends on the numeric K.
+One rule per strong notion (``_RULES``) says what its check reads: which
+composition, which initial pairs seed it, and which of its empty-estimate
+states offend.
 
-The current-/initial-/infinite-step checks all read the composition with the
-deleted-secret-states observer: an empty-estimate state with a secret left
-component, an empty-estimate state reachable from a secret initial pair, or
-any empty-estimate state at all, respectively.
+=======  ===================================  ====================  ======================
+notion   composition                          seeded from           offending states
+=======  ===================================  ====================  ======================
+k-sso    secret-restart (``cc_hat``)          its restart pairs     all, within layer K
+scso     deleted-secret-states (``cc_dss``)   every initial pair    secret left state only
+siso     deleted-secret-states (``cc_dss``)   secret initial pairs  all
+inf-sso  deleted-secret-states (``cc_dss``)   every initial pair    all
+=======  ===================================  ====================  ======================
+
+Every verdict comes from one body (``_verdict``): the notion is violated
+exactly when its composition holds an offending state, after the one
+K-step extra, the current-state pre-check on the observer (a system that
+already reveals a secret at distance zero fails every K). K needs no cap:
+the secret-restart composition has at most |X̂|·2^|X\\X_S| states, so none
+lies further than ``effective_k_bound``, and runtime never depends on the
+numeric K. Enforcement reads the same rules.
 
 Negative verdicts carry one shortest leaking run (observable length first,
 then transition count, ties by state-name order). The current-state witness
 is a breadth-first observer path instead, ties going to the first discovered.
 
 None of these checks needs the whole composition. Each builds it one
-observable layer at a time (for siso, seeded from the secret initial pairs
-only) and stops after layer K or at the first offending state. For k-sso,
-siso and inf-sso every empty-estimate state offends, and the search stops
-after the layer whose observable moves find the first one; for scso it
-stops only after the first layer holding a secret one, whose cheapest path
-may end with an unobservable move from a non-secret empty-estimate state of
-the same layer. Every state cheaper than the cheapest offending one is then
-expanded, so its cost and its in-edges are exact, and the search on the
-partial composition gives the verdict and the witness the whole one gives.
+observable layer at a time and stops after layer K or at the first
+offending state: ``product``'s ``stop_on`` is the rule's set of left states
+whose empty-estimate states offend. For k-sso, siso and inf-sso that is
+every left state, and the search stops after the layer whose observable
+moves find the first empty-estimate state; for scso it stops only after
+the first layer holding a secret one, whose cheapest path may end with an
+unobservable move from a non-secret empty-estimate state of the same layer.
+Every state cheaper than the cheapest offending one is then expanded, so
+its cost and its in-edges are exact, and the search on the partial
+composition gives the verdict and the witness the whole one gives.
 
 The offending states are picked by state number, from the layer ``product``
 records for each state and from the left state of each number, so
@@ -35,12 +45,11 @@ ones its tie-breaks compare.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
-from .automaton import Nfa, Run, accessible_part
+from .automaton import Nfa, Run, _check_k, accessible_part
 from .composition import CcAutomaton, CcState, _cc_dss, _cc_hat
-from .observer import Observer, estimate_name, subset_construction
+from .observer import Observer, _IdSet, estimate_name, subset_construction
 from .search import cc_shortest_path
 from .subautomata import initial_secret_subautomaton
 
@@ -60,9 +69,35 @@ class Verdict:
     k: int | None = None
     witness: Run | None = None
 
-    def describe(self) -> str:
-        label = f"{self.notion}(K={self.k})" if self.notion == K_SSO else self.notion
-        return f"{label}: {'opaque' if self.opaque else 'not opaque'}"
+
+@dataclass(frozen=True)
+class _Rule:
+    """What a strong notion reads. ``dss``: the deleted-secret-states
+    composition, else the secret-restart one. ``secret_only``: only the
+    secret initial pairs seed it. ``offending``: the field of the left
+    automaton ("states" or "secret") holding the left states whose
+    empty-estimate states offend, within layer K for k-sso; that field of
+    the checked system is ``product``'s ``stop_on``."""
+
+    dss: bool
+    secret_only: bool
+    offending: str
+
+
+_RULES = {
+    K_SSO: _Rule(dss=False, secret_only=False, offending="states"),
+    SCSO: _Rule(dss=True, secret_only=False, offending="secret"),
+    SISO: _Rule(dss=True, secret_only=True, offending="states"),
+    INF_SSO: _Rule(dss=True, secret_only=False, offending="states"),
+}
+
+
+def _offenders(cc: CcAutomaton, rule: _Rule, k: int | None) -> _IdSet:
+    """The offending empty-estimate states of ``cc`` under ``rule``, within
+    layer ``k`` when a K is given."""
+    left = getattr(cc.left, rule.offending)
+    layer, left_of = cc._layer, cc._core.left_of
+    return cc._subset(i for i in cc.empty_states._ids if (k is None or layer[i] <= k) and left_of(i) in left)
 
 
 def effective_k_bound(nfa: Nfa) -> int:
@@ -76,8 +111,7 @@ def observational_reach_within(cc: CcAutomaton, budget: int) -> dict[CcState, in
     """States within ``budget`` observable steps of the initials, with their
     minimal observable distance (unobservable transitions are free), which
     is the layer ``product`` recorded for the state."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    _check_k(budget, "budget")
     state = cc._core.state
     return {state(i): n for i, n in enumerate(cc._layer) if n <= budget}
 
@@ -130,66 +164,45 @@ def verify_cso(nfa: Nfa) -> Verdict:
     return Verdict(witness is None, CSO, witness=witness)
 
 
+def _verdict(nfa: Nfa, notion: str, k: int | None = None) -> Verdict:
+    """The verdict of ``notion`` (at ``k`` for k-sso) under its rule, from
+    the composition built up to its first offender or layer ``k``."""
+    rule = _RULES[notion]
+    acc = accessible_part(nfa)
+    if not acc.initial:
+        return Verdict(True, notion, k)
+    stop = {"stop_on": getattr(acc, rule.offending), "max_layer": k}
+    if rule.dss:
+        cc = _cc_dss(acc, secret_only=rule.secret_only, **stop)
+    else:
+        obs = subset_construction(acc)
+        witness = _cso_witness(obs, acc.secret)
+        if witness is not None:
+            return Verdict(False, notion, k, witness=witness)
+        cc = _cc_hat(acc, obs, **stop)
+    bad = _offenders(cc, rule, k)
+    witness = cc_shortest_path(cc, cc.initials, bad).to_run() if bad else None
+    return Verdict(witness is None, notion, k, witness=witness)
+
+
 def verify_k_sso(nfa: Nfa, k: int) -> Verdict:
     """Strong K-step opacity of the system w.r.t. its secret states."""
-    if k < 0:
-        raise ValueError("K must be non-negative")
-    acc = accessible_part(nfa)
-    if not acc.initial:
-        return Verdict(True, K_SSO, k)
-    obs = subset_construction(acc)
-    witness = _cso_witness(obs, acc.secret)
-    if witness is not None:
-        return Verdict(False, K_SSO, k, witness=witness)
-    # Every empty-estimate state within K layers offends; only a witness searches.
-    cc = _cc_hat(acc, obs, stop_on=acc.states, max_layer=k)
-    layer = cc._layer
-    bad = cc._subset(i for i in cc.empty_states._ids if layer[i] <= k)
-    if not bad:
-        return Verdict(True, K_SSO, k)
-    return Verdict(False, K_SSO, k, witness=cc_shortest_path(cc, cc.initials, bad).to_run())
-
-
-def _dss_offenders(cc: CcAutomaton, notion: str) -> AbstractSet[CcState]:
-    """The offending empty-estimate states of ``notion`` in a
-    deleted-secret-states composition: those with a secret left state for
-    scso, and all for inf-sso, and for siso, whose composition the secret
-    initial pairs alone seed (``product`` reaches every state from them)."""
-    if notion == SCSO:
-        secret = cc.left.secret
-        return cc._subset(i for i in cc.empty_states._ids if cc._core.left_of(i) in secret)
-    return cc.empty_states
-
-
-def _dss_verdict(nfa: Nfa, notion: str) -> Verdict:
-    acc = accessible_part(nfa)
-    if not acc.initial:
-        return Verdict(True, notion)
-    # Only the secret initial pairs start an offending siso run, and only a
-    # secret left state offends for scso.
-    cc = _cc_dss(
-        acc,
-        secret_only=notion == SISO,
-        stop_on=acc.secret if notion == SCSO else acc.states,
-    )
-    bad = _dss_offenders(cc, notion)
-    if not bad:
-        return Verdict(True, notion)
-    return Verdict(False, notion, witness=cc_shortest_path(cc, cc.initials, bad).to_run())
+    _check_k(k)
+    return _verdict(nfa, K_SSO, k)
 
 
 def verify_scso(nfa: Nfa) -> Verdict:
     """Strong current-state opacity (every secret-ending run has an
     observationally equivalent run through non-secret states only)."""
-    return _dss_verdict(nfa, SCSO)
+    return _verdict(nfa, SCSO)
 
 
 def verify_siso(nfa: Nfa) -> Verdict:
     """Strong initial-state opacity (every run from a secret initial state has
     a non-secret observational twin)."""
-    return _dss_verdict(nfa, SISO)
+    return _verdict(nfa, SISO)
 
 
 def verify_inf_sso(nfa: Nfa) -> Verdict:
     """Strong infinite-step opacity (secret visits stay deniable forever)."""
-    return _dss_verdict(nfa, INF_SSO)
+    return _verdict(nfa, INF_SSO)

@@ -277,6 +277,13 @@ class TestModelTypes:
         with pytest.raises(InvalidEvent, match=r"^alphabet entry must be an Event, not 'a'$"):
             Nfa(frozenset({"x"}), ("a",), frozenset(), frozenset({"x"}))
 
+    @pytest.mark.parametrize("flags", [{"observable": "no"}, {"observable": None}, {"controllable": 1}])
+    def test_non_bool_event_flag_rejected(self, flags):
+        # A truthy or falsy stand-in would be read as the flag it resembles.
+        event = Event("a", **flags)
+        with pytest.raises(InvalidEvent, match=re.escape(f"event flags must be True or False: {event!r}")):
+            Nfa(frozenset({"x"}), (event,), frozenset(), frozenset({"x"}))
+
     def test_transition_that_is_not_a_triple_rejected(self):
         with pytest.raises(InvalidState, match=r"^transition must be a \(source, event, target\) triple"):
             Nfa(frozenset({"x"}), (Event("a"),), frozenset({("x", "a")}), frozenset({"x"}))

@@ -101,10 +101,6 @@ class TestEnforceKSso:
         assert outcome.disabled == {("0", "a", "1")}
         assert verify_k_sso(outcome.subsystem, 0).opaque
 
-    def test_negative_k_rejected(self, delayed_leak):
-        with pytest.raises(ValueError):
-            enforce_k_sso(delayed_leak, -1)
-
 
 class TestEnforceDssFamily:
     def test_current_state_cut(self, two_initials):

@@ -48,7 +48,9 @@ from strongopacity import (
     cc_hat,
     disable_transitions,
     dss_subautomaton,
+    enforce_inf_sso,
     enforce_k_sso,
+    enforce_scso,
     enforce_siso,
     initial_secret_subautomaton,
     last_controllable_frontier,
@@ -465,8 +467,6 @@ def test_state_found_by_an_observable_move_moves_back_into_its_layer():
         ("2", "b", "3"),
     }
     assert cc.by_source[CcState("3", ("3",))] == ()
-    with pytest.raises(ValueError):
-        product(nfa, obs, [CcState("0", q)], empty_sink=True, max_layer=-1)
 
 
 def reference_costs(transitions, sources, controllable, backward, uncontrollable_only):
@@ -862,6 +862,22 @@ def test_enforcers_match_the_whole_compositions_on_golden_instances():
             check_enforcers_match_whole_compositions(nfa)
         except AssertionError as exc:
             raise AssertionError(f"instance {index}: {exc}") from exc
+
+
+@given(cyclic_nfas(), st.sets(st.sampled_from(OBSERVABLE + UNOBSERVABLE)))
+@settings(max_examples=500, deadline=None)
+def test_verifier_says_opaque_exactly_when_the_enforcer_cuts_nothing(nfa, uncontrollable):
+    # The early-stopped verdict and the first enforcement round, on the
+    # whole composition or its first K layers, read one offender rule.
+    alphabet = tuple(dataclasses.replace(e, controllable=e.name not in uncontrollable) for e in nfa.alphabet)
+    nfa = nfa.replace(alphabet=alphabet)
+    pairs = [(verify_k_sso(nfa, k), enforce_k_sso(nfa, k)) for k in range(4)]
+    pairs += [
+        (verify(nfa), enforce(nfa))
+        for verify, enforce in ((verify_scso, enforce_scso), (verify_siso, enforce_siso), (verify_inf_sso, enforce_inf_sso))
+    ]
+    for verdict, outcome in pairs:
+        assert verdict.opaque == (isinstance(outcome, Enforced) and not outcome.disabled), (verdict.notion, verdict.k)
 
 
 def restricted(transitions, initial):

@@ -5,7 +5,11 @@ from strongopacity import (
     cc_hat,
     disable_transitions,
     effective_k_bound,
+    enforce_k_sso,
+    last_controllable_frontier,
     observational_reach_within,
+    product,
+    subset_construction,
     verify_cso,
     verify_inf_sso,
     verify_k_sso,
@@ -52,10 +56,6 @@ class TestObservationalReach:
         reach = by_name(observational_reach_within(cc, 2))
         assert reach["(5,∅)"] == 2
 
-    def test_negative_budget_rejected(self, delayed_leak):
-        with pytest.raises(ValueError):
-            observational_reach_within(cc_hat(delayed_leak), -1)
-
 
 class TestEffectiveKBound:
     def test_nine_state_system(self, delayed_leak):
@@ -67,6 +67,32 @@ class TestEffectiveKBound:
     def test_single_absorbing_secret(self):
         nfa = build_nfa(["0", "1"], ["a"], [("0", "a", "1")], ["0"], ["1"])
         assert effective_k_bound(nfa) == 1 * 2**1 - 1 == 1
+
+
+# Each function that takes a step bound K, called with ``k`` as that bound.
+K_TAKERS = {
+    "verify_k_sso": verify_k_sso,
+    "enforce_k_sso": enforce_k_sso,
+    "product": lambda nfa, k: product(nfa, subset_construction(nfa), [], empty_sink=True, max_layer=k),
+    "observational_reach_within": lambda nfa, k: observational_reach_within(cc_hat(nfa), k),
+    "last_controllable_frontier": lambda nfa, k: last_controllable_frontier(cc_hat(nfa), [], budget=k),
+}
+
+
+@pytest.mark.parametrize(
+    "taker, k",
+    [
+        pytest.param(taker, k, id=f"{taker}-{k!r}")
+        for taker in K_TAKERS
+        for k in (-1, 1.5, True, "1", None)
+        # None is the default of product's max_layer (explore every layer)
+        # and of the frontier's budget (no bound).
+        if not (taker in ("product", "last_controllable_frontier") and k is None)
+    ],
+)
+def test_k_must_be_a_non_negative_int(delayed_leak, taker, k):
+    with pytest.raises(ValueError, match="must be non-negative" if k == -1 else "must be a non-negative int"):
+        K_TAKERS[taker](delayed_leak, k)
 
 
 class TestVerifyKSso:
@@ -91,10 +117,6 @@ class TestVerifyKSso:
     def test_seventeen_state_verdicts(self, unfixable_two_step):
         assert verify_k_sso(unfixable_two_step, 1).opaque
         assert not verify_k_sso(unfixable_two_step, 2).opaque
-
-    def test_negative_k_rejected(self, delayed_leak):
-        with pytest.raises(ValueError):
-            verify_k_sso(delayed_leak, -1)
 
     def test_witness_absent_iff_opaque(self, delayed_leak):
         assert verify_k_sso(delayed_leak, 1).witness is None
