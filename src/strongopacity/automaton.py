@@ -60,8 +60,6 @@ def natural_key(text: str) -> tuple:
     accepts, such as '²', are text.
     """
     try:
-        if text.isdecimal():  # one run: the key the split below gives
-            return (((0, int(text)),), text)
         # The split alternates text and digit runs: the odd parts are the runs.
         parts = tuple(
             (0, int(part)) if i % 2 else (1, part)

@@ -28,7 +28,10 @@ each set is an ``_IdSet`` over state ids, the view an observer's estimate
 sets use too, and each index an ``_IdMap`` over the int rows. A view
 renders a state into its public ``CcState`` only when it hands it out, once
 per state (states share the observer's estimate tuples and cache their
-hash), and finds the number of a ``CcState`` handed in from its key. The
+hash), and finds the number of a ``CcState`` handed in from its key. A
+transition is found as a (source id, packed out-edge) pair
+(``_Core.edge_id``), the one membership test of the transition set and of
+the frontier that ``enforcement.last_controllable_frontier`` returns. The
 package's own constructors seed ``product`` with int keys (``_Keys``); the
 left automaton and the observed one share their model's numbering, so
 ``_cc_hat`` reads an estimate's bit as a left position and names no state.
@@ -234,12 +237,25 @@ class _Core:
     def left_of(self, i: int) -> str:
         return self.order[self.keys[i] % self.size]
 
-    def transition(self, src: int, edge: int) -> CcTransition:
+    def transition(self, pair: tuple[int, int]) -> CcTransition:
+        """The transition of a (source id, packed out-edge) pair."""
+        src, edge = pair
         return (self.state(src), self.events[edge & self.emask], self.state(edge >> self.ebits))
 
-    def left_transition(self, src: int, edge: int) -> tuple[str, str, str]:
+    def left_transition(self, pair: tuple[int, int]) -> tuple[str, str, str]:
+        src, edge = pair
         event = self.events[edge & self.emask].left_event
         return (self.left_of(src), event, self.left_of(edge >> self.ebits))
+
+    def edge_id(self, transition) -> tuple[int, int] | None:
+        """The (source id, packed out-edge) pair of ``transition``, or None
+        when it is not a transition of this composition."""
+        if not (isinstance(transition, tuple) and len(transition) == 3 and transition[1] in self.events):
+            return None
+        src, event, dst = transition
+        i, j = self.id(src), self.id(dst)
+        edge = j << self.ebits | self.events.index(event)
+        return (i, edge) if i >= 0 and j >= 0 and edge in self.out[i] else None
 
     def out_edges(self, row: list) -> tuple:
         """The packed out-edges ``row`` as (event, target) pairs."""
@@ -267,7 +283,9 @@ class _Core:
 
 
 class _Transitions(_View):
-    """The transitions of a composition, read from its int out-edges."""
+    """The transitions of a composition, read from its int out-edges. Its
+    membership test is ``_Core.edge_id``, which the frontier's id view
+    shares."""
 
     __slots__ = ("_core",)
 
@@ -281,15 +299,10 @@ class _Transitions(_View):
         core = self._core
         for src, row in enumerate(core.out):
             for edge in row:
-                yield core.transition(src, edge)
+                yield core.transition((src, edge))
 
     def __contains__(self, transition) -> bool:
-        core = self._core
-        if not (isinstance(transition, tuple) and len(transition) == 3 and transition[1] in core.events):
-            return False
-        src, event, dst = transition
-        i, j = core.id(src), core.id(dst)
-        return i >= 0 and j >= 0 and j << core.ebits | core.events.index(event) in core.out[i]
+        return self._core.edge_id(transition) is not None
 
 
 class CcAutomaton:
@@ -382,7 +395,7 @@ class CcAutomaton:
         event_key = [natural_key(e.name) for e in core.events]
         edges = [(src, edge) for src, row in enumerate(core.out) for edge in row]
         edges.sort(key=lambda p: (state_key[p[0]], event_key[p[1] & mask], state_key[p[1] >> shift]))
-        return [core.transition(src, edge) for src, edge in edges]
+        return list(map(core.transition, edges))
 
     def _names(self) -> list[str]:
         """Per state id, its ``CcState.name``, with each estimate's name

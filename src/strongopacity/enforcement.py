@@ -46,13 +46,16 @@ only when an initial pair leaks.
 A round works on state numbers (see ``composition``): theta, the leaky
 initial pairs, the predecessor states matched to them, the K-step frontier
 and the cut are found without building a ``CcState``; a leaky initial pair
-and its predecessor states match by an int pair (``_pair``). Only what
-crosses a public call is rendered: the frontier that
-``last_controllable_frontier`` returns, and a witness.
+and its predecessor states match by an int pair (``_pair``). The frontier
+is a set of (source id, packed edge) pairs, which
+``last_controllable_frontier`` hands out as an id view, and both rounds cut
+the left projections of those pairs (``_Core.left_transition``): only a
+witness is rendered.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -89,7 +92,7 @@ def last_controllable_frontier(
     bad: Iterable[CcState],
     budget: int | None = None,
     sources: Iterable[CcState] | None = None,
-) -> frozenset[CcTransition]:
+) -> AbstractSet[CcTransition]:
     """Controllable transitions that end some offending run.
 
     A transition qualifies when its source is reachable from ``sources``
@@ -99,12 +102,14 @@ def last_controllable_frontier(
     transition's own cost, plus the minimal uncontrollable distance onward)
     must not exceed it: that is exactly membership in some offending run of
     observable length within the budget.
+
+    The answer is a read-only set view (``_IdSet``) over the (source id,
+    packed edge) pairs of ``_frontier``, as ``cc.states`` is over state ids:
+    it renders a transition only when it hands one out.
     """
     if budget is not None:
         _check_k(budget, "budget")
     ids = cc._core.ids_of(bad, strict=True)
-    if not ids:
-        return frozenset()
     # ``product`` reaches every state it lists from the initials, and
     # records each state's observable distance from them.
     reach = cc._layer if budget is not None else None
@@ -115,7 +120,8 @@ def last_controllable_frontier(
         for i, cost in costs.items():
             reach[i] = cost >> shift
     bad = cc_observable_costs(cc, cc._subset(ids), uncontrollable_only=True, backward=True)._data
-    return frozenset(cc._core.transition(src, edge) for src, edge in _frontier(cc, reach, bad, budget))
+    core = cc._core
+    return _IdSet(core.transition, core.edge_id, _frontier(cc, reach, bad, budget))
 
 
 def _frontier(
@@ -123,13 +129,14 @@ def _frontier(
     reach: list[int | None] | None,
     bad: dict[int, int],
     budget: int | None,
-) -> list[tuple[int, int]]:
-    """``last_controllable_frontier`` from maps the caller holds, as (source
-    id, packed edge) pairs: ``reach``, each state's observable distance from
-    the sources (None for a state they do not reach; ``reach`` is None when
-    they reach every state and no budget applies), and ``bad``, the packed
-    costs into the offending states through uncontrollable transitions."""
-    frontier = []
+) -> set[tuple[int, int]]:
+    """``last_controllable_frontier`` from maps the caller holds, as a set
+    of (source id, packed edge) pairs: ``reach``, each state's observable
+    distance from the sources (None for a state they do not reach;
+    ``reach`` is None when they reach every state and no budget applies),
+    and ``bad``, the packed costs into the offending states through
+    uncontrollable transitions."""
+    frontier = set()
     controllable = cc._controllable
     shift = _cost_shift(cc)
     ebits, emask = cc._core.ebits, cc._core.emask
@@ -145,7 +152,7 @@ def _frontier(
                     length = reach[src] + observable[edge & emask] + (bad[edge >> ebits] >> shift)
                     if length > budget:
                         continue
-            frontier.append((src, edge))
+            frontier.add((src, edge))
     return frontier
 
 
@@ -189,7 +196,7 @@ def _k_step_round(current: Nfa, obs: Observer, cc: CcAutomaton, theta: _IdSet, k
     back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)._data
     shift = _cost_shift(cc)
     leaky = {_pair(cc._core, i): i for i in cc.initials._ids if i in back and back[i] >> shift <= k}
-    cut = {cc._core.left_transition(src, edge) for src, edge in _frontier(cc, cc._layer, back, budget=k)}
+    cut = set(map(cc._core.left_transition, _frontier(cc, cc._layer, back, budget=k)))
     if leaky:  # only a leaky initial needs the system/observer composition
         ccobs = _cc_full_observer(current, obs)
         # The predecessor states: a leaky pair's left bit and remainder.
@@ -203,7 +210,7 @@ def _k_step_round(current: Nfa, obs: Observer, cc: CcAutomaton, theta: _IdSet, k
             suffix = cc_shortest_path(cc, cc._subset([anchor]), theta, uncontrollable_only=True)
             head = prefix.to_left_run()
             return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
-        cut |= _left_cut(last_controllable_frontier(ccobs, marked, budget=None))
+        cut.update(map(core.left_transition, last_controllable_frontier(ccobs, marked)._ids))
     return cut
 
 
@@ -213,7 +220,7 @@ def _dss_round(cc: CcAutomaton, bad: _IdSet) -> Impossible | set[Transition]:
     offending = cc_shortest_path(cc, cc.initials, bad, uncontrollable_only=True)
     if offending is not None:
         return Impossible(offending.to_left_run())
-    return _left_cut(last_controllable_frontier(cc, bad))
+    return set(map(cc._core.left_transition, last_controllable_frontier(cc, bad)._ids))
 
 
 def _pair(core: _Core, i: int, keep: int = -1) -> tuple[int, int]:
@@ -223,10 +230,6 @@ def _pair(core: _Core, i: int, keep: int = -1) -> tuple[int, int]:
     key = core.keys[i]
     slot, pos = divmod(key, core.size)
     return pos, (0 if key < 0 else core.table.masks[slot] & keep)
-
-
-def _left_cut(frontier: Iterable[CcTransition]) -> set[Transition]:
-    return {(src.left, event.left_event, dst.left) for src, event, dst in frontier}
 
 
 def enforce_k_sso(nfa: Nfa, k: int) -> EnforcementOutcome:

@@ -16,12 +16,14 @@ only way an observer is built; started from no estimate
 composition with nothing to estimate pairs with, and reads no index rows.
 ``estimates``, ``delta`` and ``initials`` are read-only views of the table;
 the two sets are ``_IdSet``s over estimate ids, the view that a
-composition's state sets use too, beside ``_IdMap``, the map view of a
-composition's edges and of a search's costs. An estimate is rendered
-into its public tuple only when a view or an output hands it out, by reading
-its bits in ascending order, which is natural order already; that one tuple
-object is the estimate from then on, in every view and every composition
-state. ``len(obs.estimates)`` renders nothing.
+composition's state sets and enforcement's frontier use too, and ``delta``
+is an ``_IdMap``, the map view of a composition's edges and of a search's
+costs, keyed by (estimate id, event) pairs. ``delta`` builds that key map
+on first use; the package reads ``_table.step`` instead. An estimate is
+rendered into its public tuple only when a view or an output hands it out,
+by reading its bits in ascending order, which is natural order already;
+that one tuple object is the estimate from then on, in every view and every
+composition state. ``len(obs.estimates)`` renders nothing.
 """
 
 from __future__ import annotations
@@ -107,6 +109,16 @@ class _Table:
             mask |= 1 << b
         return self.ids.get(mask)
 
+    def move(self, key: tuple[int, str]) -> tuple[Estimate, str]:
+        """The ``delta`` key of an (estimate id, event) pair."""
+        return (self.estimate(key[0]), key[1])
+
+    def move_id(self, key) -> tuple[int, str] | None:
+        """The (estimate id, event) pair of the ``delta`` key ``key``, or
+        None when ``key`` is no (estimate, event) pair of this observer."""
+        i = self.id(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
+        return None if i is None else (i, key[1])
+
     def names(self, mask: int) -> list[str]:
         order = self.order
         return [order[b] for b in _bits(mask)]
@@ -123,10 +135,11 @@ class _View(AbstractSet):
 
 
 class _Ids:
-    """Some items of one structure held as ids: the estimates of an
-    observer, or the states of a composition. ``render`` hands out the item
-    of an id, and ``find`` gives the id of an item, or None or -1 when it is
-    none of the structure's."""
+    """Some items of one structure held as ids: the estimates or the moves
+    of an observer, or the states or the transitions of a composition (an
+    id may be a pair of ints, or of an int and an event). ``render`` hands
+    out the item of an id, and ``find`` gives the id of an item, or None or
+    -1 when it is none of the structure's."""
 
     __slots__ = ("_render", "_find", "_ids")
 
@@ -168,38 +181,6 @@ class _IdMap(_Ids, Mapping):
         return self._value(self._data[i])
 
 
-class _Delta(Mapping):
-    """An observer's ``delta``: (estimate, event) -> estimate."""
-
-    __slots__ = ("_table", "_len")
-
-    def __init__(self, table: _Table):
-        self._table = table
-        self._len = sum(map(len, table.step))
-
-    def __getitem__(self, key) -> Estimate:
-        try:
-            q, event = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        table = self._table
-        i = table.id(q)
-        j = None if i is None else table.step[i].get(event)
-        if j is None:
-            raise KeyError(key)
-        return table.estimate(j)
-
-    def __iter__(self) -> Iterator[tuple[Estimate, str]]:
-        table = self._table
-        for i, moves in enumerate(table.step):
-            q = table.estimate(i)
-            for event in moves:
-                yield (q, event)
-
-    def __len__(self) -> int:
-        return self._len
-
-
 class Observer:
     """A deterministic automaton over state estimates.
 
@@ -222,7 +203,9 @@ class Observer:
 
     @cached_property
     def delta(self) -> Mapping[tuple[Estimate, str], Estimate]:
-        return _Delta(self._table)
+        table = self._table
+        moves = {(i, sigma): j for i, row in enumerate(table.step) for sigma, j in row.items()}
+        return _IdMap(table.move, table.move_id, moves, moves, table.estimate)
 
     @cached_property
     def initials(self) -> AbstractSet[Estimate]:

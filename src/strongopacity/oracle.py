@@ -46,6 +46,7 @@ class BoundedRunSet:
 
     @classmethod
     def enumerate(cls, nfa: Nfa, cap: int) -> "BoundedRunSet":
+        _check_k(cap, "cap")
         runs: list[Run] = []
         stack = [Run(start=x) for x in nfa.initial]
         while stack:
@@ -96,8 +97,10 @@ def certified_horizon(nfa: Nfa, cap: int) -> Optional[int]:
     """The observable-length horizon the cap provably covers.
 
     None means the enumeration is complete (every run of the automaton has at
-    most ``cap`` transitions), so no horizon restriction applies at all.
+    most ``cap`` transitions), so no horizon restriction applies at all. A
+    cap that is not a non-negative int is a ``ValueError``.
     """
+    _check_k(cap, "cap")
     unobs = _unobservable_edges(nfa)
     if _topological_order(nfa.states, unobs) is None:
         raise OracleUnsound("unobservable transition cycle; bounded enumeration undecidable")

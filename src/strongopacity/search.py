@@ -158,7 +158,7 @@ def cc_shortest_path(
             if best is None or tie < best[0]:
                 best = (tie, pred, event)
         _, pred, event = best
-        edges.append(core.transition(pred, here << ebits | event))
+        edges.append(core.transition((pred, here << ebits | event)))
         here = pred
     edges.reverse()
     return CcPath(start=core.state(here), edges=tuple(edges))

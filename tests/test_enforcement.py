@@ -52,6 +52,18 @@ class TestLastControllableFrontier:
         frontier = last_controllable_frontier(cc, bad)
         assert rendered(frontier) == {("(4,{4})", "(a,a)", "(7,{7})")}
 
+    def test_a_read_only_view_of_its_transitions(self, delayed_leak):
+        cc = cc_hat(delayed_leak)
+        frontier = last_controllable_frontier(cc, {s for s in cc.states if s.is_empty}, budget=3)
+        members = set(frontier)
+        assert members and frontier == members and len(frontier) == len(members)
+        inside = next(iter(members))
+        outside = next(t for t in cc.transitions if t not in members)
+        assert outside not in frontier and tuple(x.name for x in inside) not in frontier
+        assert list(inside) not in frontier and None not in frontier
+        union = frontier | frozenset([outside])
+        assert type(union) is frozenset and union == members | {outside}
+
     def test_foreign_state_rejected(self, delayed_leak, two_initials):
         cc = cc_hat(delayed_leak)
         # A state of the other composition that this one lacks: the two
@@ -59,6 +71,21 @@ class TestLastControllableFrontier:
         alien = min(cc_dss(two_initials).states - cc.states, key=CcState.sort_key)
         with pytest.raises(InvalidState):
             last_controllable_frontier(cc, {alien})
+
+
+@pytest.mark.parametrize("notion", ["scso", "k-sso 2"])
+def test_enforcement_renders_no_composition_state(two_initials, delayed_leak, notion, monkeypatch):
+    # Only a witness crosses the public boundary as composition states; an
+    # Enforced outcome with a cut builds none, frontier included.
+    built = []
+    post_init = CcState.__post_init__
+    monkeypatch.setattr(CcState, "__post_init__", lambda state: built.append(post_init(state)))
+    if notion == "scso":
+        outcome = enforce_scso(two_initials)
+    else:
+        outcome = enforce_k_sso(delayed_leak, 2)
+    assert isinstance(outcome, Enforced) and outcome.disabled
+    assert built == []
 
 
 class TestEnforceKSso:

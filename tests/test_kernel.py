@@ -220,6 +220,11 @@ def test_observer_views_render_on_demand(nfa, data):
                     assert alien not in obs.estimates and obs.step(alien, "a") is None
                     with pytest.raises(KeyError):
                         obs.delta[(alien, "a")]
+            # Nor a key that is no (estimate, event) pair: a non-tuple, a
+            # triple, or a step by an event that is not the observer's.
+            for key in (None, "a", q, (q, "a", "a"), (q, "nowhere")):
+                with pytest.raises(KeyError):
+                    obs.delta[key]
 
 
 def test_dense_reach_on_cycles_and_self_loops():

@@ -8,6 +8,11 @@ from strongopacity import (
     enforce_k_sso,
     last_controllable_frontier,
     observational_reach_within,
+    oracle_enforceable,
+    oracle_inf_sso,
+    oracle_k_sso,
+    oracle_scso,
+    oracle_siso,
     product,
     subset_construction,
     verify_cso,
@@ -16,6 +21,7 @@ from strongopacity import (
     verify_scso,
     verify_siso,
 )
+from strongopacity.oracle import BoundedRunSet, certified_horizon
 
 from conftest import build_nfa
 from corpus import corpus
@@ -76,6 +82,15 @@ K_TAKERS = {
     "product": lambda nfa, k: product(nfa, subset_construction(nfa), [], empty_sink=True, max_layer=k),
     "observational_reach_within": lambda nfa, k: observational_reach_within(cc_hat(nfa), k),
     "last_controllable_frontier": lambda nfa, k: last_controllable_frontier(cc_hat(nfa), [], budget=k),
+    # The oracle's doors; all but ``oracle_k_sso`` take ``k`` as the enumeration cap.
+    "certified_horizon": certified_horizon,
+    "BoundedRunSet.enumerate": BoundedRunSet.enumerate,
+    "oracle_k_sso": lambda nfa, k: oracle_k_sso(nfa, k, 10),
+    "oracle_k_sso-cap": lambda nfa, k: oracle_k_sso(nfa, 1, k),
+    "oracle_scso": oracle_scso,
+    "oracle_siso": oracle_siso,
+    "oracle_inf_sso": oracle_inf_sso,
+    "oracle_enforceable": lambda nfa, k: oracle_enforceable(nfa, "scso", k),
 }
 
 
