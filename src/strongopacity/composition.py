@@ -27,8 +27,8 @@ the empty-estimate and secret-initial sets are read-only views of the core;
 each set is an ``_IdSet`` over state ids, the view an observer's estimate
 sets use too, and each index an ``_IdMap`` over the int rows. A view
 renders a state into its public ``CcState`` only when it hands it out, once
-per state (states share the observer's estimate tuples and cache their
-hash), and finds the number of a ``CcState`` handed in from its key. A
+per state (states share the observer's estimate tuples), and finds the
+number of a ``CcState`` handed in from its key. A
 transition is found as a (source id, packed out-edge) pair
 (``_Core.edge_id``), the one membership test of the transition set and of
 the frontier that ``enforcement.last_controllable_frontier`` returns. The
@@ -88,21 +88,12 @@ EPSILON_MARK = "ε"  # rendered silent right component
 class CcState:
     """A product state: concrete state on the left, estimate (or None) on the right.
 
-    The hash is computed once, at construction; it is not pickled, so a
-    state loaded in another process hashes afresh.
+    A plain value, built only when a composition hands a state out (see
+    ``_Core``): the package's searches and sets run on state ids.
     """
 
     left: str
     right: Estimate | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (CcState, (self.left, self.right))
 
     @property
     def is_empty(self) -> bool:
@@ -120,23 +111,10 @@ class CcState:
 
 @dataclass(frozen=True)
 class CcEvent:
-    """A paired event: (sigma, sigma) when observable, (sigma, epsilon) otherwise.
-
-    The hash is cached as ``CcState``'s is, for the set lookups of the
-    searches.
-    """
+    """A paired event: (sigma, sigma) when observable, (sigma, epsilon) otherwise."""
 
     left_event: str
     right_event: str | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left_event, self.right_event)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (CcEvent, (self.left_event, self.right_event))
 
     @property
     def name(self) -> str:
@@ -170,7 +148,8 @@ class _Core:
     ``out[i]`` lists the out-edges of state ``i`` once each, as
     ``target << ebits | event``, an event being an index into ``events``.
     ``state`` builds a state's ``CcState`` once, when it is first handed
-    out, and ``id`` finds the number of a ``CcState`` from its key.
+    out, and ``id`` finds the number of a ``CcState`` from its key, or None
+    for anything that is not one of this core's states.
     ``sort_key`` is the one order of states that any output or tie-break
     reads. The core holds no reference to its ``CcAutomaton``, so a
     composition and its cached views form no reference cycle and are freed
@@ -203,28 +182,27 @@ class _Core:
             state = self.rendered[i] = CcState(self.order[pos], right)
         return state
 
-    def id(self, state) -> int:
-        """The id of ``state``, or -1 when it is not a state of this composition."""
+    def id(self, state) -> int | None:
+        """The id of ``state``, or None when it is not a state of this composition."""
         if not isinstance(state, CcState):
-            return -1
+            return None
         pos = self.position.get(state.left)
         slot = -1 if state.right is None else self.table.id(state.right)
         if pos is None or slot is None:
-            return -1
-        return self.ids.get(slot * self.size + pos, -1)
+            return None
+        return self.ids.get(slot * self.size + pos)
 
-    def ids_of(self, states: Iterable[CcState], strict: bool = False) -> Collection[int]:
-        """The ids of those of ``states`` that are states of this
-        composition; with ``strict``, any other state is an error."""
+    def ids_of(self, states: Iterable[CcState]) -> Collection[int]:
+        """The ids of ``states``; any item that is not a state of this
+        composition is an error."""
         if isinstance(states, _IdSet) and states._find == self.id:
             return states._ids
         ids = set()
         for s in states:
             i = self.id(s)
-            if i >= 0:
-                ids.add(i)
-            elif strict:
-                raise InvalidState(f"not a composition state: {s.name}")
+            if i is None:
+                raise InvalidState(f"not a composition state: {s.name if isinstance(s, CcState) else repr(s)}")
+            ids.add(i)
         return ids
 
     def sort_key(self, i: int) -> tuple:
@@ -254,8 +232,10 @@ class _Core:
             return None
         src, event, dst = transition
         i, j = self.id(src), self.id(dst)
+        if i is None or j is None:
+            return None
         edge = j << self.ebits | self.events.index(event)
-        return (i, edge) if i >= 0 and j >= 0 and edge in self.out[i] else None
+        return (i, edge) if edge in self.out[i] else None
 
     def out_edges(self, row: list) -> tuple:
         """The packed out-edges ``row`` as (event, target) pairs."""

@@ -36,7 +36,7 @@ those of the whole composition.
 
 A round runs no search for reachability or layers: ``product`` reaches every
 state it lists from the initials and records each state's observable layer,
-which a frontier with a budget and no sources reads as its distance. A
+which a frontier with a budget reads as its distance. A
 scso, siso or inf-sso round searches forward from the initials over
 uncontrollable transitions (the Impossible check) and backward from the
 offenders over uncontrollable in-edges (the frontier). A K-step round
@@ -50,7 +50,9 @@ and its predecessor states match by an int pair (``_pair``). The frontier
 is a set of (source id, packed edge) pairs, which
 ``last_controllable_frontier`` hands out as an id view, and both rounds cut
 the left projections of those pairs (``_Core.left_transition``): only a
-witness is rendered.
+witness is rendered. ``CcState`` and ``CcEvent`` are output types only: a
+composition state handed in, to the frontier or to a search, is looked up
+by its key, and one that is not the composition's is an ``InvalidState``.
 """
 
 from __future__ import annotations
@@ -91,17 +93,17 @@ def last_controllable_frontier(
     cc: CcAutomaton,
     bad: Iterable[CcState],
     budget: int | None = None,
-    sources: Iterable[CcState] | None = None,
 ) -> AbstractSet[CcTransition]:
     """Controllable transitions that end some offending run.
 
-    A transition qualifies when its source is reachable from ``sources``
-    (the initials by default) and some state of ``bad`` is reachable from its
-    target through uncontrollable transitions only. With a ``budget``, the
-    combined observable length (minimal distance to the source, plus the
+    A transition qualifies when some state of ``bad`` is reachable from its
+    target through uncontrollable transitions only (every state of ``cc``
+    is reachable from its initials). With a ``budget``, the combined
+    observable length (the source's observable layer, plus the
     transition's own cost, plus the minimal uncontrollable distance onward)
     must not exceed it: that is exactly membership in some offending run of
-    observable length within the budget.
+    observable length within the budget. A state of ``bad`` that is not one
+    of ``cc`` is an ``InvalidState``.
 
     The answer is a read-only set view (``_IdSet``) over the (source id,
     packed edge) pairs of ``_frontier``, as ``cc.states`` is over state ids:
@@ -109,33 +111,17 @@ def last_controllable_frontier(
     """
     if budget is not None:
         _check_k(budget, "budget")
-    ids = cc._core.ids_of(bad, strict=True)
-    # ``product`` reaches every state it lists from the initials, and
-    # records each state's observable distance from them.
-    reach = cc._layer if budget is not None else None
-    if sources is not None:
-        costs = cc_observable_costs(cc, sources)._data
-        shift = _cost_shift(cc)
-        reach = [None] * len(cc.states)
-        for i, cost in costs.items():
-            reach[i] = cost >> shift
-    bad = cc_observable_costs(cc, cc._subset(ids), uncontrollable_only=True, backward=True)._data
+    bad = cc_observable_costs(cc, bad, uncontrollable_only=True, backward=True)._data
     core = cc._core
-    return _IdSet(core.transition, core.edge_id, _frontier(cc, reach, bad, budget))
+    return _IdSet(core.transition, core.edge_id, _frontier(cc, bad, budget))
 
 
-def _frontier(
-    cc: CcAutomaton,
-    reach: list[int | None] | None,
-    bad: dict[int, int],
-    budget: int | None,
-) -> set[tuple[int, int]]:
-    """``last_controllable_frontier`` from maps the caller holds, as a set
-    of (source id, packed edge) pairs: ``reach``, each state's observable
-    distance from the sources (None for a state they do not reach;
-    ``reach`` is None when they reach every state and no budget applies),
-    and ``bad``, the packed costs into the offending states through
-    uncontrollable transitions."""
+def _frontier(cc: CcAutomaton, bad: dict[int, int], budget: int | None) -> set[tuple[int, int]]:
+    """``last_controllable_frontier`` from ``bad``, the packed costs into
+    the offending states through uncontrollable transitions, as a set of
+    (source id, packed edge) pairs. With a ``budget``, a source's distance
+    is its observable layer (``cc._layer``): ``product`` reaches every
+    state it lists from the initials and records that layer."""
     frontier = set()
     controllable = cc._controllable
     shift = _cost_shift(cc)
@@ -145,13 +131,10 @@ def _frontier(
         for edge in row:
             if edge >> ebits not in bad or not controllable[edge & emask]:
                 continue
-            if reach is not None:
-                if reach[src] is None:
+            if budget is not None:
+                length = cc._layer[src] + observable[edge & emask] + (bad[edge >> ebits] >> shift)
+                if length > budget:
                     continue
-                if budget is not None:
-                    length = reach[src] + observable[edge & emask] + (bad[edge >> ebits] >> shift)
-                    if length > budget:
-                        continue
             frontier.add((src, edge))
     return frontier
 
@@ -196,7 +179,7 @@ def _k_step_round(current: Nfa, obs: Observer, cc: CcAutomaton, theta: _IdSet, k
     back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)._data
     shift = _cost_shift(cc)
     leaky = {_pair(cc._core, i): i for i in cc.initials._ids if i in back and back[i] >> shift <= k}
-    cut = set(map(cc._core.left_transition, _frontier(cc, cc._layer, back, budget=k)))
+    cut = set(map(cc._core.left_transition, _frontier(cc, back, budget=k)))
     if leaky:  # only a leaky initial needs the system/observer composition
         ccobs = _cc_full_observer(current, obs)
         # The predecessor states: a leaky pair's left bit and remainder.

@@ -138,8 +138,8 @@ class _Ids:
     """Some items of one structure held as ids: the estimates or the moves
     of an observer, or the states or the transitions of a composition (an
     id may be a pair of ints, or of an int and an event). ``render`` hands
-    out the item of an id, and ``find`` gives the id of an item, or None or
-    -1 when it is none of the structure's."""
+    out the item of an id, and ``find`` gives the id of an item, or None
+    when it is none of the structure's."""
 
     __slots__ = ("_render", "_find", "_ids")
 

@@ -225,7 +225,15 @@ def oracle_enforceable(
     nfa: Nfa, notion: str, cap: int, k: int | None = None
 ) -> Optional[frozenset[Transition]]:
     """Exhaustively search controllable-transition subsets, smallest first,
-    for one whose disabled subsystem the corresponding oracle accepts."""
+    for one whose disabled subsystem the corresponding oracle accepts. The
+    notion, ``cap`` and K are checked before the candidates are counted."""
+    if notion not in _ORACLES:
+        raise ValueError(f"unknown notion: {notion!r}")
+    _check_k(cap, "cap")
+    if notion == "k-sso":
+        if k is None:
+            raise ValueError("k-sso enforcement search needs K")
+        _check_k(k)
     acc = accessible_part(nfa)
     candidates = sorted(
         acc.controllable_transitions,
@@ -233,10 +241,6 @@ def oracle_enforceable(
     )
     if len(candidates) > MAX_ENFORCEMENT_CHOICES:
         raise TooLarge(f"{len(candidates)} controllable transitions; refusing enumeration")
-    if notion not in _ORACLES:
-        raise ValueError(f"unknown notion: {notion!r}")
-    if notion == "k-sso" and k is None:
-        raise ValueError("k-sso enforcement search needs K")
     check = _ORACLES[notion]
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):

@@ -21,7 +21,9 @@ the cheapest target, ties by the composition's one state order
 cheapest in-edge least by (predecessor in that order, event name in natural
 order). Neither rule depends on visit order or numbering, so witnesses are
 reproducible, and only the path itself is rendered into ``CcState``
-objects.
+objects. Both doors look their states up by key (``_Core.ids_of``), and
+a source or target that is not a state of the composition, a state of
+another one included, is an ``InvalidState``, never dropped.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def cc_observable_costs(
 
     ``backward`` measures cost of paths INTO the sources instead. With
     ``uncontrollable_only`` the walk may only use transitions whose left event
-    is uncontrollable.
+    is uncontrollable. A source that is not a state of ``cc`` is an
+    ``InvalidState``.
     """
     if not backward:
         rows = cc.by_source._data
@@ -136,6 +139,7 @@ def cc_shortest_path(
     Returns None when no target is reachable (under the transition filter).
     An empty path is returned when a source is itself a target. The path is
     read back from the cost map along the in-edges (see the module text).
+    A source or target that is not a state of ``cc`` is an ``InvalidState``.
     """
     dist = cc_observable_costs(cc, sources, uncontrollable_only=uncontrollable_only)._data
     core = cc._core

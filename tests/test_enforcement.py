@@ -21,6 +21,7 @@ from strongopacity import (
     verify_siso,
 )
 from strongopacity.errors import InvalidState
+from strongopacity.search import cc_observable_costs, cc_shortest_path
 
 from conftest import build_nfa, two_initials_nfa
 
@@ -64,13 +65,32 @@ class TestLastControllableFrontier:
         union = frontier | frozenset([outside])
         assert type(union) is frozenset and union == members | {outside}
 
-    def test_foreign_state_rejected(self, delayed_leak, two_initials):
+    # Every door that takes composition states rejects an item that is not
+    # one of the composition's.
+    DOORS = {
+        "cc_observable_costs-sources": lambda cc, item: cc_observable_costs(cc, [item]),
+        "cc_shortest_path-sources": lambda cc, item: cc_shortest_path(cc, [item], cc.states),
+        "cc_shortest_path-targets": lambda cc, item: cc_shortest_path(cc, cc.initials, [item]),
+        "last_controllable_frontier-bad": lambda cc, item: last_controllable_frontier(cc, [item]),
+    }
+
+    @pytest.mark.parametrize("door", DOORS)
+    @pytest.mark.parametrize("foreign", ["other_composition", "name", "name_triple", "None"])
+    def test_foreign_state_rejected(self, delayed_leak, door, foreign):
         cc = cc_hat(delayed_leak)
-        # A state of the other composition that this one lacks: the two
-        # share some states, so an arbitrary pick depends on the hash seed.
-        alien = min(cc_dss(two_initials).states - cc.states, key=CcState.sort_key)
+        # A state of another composition of the same model that this one
+        # lacks: the two share some states, so an arbitrary pick depends on
+        # the hash seed.
+        alien = min(cc_dss(delayed_leak).states - cc.states, key=CcState.sort_key)
+        inside = min(cc.transitions, key=lambda t: [s.sort_key() for s in (t[0], t[2])])
+        item = {
+            "other_composition": alien,
+            "name": inside[0].name,
+            "name_triple": tuple(x.name for x in inside),
+            "None": None,
+        }[foreign]
         with pytest.raises(InvalidState):
-            last_controllable_frontier(cc, {alien})
+            self.DOORS[door](cc, item)
 
 
 @pytest.mark.parametrize("notion", ["scso", "k-sso 2"])
@@ -78,8 +98,8 @@ def test_enforcement_renders_no_composition_state(two_initials, delayed_leak, no
     # Only a witness crosses the public boundary as composition states; an
     # Enforced outcome with a cut builds none, frontier included.
     built = []
-    post_init = CcState.__post_init__
-    monkeypatch.setattr(CcState, "__post_init__", lambda state: built.append(post_init(state)))
+    init = CcState.__init__
+    monkeypatch.setattr(CcState, "__init__", lambda state, *args: built.append(init(state, *args)))
     if notion == "scso":
         outcome = enforce_scso(two_initials)
     else:

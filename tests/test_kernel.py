@@ -821,7 +821,7 @@ def reference_enforce_siso(nfa):
         offending = cc_shortest_path(cc, cc.secret_initials, bad, uncontrollable_only=True)
         if offending is not None:
             return Impossible(offending.to_left_run())
-        omega = last_controllable_frontier(cc, bad, sources=cc.secret_initials)
+        omega = {t for t in last_controllable_frontier(cc, bad) if t[0] in costs}
         cut = {(s.left, e.left_event, d.left) for s, e, d in omega} & current.transitions
         disabled |= cut
         current = disable_transitions(current, cut)

@@ -75,6 +75,10 @@ class TestEffectiveKBound:
         assert effective_k_bound(nfa) == 1 * 2**1 - 1 == 1
 
 
+# A line of 17 states joined by 16 controllable transitions: more than
+# ``oracle_enforceable`` will enumerate.
+CHAIN = build_nfa([str(i) for i in range(17)], ["a"], [(str(i), "a", str(i + 1)) for i in range(16)], ["0"], ["16"])
+
 # Each function that takes a step bound K, called with ``k`` as that bound.
 K_TAKERS = {
     "verify_k_sso": verify_k_sso,
@@ -91,6 +95,9 @@ K_TAKERS = {
     "oracle_siso": oracle_siso,
     "oracle_inf_sso": oracle_inf_sso,
     "oracle_enforceable": lambda nfa, k: oracle_enforceable(nfa, "scso", k),
+    # On a model too large to enumerate, the cap and K are checked first.
+    "oracle_enforceable-chain": lambda nfa, k: oracle_enforceable(CHAIN, "scso", k),
+    "oracle_enforceable-chain-K": lambda nfa, k: oracle_enforceable(CHAIN, "k-sso", 3, k),
 }
 
 
@@ -101,13 +108,24 @@ K_TAKERS = {
         for taker in K_TAKERS
         for k in (-1, 1.5, True, "1", None)
         # None is the default of product's max_layer (explore every layer)
-        # and of the frontier's budget (no bound).
-        if not (taker in ("product", "last_controllable_frontier") and k is None)
+        # and of the frontier's budget (no bound); the oracle's missing K
+        # has its own test.
+        if not (taker in ("product", "last_controllable_frontier", "oracle_enforceable-chain-K") and k is None)
     ],
 )
 def test_k_must_be_a_non_negative_int(delayed_leak, taker, k):
     with pytest.raises(ValueError, match="must be non-negative" if k == -1 else "must be a non-negative int"):
         K_TAKERS[taker](delayed_leak, k)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(("nope", 3), "unknown notion"), (("k-sso", 3), "needs K"), (("nope", -1), "unknown notion")],
+    ids=["unknown-notion", "k-sso-without-K", "notion-before-cap"],
+)
+def test_oracle_enforceable_checks_its_notion_before_counting(args, message):
+    with pytest.raises(ValueError, match=message):
+        oracle_enforceable(CHAIN, *args)
 
 
 class TestVerifyKSso:
