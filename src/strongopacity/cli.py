@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import sys
 from typing import Sequence
 
@@ -140,24 +141,33 @@ def _transition_lines(model: Nfa, transitions) -> list[str]:
 
 def _print_outcome(outcome: EnforcementOutcome, args, model: Nfa) -> int:
     if isinstance(outcome, Enforced):
-        lines = _transition_lines(model, outcome.disabled)
-        for line in lines:
-            print(line)
+        # The files are written first, so a failed write prints no cut.
+        text = "".join(line + "\n" for line in _transition_lines(model, outcome.disabled))
         if args.emit_ec:
             with open(args.emit_ec, "w", encoding="utf-8") as handle:
-                handle.write("".join(line + "\n" for line in lines))
+                handle.write(text)
         if args.out:
+            document = serialize_model(outcome.subsystem)
             with open(args.out, "wb") as handle:
-                handle.write(serialize_model(outcome.subsystem))
+                handle.write(document)
+        sys.stdout.write(text)
         return 0
     print("IMPOSSIBLE")
     print(f"witness: {_format_witness(outcome.witness)}")
     return 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: building one costs far more than a
+    parse, and parsing leaves it unchanged (each call gets a new namespace,
+    and its messages go to the streams current at that call)."""
+    return build_parser()
+
+
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

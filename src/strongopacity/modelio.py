@@ -11,15 +11,19 @@ The model document is JSON shaped:
 
 Flags are JSON booleans and default to secret=false, initial=false,
 observable=true, controllable=true. Every transition endpoint and event name
-must be declared.
+must be declared. The writer emits exactly the bytes of
+``json.dumps(document, indent=2, ensure_ascii=False)`` and a newline, from
+a fixed template: each name is quoted once, by the C quoting that call
+uses, and an empty section is ``[]``.
 Graph export emits deterministic DOT text: one node line per state carrying
 its annotations, one edge line per ordered pair of node names with all its
 event labels merged (self-loops included; two nodes with one name share
 their edge lines), nodes and edges in canonical order. Export reads the int
 form of each structure and renders names only for output: each distinct
-node name gets one natural sort key and one quote, the edges are grouped
-and sorted by the int ranks of their endpoint names, and the labels of a
-pair are sorted only when it has more than one. Nodes follow
+node name gets one natural sort key and one quote. Each edge packs the int
+ranks of its endpoint names and of its label into one int, and one sort of
+the distinct ints orders the pairs and the labels within each pair; a run
+of equal pairs is one edge line. Nodes follow
 ``sorted_states`` (an automaton's natural order, an observer's estimate
 tuples in plain order, a composition's one state order, ``_Core.sort_key``).
 """
@@ -27,6 +31,7 @@ tuples in plain order, a composition's one state order, ``_Core.sort_key``).
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Union
 
 from .automaton import _SURROGATE, Event, Nfa, natural_key
@@ -176,23 +181,34 @@ def parse_model(text: Union[bytes, str]) -> Nfa:
 
 
 def serialize_model(nfa: Nfa) -> bytes:
-    """Deterministic document for an automaton; parse(serialize(n)) == n."""
-    doc = {
-        "version": MODEL_VERSION,
-        "states": [
-            {"id": x, "initial": x in nfa.initial, "secret": x in nfa.secret}
-            for x in nfa.sorted_states()
-        ],
-        "events": [
-            {"name": e.name, "observable": e.observable, "controllable": e.controllable}
-            for e in nfa.alphabet
-        ],
-        "transitions": [
-            {"from": src, "event": event, "to": dst}
-            for src, event, dst in nfa.sorted_transitions()
-        ],
-    }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """Deterministic document for an automaton; parse(serialize(n)) == n.
+    The bytes are those of ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    and a newline; each name is quoted by ``encode_basestring``, as there."""
+    flag = ("false", "true")  # indexed by a bool
+    initial, secret = nfa.initial, nfa.secret
+    order = nfa.sorted_states()
+    quoted = dict(zip(order, map(encode_basestring, order)))
+    named = {e.name: encode_basestring(e.name) for e in nfa.alphabet}
+    states = [
+        f'    {{\n      "id": {quoted[x]},\n'
+        f'      "initial": {flag[x in initial]},\n      "secret": {flag[x in secret]}\n    }}'
+        for x in order
+    ]
+    events = [
+        f'    {{\n      "name": {named[e.name]},\n      "observable": {flag[e.observable]},\n'
+        f'      "controllable": {flag[e.controllable]}\n    }}'
+        for e in nfa.alphabet
+    ]
+    transitions = [
+        f'    {{\n      "from": {quoted[src]},\n'
+        f'      "event": {named[event]},\n      "to": {quoted[dst]}\n    }}'
+        for src, event, dst in nfa.sorted_transitions()
+    ]
+    body = ",\n".join(
+        f'  "{section}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{section}": []'
+        for section, items in (("states", states), ("events", events), ("transitions", transitions))
+    )
+    return f'{{\n  "version": {MODEL_VERSION},\n{body}\n}}\n'.encode("utf-8")
 
 
 def _quote(text: str) -> str:
@@ -213,28 +229,24 @@ def _edge_lines(quoted: list[str], labels: list[str], edges: Iterable[tuple[int,
     natural order. ``edges`` lists (source, label, target) rank triples in
     any order: ``quoted[r]`` is the quoted name of name rank ``r`` and
     ``labels[r]`` the label of label rank ``r``, both ranks in natural
-    order, and items with one name share its rank. The pairs are grouped
-    and sorted as ints, and the labels of a pair are sorted only when it
-    has more than one."""
-    width = len(quoted)
-    grouped: dict[int, list[int]] = {}
-    for src, label, dst in edges:
-        pair = src * width + dst
-        found = grouped.get(pair)
-        if found is None:
-            grouped[pair] = [label]
-        else:
-            found.append(label)
+    order, and items with one name share its rank. Each triple packs into
+    one int, ``(source * width + target) * len(labels) + label``: one sort
+    of the distinct ints orders the pairs and each pair's labels, and the
+    labels of a pair form one run of the sorted ints."""
+    width, count = len(quoted), len(labels)
     single = [_quote(label) for label in labels]
-    lines = []
-    for pair in sorted(grouped):
-        src, dst = divmod(pair, width)
-        found = grouped[pair]
-        if len(found) == 1:
-            text = single[found[0]]
-        else:
-            text = _quote(",".join(labels[r] for r in sorted(set(found))))
-        lines.append(f"  {quoted[src]} -> {quoted[dst]} [label={text}];")
+    lines: list[str] = []
+    last = -1
+    for packed in sorted({(src * width + dst) * count + label for src, label, dst in edges}):
+        pair = packed // count
+        if pair != last:
+            last = pair
+            src, dst = quoted[pair // width], quoted[pair % width]
+            run = [packed - pair * count]
+            lines.append(f"  {src} -> {dst} [label={single[run[0]]}];")
+        else:  # one more label of the pair on the last line
+            run.append(packed - pair * count)
+            lines[-1] = f"  {src} -> {dst} [label={_quote(','.join(labels[r] for r in run))}];"
     return lines
 
 

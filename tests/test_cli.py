@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from strongopacity import parse_model, verify_siso
+from strongopacity import cli, parse_model, verify_siso
 from strongopacity.cli import run_cli
+from strongopacity.verification import Verdict
 
 from conftest import MODELS
 
@@ -150,6 +153,14 @@ class TestEnforceCommand:
         subsystem = parse_model(sub_path.read_bytes())
         assert verify_siso(subsystem).opaque
 
+    @pytest.mark.parametrize("flag", ["--out", "--emit-ec"])
+    def test_failed_write_prints_no_cut(self, flag, tmp_path, capsys):
+        target = tmp_path / "missing" / "file"
+        assert run_cli(["enforce", "--notion", "scso", TWO_INITIALS, flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
     def test_k_sso_requires_k(self, capsys):
         assert run_cli(["enforce", "--notion", "k-sso", DELAYED]) == 2
         capsys.readouterr()
@@ -278,6 +289,43 @@ class TestBoundCommand:
         assert run_cli(["verify", "--notion", "scso", TWO_INITIALS]) == 1
         assert run_cli(["bogus"]) == 2
         capsys.readouterr()
+
+
+def run_captured(argv):
+    """``run_cli`` under its own stdout and stderr: the exit code and both texts."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """``run_cli`` builds its parser once per process; one call leaves
+    nothing behind for the next."""
+
+    def test_each_call_writes_to_its_current_streams(self):
+        code, out, err = run_captured(["verify", "--notion", "bogus", DELAYED])
+        assert (code, out) == (2, "") and "argument --notion: invalid choice: 'bogus'" in err
+        code, out, err = run_captured(["verify", "--notion", "scso", TWO_INITIALS])
+        assert (code, err) == (1, "") and out.startswith("NOT OPAQUE\nwitness: ")
+        code, out, err = run_captured(["verify", "--notion", "cso", "--k", "3", DELAYED])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "strongopacity: error: --k applies only to --notion k-sso"
+
+    def test_no_file_option_carries_over(self, tmp_path):
+        sub_path, ec_path = tmp_path / "subsystem.json", tmp_path / "cuts.txt"
+        argv = ["enforce", "--notion", "scso", TWO_INITIALS]
+        first = run_captured(argv + ["--out", str(sub_path), "--emit-ec", str(ec_path)])
+        sub_path.unlink()
+        ec_path.unlink()
+        assert run_captured(argv) == first == (0, "3 -a-> 5\n4 -a-> 5\n4 -a-> 7\n", "")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replaced_verifier_is_called(self, monkeypatch):
+        argv = ["verify", "--notion", "scso", TWO_INITIALS]
+        assert run_captured(argv)[0] == 1
+        monkeypatch.setattr(cli, "verify_scso", lambda model: Verdict(True, "scso"))
+        assert run_captured(argv) == (0, "OPAQUE\n", "")
 
 
 ZERO_PADDED = str(MODELS / "zero_padded.json")

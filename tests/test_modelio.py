@@ -302,6 +302,55 @@ class TestRoundTrip:
         assert serialize_model(nfa) == serialize_model(nfa)
 
 
+def reference_document(nfa):
+    """The model document as ``json.dumps`` writes it: the reference for
+    ``serialize_model``'s bytes."""
+    doc = {
+        "version": 1,
+        "states": [
+            {"id": x, "initial": x in nfa.initial, "secret": x in nfa.secret} for x in nfa.sorted_states()
+        ],
+        "events": [
+            {"name": e.name, "observable": e.observable, "controllable": e.controllable} for e in nfa.alphabet
+        ],
+        "transitions": [{"from": src, "event": event, "to": dst} for src, event, dst in nfa.sorted_transitions()],
+    }
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode()
+
+
+# Control characters, JSON's own escapes, non-BMP characters, the line and
+# paragraph separators (which JSON leaves raw) and names that read as numbers.
+HOSTILE_NAMES = ["\x00", "\x1f\x7f", "\t\n\r", '"', "\\", '\\"', "\U0001f600", "a\U0010ffff", "\u2028\u2029",
+                 "é", "", "1", "01", "-1", "1e3", "10" * 40]
+
+
+class TestWriter:
+    @given(cyclic_nfas())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_json_dumps(self, nfa):
+        assert serialize_model(nfa) == reference_document(nfa)
+
+    def test_hostile_names(self):
+        names = HOSTILE_NAMES
+        nfa = Nfa(
+            states=frozenset(names),
+            alphabet=tuple(Event(name, i % 2 == 0, i % 3 == 0) for i, name in enumerate(names)),
+            transitions=frozenset((x, e, y) for x, e, y in zip(names, names[3:] + names[:3], names[1:] + names[:1])),
+            initial=frozenset(names[::4]),
+            secret=frozenset(names[1::3]),
+        )
+        text = serialize_model(nfa)
+        assert text == reference_document(nfa)
+        assert parse_model(text) == nfa
+
+    def test_empty_sections(self):
+        nfa = Nfa(states=frozenset({"0"}), alphabet=(), transitions=frozenset(), initial=frozenset({"0"}), secret=frozenset())
+        text = serialize_model(nfa)
+        assert text == reference_document(nfa)
+        assert b'  "events": [],\n  "transitions": []\n}\n' in text
+        assert parse_model(text) == nfa
+
+
 class TestExportGraph:
     def test_composition_line_counts(self, delayed_leak):
         lines = dot_lines(cc_hat(delayed_leak))
