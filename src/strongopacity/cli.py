@@ -14,8 +14,10 @@ model error. Output is deterministic for a fixed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import functools
+import os
 import sys
 from typing import Sequence
 
@@ -63,7 +65,11 @@ def _notion_table() -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process: building one costs far more than a
+    parse, and parsing leaves it unchanged (each call gets a new namespace,
+    and its messages go to the streams current at that call)."""
     parser = argparse.ArgumentParser(
         prog="strongopacity",
         description="Verify and enforce strong state-based opacity of partially-observed NFAs.",
@@ -93,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("model", metavar="MODEL")
 
     return parser
-
-
-def _load_model(path: str) -> Nfa:
-    with open(path, "rb") as handle:
-        return parse_model(handle.read())
 
 
 def _checked_k(parser: argparse.ArgumentParser, args, model: Nfa) -> int:
@@ -134,22 +135,37 @@ def _print_verdict(verdict: Verdict) -> int:
     return 0 if verdict.opaque else 1
 
 
-def _transition_lines(model: Nfa, transitions) -> list[str]:
-    """``transitions`` of ``model``, one line each, in natural order."""
-    return [f"{src} -{event}-> {dst}" for src, event, dst in model._sort_transitions(transitions)]
+def _write_files(*files: tuple[str | None, bytes]) -> None:
+    """Write each (path, data) that has a path, in turn. When one fails, the
+    files this call created are removed before the error propagates, so a
+    failed command leaves no new file behind; a path that existed before (a
+    file it overwrote, a device, a pipe, a link) is never removed."""
+    created: list[str] = []
+    try:
+        for path, data in files:
+            if path:
+                new = not os.path.lexists(path)
+                with open(path, "wb") as handle:
+                    if new:
+                        created.append(path)
+                    handle.write(data)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _print_outcome(outcome: EnforcementOutcome, args, model: Nfa) -> int:
     if isinstance(outcome, Enforced):
-        # The files are written first, so a failed write prints no cut.
-        text = "".join(line + "\n" for line in _transition_lines(model, outcome.disabled))
-        if args.emit_ec:
-            with open(args.emit_ec, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        if args.out:
-            document = serialize_model(outcome.subsystem)
-            with open(args.out, "wb") as handle:
-                handle.write(document)
+        # The cut lines, in natural order. The files are written first, so a
+        # failed write prints no cut.
+        cut = model._sort_transitions(outcome.disabled)
+        text = "".join(f"{src} -{event}-> {dst}\n" for src, event, dst in cut)
+        _write_files(
+            (args.emit_ec, text.encode("utf-8")),
+            (args.out, serialize_model(outcome.subsystem) if args.out else b""),
+        )
         sys.stdout.write(text)
         return 0
     print("IMPOSSIBLE")
@@ -157,23 +173,16 @@ def _print_outcome(outcome: EnforcementOutcome, args, model: Nfa) -> int:
     return 1
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process: building one costs far more than a
-    parse, and parsing leaves it unchanged (each call gets a new namespace,
-    and its messages go to the streams current at that call)."""
-    return build_parser()
-
-
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        model = _load_model(args.model)
+        with open(args.model, "rb") as handle:
+            model = parse_model(handle.read())
         if args.command in ("verify", "enforce"):
             verifier, enforcer, takes_k = _notion_table()[args.notion]
             if args.k is not None and not takes_k:

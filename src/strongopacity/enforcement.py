@@ -163,7 +163,6 @@ def _enforce(nfa: Nfa, notion: str, k: int | None = None) -> EnforcementOutcome:
         cut = _dss_round(cc, bad) if rule.dss else _k_step_round(current, obs, cc, bad, k)
         if isinstance(cut, Impossible):
             return cut
-        cut &= current.transitions
         if not cut:
             raise InternalInvariantError("enforcement round made no progress")
         disabled |= cut

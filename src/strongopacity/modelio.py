@@ -18,21 +18,25 @@ uses, and an empty section is ``[]``.
 Graph export emits deterministic DOT text: one node line per state carrying
 its annotations, one edge line per ordered pair of node names with all its
 event labels merged (self-loops included; two nodes with one name share
-their edge lines), nodes and edges in canonical order. Export reads the int
-form of each structure and renders names only for output: each distinct
-node name gets one natural sort key and one quote. Each edge packs the int
-ranks of its endpoint names and of its label into one int, and one sort of
-the distinct ints orders the pairs and the labels within each pair; a run
-of equal pairs is one edge line. Nodes follow
-``sorted_states`` (an automaton's natural order, an observer's estimate
-tuples in plain order, a composition's one state order, ``_Core.sort_key``).
+their edge lines), nodes and edges in canonical order. One renderer,
+``_dot``, writes every structure. Each structure supplies only what differs,
+read from its int form: the rank of each id's node name among the distinct
+names (``_ranked``, one natural sort key per distinct name; an automaton's
+states are distinct and in natural order already, so it skips the sort),
+the attribute text of each id, the ids in output order, its labels
+(distinct, in natural order) and its edges as (source id, label rank, target
+id) int triples. The renderer quotes each distinct name once, packs each
+edge into one int, and sorts the distinct ints once; a run of equal name
+pairs is one edge line. Nodes follow ``sorted_states`` (an automaton's
+natural order, an observer's estimate tuples in plain order, a
+composition's one state order, ``_Core.sort_key``).
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Sequence, Union
 
 from .automaton import _SURROGATE, Event, Nfa, natural_key
 from .composition import CcAutomaton
@@ -224,20 +228,35 @@ def _ranked(names: list[str]) -> tuple[list[int], list[str]]:
     return [rank[name] for name in names], distinct
 
 
-def _edge_lines(quoted: list[str], labels: list[str], edges: Iterable[tuple[int, int, int]]) -> list[str]:
-    """One DOT line per (source, target) name pair, its labels merged, in
-    natural order. ``edges`` lists (source, label, target) rank triples in
-    any order: ``quoted[r]`` is the quoted name of name rank ``r`` and
-    ``labels[r]`` the label of label rank ``r``, both ranks in natural
-    order, and items with one name share its rank. Each triple packs into
-    one int, ``(source * width + target) * len(labels) + label``: one sort
-    of the distinct ints orders the pairs and each pair's labels, and the
-    labels of a pair form one run of the sorted ints."""
+def _dot(
+    kind: str,
+    ranked: tuple[Sequence[int], list[str]],
+    order: Iterable[int],
+    attributes: list[str],
+    labels: list[str],
+    edges: Iterable[tuple[int, int, int]],
+) -> str:
+    """The DOT text of one structure, whose node ids are the indexes of
+    ``attributes``: ``ranked`` is ``_ranked`` of the ids' node names (a
+    structure whose names are distinct and in natural order already passes
+    its ids as their ranks), ``attributes[i]`` is the attribute text of id
+    ``i``, ``order`` lists the ids in output order, ``labels`` the distinct
+    edge labels in natural order, and ``edges`` (source id, label rank,
+    target id) triples in any order.
+
+    Ids with one name share its rank and its edge lines. Each triple packs
+    into one int, ``(source rank * width + target rank) * len(labels) +
+    label``: one sort of the distinct ints orders the name pairs and each
+    pair's labels, and the labels of a pair form one run of the sorted ints,
+    merged on one line."""
+    rank, distinct = ranked
+    quoted = [_quote(name) for name in distinct]
+    lines = [f"digraph {kind} {{"]
+    lines += [f"  {quoted[rank[i]]} [{attributes[i]}];" for i in order]
     width, count = len(quoted), len(labels)
     single = [_quote(label) for label in labels]
-    lines: list[str] = []
     last = -1
-    for packed in sorted({(src * width + dst) * count + label for src, label, dst in edges}):
+    for packed in sorted({(rank[src] * width + rank[dst]) * count + label for src, label, dst in edges}):
         pair = packed // count
         if pair != last:
             last = pair
@@ -247,73 +266,43 @@ def _edge_lines(quoted: list[str], labels: list[str], edges: Iterable[tuple[int,
         else:  # one more label of the pair on the last line
             run.append(packed - pair * count)
             lines[-1] = f"  {src} -> {dst} [label={_quote(','.join(labels[r] for r in run))}];"
-    return lines
-
-
-def _nfa_lines(nfa: Nfa) -> list[str]:
-    # States are distinct names in natural order already, and so are events.
-    order = nfa.sorted_states()
-    position = {x: i for i, x in enumerate(order)}
-    quoted = [_quote(x) for x in order]
-    lines = ["digraph nfa {"]
-    for x, name in zip(order, quoted):
-        flags = f"initial={'true' if x in nfa.initial else 'false'}, secret={'true' if x in nfa.secret else 'false'}"
-        lines.append(f"  {name} [{flags}];")
-    event_rank = {e.name: i for i, e in enumerate(nfa.alphabet)}
-    edges = ((position[src], event_rank[event], position[dst]) for src, event, dst in nfa.transitions)
-    lines += _edge_lines(quoted, [e.name for e in nfa.alphabet], edges)
     lines.append("}")
-    return lines
-
-
-def _observer_lines(obs: Observer) -> list[str]:
-    table = obs._table
-    rank, names = _ranked([estimate_name(table.estimate(i)) for i in range(len(table.masks))])
-    quoted = [_quote(name) for name in names]
-    initial = set(table.initials)
-    lines = ["digraph observer {"]
-    for i in sorted(range(len(rank)), key=table.estimate):  # ``sorted_estimates`` order
-        lines.append(f"  {quoted[rank[i]]} [initial={'true' if i in initial else 'false'}];")
-    events = [e.name for e in obs.events]  # natural order, as the alphabet is kept
-    event_rank = {e: r for r, e in enumerate(events)}
-    edges = ((rank[i], event_rank[e], rank[j]) for i, moves in enumerate(table.step) for e, j in moves.items())
-    lines += _edge_lines(quoted, events, edges)
-    lines.append("}")
-    return lines
-
-
-def _composition_lines(cc: CcAutomaton) -> list[str]:
-    core = cc._core
-    rank, names = _ranked(cc._names())
-    quoted = [_quote(name) for name in names]
-    lines = ["digraph composition {"]
-    for i in cc._sorted_ids():  # ``sorted_states`` order
-        init = "true" if i in cc._initial_ids else "false"
-        flag = "true" if core.keys[i] < 0 else "false"  # the empty estimate
-        lines.append(f"  {quoted[rank[i]]} [initial={init}, empty={flag}];")
-    event_rank, events = _ranked([e.name for e in core.events])
-    ebits, emask = core.ebits, core.emask
-    edges = (
-        (rank[src], event_rank[edge & emask], rank[edge >> ebits])
-        for src, row in enumerate(core.out)
-        for edge in row
-    )
-    lines += _edge_lines(quoted, events, edges)
-    lines.append("}")
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def export_graph(structure: Union[Nfa, Observer, CcAutomaton], sink: IO[str]) -> None:
     """Write a deterministic DOT description of the structure to ``sink``."""
+    flag = ("false", "true")  # indexed by a bool
     if isinstance(structure, Nfa):
-        lines = _nfa_lines(structure)
+        # Each state is its own id, ranked by its position: the states and
+        # the alphabet are distinct and in natural order already.
+        names = structure.sorted_states()
+        position = {x: i for i, x in enumerate(names)}
+        event_rank = {e.name: r for r, e in enumerate(structure.alphabet)}
+        texts = [f"initial={a}, secret={b}" for a in flag for b in flag]  # indexed by 2 * initial + secret
+        attributes = [texts[2 * (x in structure.initial) + (x in structure.secret)] for x in names]
+        edges = ((position[src], event_rank[event], position[dst]) for src, event, dst in structure.transitions)
+        text = _dot("nfa", (list(position.values()), names), range(len(names)), attributes, list(event_rank), edges)
     elif isinstance(structure, Observer):
-        lines = _observer_lines(structure)
+        table = structure._table
+        ids = range(len(table.masks))
+        initial = set(table.initials)
+        event_rank = {e.name: r for r, e in enumerate(structure.events)}  # natural order, as the alphabet is kept
+        names = [estimate_name(table.estimate(i)) for i in ids]
+        attributes = [("initial=false", "initial=true")[i in initial] for i in ids]
+        edges = ((i, event_rank[e], j) for i, moves in enumerate(table.step) for e, j in moves.items())
+        text = _dot("observer", _ranked(names), sorted(ids, key=table.estimate), attributes, list(event_rank), edges)
     elif isinstance(structure, CcAutomaton):
-        lines = _composition_lines(structure)
+        core, initial = structure._core, structure._initial_ids
+        event_rank, events = _ranked([e.name for e in core.events])
+        ebits, emask = core.ebits, core.emask
+        texts = [f"initial={a}, empty={b}" for a in flag for b in flag]  # indexed by 2 * initial + empty
+        attributes = [texts[2 * (i in initial) + (key < 0)] for i, key in enumerate(core.keys)]
+        edges = ((src, event_rank[edge & emask], edge >> ebits) for src, row in enumerate(core.out) for edge in row)
+        text = _dot("composition", _ranked(structure._names()), structure._sorted_ids(), attributes, events, edges)
     else:
         raise TypeError(f"cannot export {type(structure).__name__}")
     try:
-        sink.write("\n".join(lines) + "\n")
+        sink.write(text)
     except OSError as exc:
         raise IoError(str(exc)) from exc

@@ -161,6 +161,37 @@ class TestEnforceCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
+    @pytest.mark.parametrize("failing", ["--out", "--emit-ec"])
+    def test_failed_write_removes_the_files_written(self, failing, tmp_path, capsys):
+        # One of the two files cannot be opened: the command writes neither.
+        paths = {"--out": tmp_path / "subsystem.json", "--emit-ec": tmp_path / "cuts.txt"}
+        paths[failing] = tmp_path / "missing" / "file"
+        argv = ["enforce", "--notion", "scso", TWO_INITIALS, "--emit-ec", str(paths["--emit-ec"])]
+        assert run_cli(argv + ["--out", str(paths["--out"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", ["file", "device"])
+    def test_failed_write_keeps_a_path_that_existed(self, existing, tmp_path, monkeypatch, capsys):
+        # The cut file existed before the call, so the failed --out write
+        # must not remove it, be it a regular file or a device node.
+        removed = []
+        monkeypatch.setattr(cli.os, "remove", removed.append)
+        cuts = tmp_path / "cuts.txt"
+        cuts.write_text("old\n")
+        emit_ec = str(cuts) if existing == "file" else os.devnull
+        missing = str(tmp_path / "missing" / "file")
+        argv = ["enforce", "--notion", "scso", TWO_INITIALS, "--emit-ec", emit_ec, "--out", missing]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert removed == []
+        assert os.path.exists(emit_ec)
+
     def test_k_sso_requires_k(self, capsys):
         assert run_cli(["enforce", "--notion", "k-sso", DELAYED]) == 2
         capsys.readouterr()

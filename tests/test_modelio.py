@@ -472,6 +472,47 @@ def check_dot_as_name_sorted(nfa, seeds, pairs):
         )
 
 
+# Two states and two events but no transition, and three states with no
+# event at all: the degenerate inputs of the renderer.
+NO_TRANSITIONS = Nfa(
+    states=frozenset({"0", "1"}),
+    alphabet=(Event("a"), Event("u", observable=False)),
+    transitions=frozenset(),
+    initial=frozenset({"0"}),
+    secret=frozenset({"1"}),
+)
+NO_ALPHABET = Nfa(
+    states=frozenset({"2", "10", "a"}),
+    alphabet=(),
+    transitions=frozenset(),
+    initial=frozenset({"10", "a"}),
+    secret=frozenset({"10"}),
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: multi_initial_observer(NO_TRANSITIONS, []),
+        lambda: NO_ALPHABET,
+        lambda: NO_TRANSITIONS,
+        lambda: subset_construction(NO_ALPHABET),
+        lambda: cc_full_observer(NO_TRANSITIONS),
+        lambda: cc_dss(NO_ALPHABET),
+    ],
+    ids=["empty-observer", "alphabet-free-nfa", "transition-free-nfa", "alphabet-free-observer",
+         "edge-free-composition", "alphabet-free-composition"],
+)
+def test_dot_of_degenerate_structures(build):
+    structure = build()
+    sink = io.StringIO()
+    export_graph(structure, sink)
+    assert sink.getvalue() == name_sorted_dot(structure)
+    lines = sink.getvalue().splitlines()
+    assert edge_lines(lines) == []
+    assert len(node_lines(lines)) == len(structure.estimates if isinstance(structure, Observer) else structure.states)
+
+
 def test_dot_of_colliding_names_and_digit_estimates():
     # The observer has ('b', 'c') and ('b,c',), both named '{b,c}', and the
     # singletons ('10',) < ('2',), which natural order puts the other way.
