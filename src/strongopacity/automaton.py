@@ -82,6 +82,15 @@ def _long_run_key(run: str) -> tuple:
         return (0, math.inf, len(digits), digits)
 
 
+def _ranked(names: list[str]) -> tuple[list[int], list[str]]:
+    """Per item of ``names``, the rank of its name among the distinct names
+    in natural order, and those distinct names in that order: one natural
+    key per distinct name."""
+    distinct = sorted(set(names), key=natural_key)
+    rank = {name: r for r, name in enumerate(distinct)}
+    return [rank[name] for name in names], distinct
+
+
 def sort_states(states: Iterable[str]) -> list[str]:
     """``states`` sorted by ``natural_key``. When every name is decimal that
     order is (value, text): text first, then a stable sort by value."""
@@ -264,8 +273,9 @@ class Nfa:
     def nonsecret_initial(self) -> frozenset[str]:
         return self.initial - self.secret
 
-    # Forward and backward indexes, in no particular order; enforcement walks
-    # the relation both ways.
+    # Forward and backward indexes, in no particular order. The package reads
+    # only ``by_source``: enforcement walks its compositions both ways, not
+    # the ``Nfa``.
     @cached_property
     def by_source(self) -> dict[str, tuple[tuple[str, str], ...]]:
         index: dict[str, list[tuple[str, str]]] = {x: [] for x in self.states}

@@ -44,13 +44,13 @@ the witness tie-breaks of ``search`` read one order of states,
 place in the natural order of the numbering, standing in for its natural
 key.
 
-``product`` is the only builder of a composition. It explores one
-observable layer at a time and records each state's layer. The public
-constructors explore every layer; the verifiers and the K-step enforcer ask
-it to stop early, after layer K or at the first offending empty-estimate
-state (after its layer, or after the layer before when every empty-estimate
-state offends). The result is then a partial composition whose unexpanded
-states, the next layer, have no out-edges.
+``product`` is the only builder of a composition: a 0-1 BFS over one
+queue that expands the states in observable-layer order and records each
+state's layer. The public constructors explore every layer; the verifiers
+and the K-step enforcer give it a last layer to expand: K, or the layer of
+the first offending empty-estimate state (the layer that finds it, when
+every empty-estimate state offends). The result is then a partial
+composition whose unexpanded states, the next layer, have no out-edges.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
-from .automaton import Nfa, _bits, _check_k, accessible_part, natural_key
+from .automaton import Nfa, _bits, _check_k, _ranked, accessible_part, natural_key
 from .errors import AlphabetMismatch, InternalInvariantError, InvalidState
 from .observer import (
     Estimate,
@@ -368,13 +368,19 @@ class CcAutomaton:
     def sorted_states(self) -> list[CcState]:
         return [self._core.state(i) for i in self._sorted_ids()]
 
+    @cached_property
+    def _event_rank(self) -> tuple[list[int], list[str]]:
+        """``_ranked`` of the event names: per event index, the rank of its
+        name in natural order, and the distinct names in that order."""
+        return _ranked([e.name for e in self._core.events])
+
     def sorted_transitions(self) -> list[CcTransition]:
         core = self._core
         shift, mask = core.ebits, core.emask
         state_key = list(map(core.sort_key, range(len(core.keys))))
-        event_key = [natural_key(e.name) for e in core.events]
+        event_rank = self._event_rank[0]
         edges = [(src, edge) for src, row in enumerate(core.out) for edge in row]
-        edges.sort(key=lambda p: (state_key[p[0]], event_key[p[1] & mask], state_key[p[1] >> shift]))
+        edges.sort(key=lambda p: (state_key[p[0]], event_rank[p[1] & mask], state_key[p[1] >> shift]))
         return list(map(core.transition, edges))
 
     def _names(self) -> list[str]:
@@ -426,28 +432,23 @@ def product(
     each state's out-edges are recorded once, as it is expanded, as packed
     ints (see ``_Core``). No ``CcState`` is built here.
 
-    The search goes one observable layer at a time (layer L holds the
-    states whose cheapest path has L observable steps; inside a layer the
-    queue is first-in-first-out over unobservable moves) and records each
-    state's layer in ``_layer``, so no search is needed for it. A state
-    that an observable move finds gets layer L + 1 and waits in a list for
-    the next layer; when an unobservable move of layer L finds it too, its
-    layer is lowered to L and it is expanded in this layer instead. With no
-    stop argument it ends when no layer is left, and the closure is
-    complete. Otherwise it ends after the first layer that expands an
-    empty-estimate state whose left state is in ``stop_on``, or after layer
-    ``max_layer``. The states found but not expanded then belong to the
-    next layer and are listed with no out-edges, so every state of the
-    layers searched has its cost and its in-edges from cheaper states
-    exactly as in the complete closure.
+    The search is a 0-1 BFS over one queue of (layer, id, position, slot)
+    entries. Layer L holds the states whose cheapest path has L observable
+    steps, and ``_layer`` records it. An unobservable move queues the state
+    it finds at the front, in this layer, and an observable move at the
+    back, in the next; a state found both ways in one layer is lowered and
+    queued again at the front, and its entry at the back is skipped.
 
-    When ``stop_on`` holds every left state, every empty-estimate state
-    offends, and the search ends one layer earlier: after the layer whose
-    observable moves find the first empty-estimate state of the next one.
-    An unobservable move into an empty-estimate state then comes from
-    another one, so the cheapest empty-estimate state of the next layer is
-    entered by an observable move from a layer searched, and it has its
-    exact cost and every in-edge that a cheapest path can end with.
+    The search ends at the first live entry past the last layer: ``max_layer``
+    (none by default), or the current layer once an empty-estimate state
+    offends. It offends when it is expanded and its left state is in
+    ``stop_on``, or, when ``stop_on`` holds every left state, as soon as an
+    observable move finds it: an unobservable move into an empty-estimate
+    state then comes from another one, so the cheapest one has its exact
+    cost and every in-edge a cheapest path can end with. The states found
+    but not expanded are listed with no out-edges, so every state of the
+    layers expanded has its cost and its in-edges from cheaper states
+    exactly as in the complete closure.
     """
     if max_layer is not None:
         _check_k(max_layer, "max_layer")
@@ -499,66 +500,60 @@ def product(
     keys: list[int] = []  # id -> key
     out: list = []  # id -> packed out-edges, () until expanded
     layers: list[int] = []  # id -> layer, lowered when an unobservable move finds a state sooner
-    now: deque[tuple[int, int, int]] = deque()  # this layer's queue: (id, position, slot)
-    later: list[tuple[int, int, int]] = []  # the states found by an observable move, as queue entries
-    layer, stop = 0, False
+    queue: deque[tuple[int, int, int, int]] = deque()  # (layer, id, position, slot)
     for pos, slot in starts:
         key = slot * size + pos
         if key not in ids:
             ids[key] = len(keys)
             keys.append(key)
             out.append(())
-            layers.append(layer)
-            now.append((ids[key], pos, slot))
+            layers.append(0)
+            queue.append((0, ids[key], pos, slot))
     starts = list(range(len(keys)))
-    while True:
-        while now:
-            src, pos, slot = now.popleft()
-            row = []
-            for event, dst_pos in silent[pos]:
-                key = slot * size + dst_pos
-                dst = ids.get(key)
-                if dst is None:
-                    dst = ids[key] = len(keys)
-                    keys.append(key)
-                    out.append(())
-                    layers.append(layer)
-                    now.append((dst, dst_pos, slot))
-                elif layers[dst] > layer:  # found by an observable move, yet in this layer
-                    layers[dst] = layer
-                    now.append((dst, dst_pos, slot))
-                row.append(dst << shift | event)
-            moves = steps[slot]
-            for event, sigma, dst_pos in loud[pos]:
-                dst_slot = moves.get(sigma)
-                if dst_slot is None:
-                    if not empty_sink:
-                        continue
-                    dst_slot = -1
-                key = dst_slot * size + dst_pos
-                dst = ids.get(key)
-                if dst is None:
-                    dst = ids[key] = len(keys)
-                    keys.append(key)
-                    out.append(())
-                    layers.append(layer + 1)
-                    later.append((dst, dst_pos, dst_slot))
-                    if early and dst_slot < 0:
-                        stop = True
-                row.append(dst << shift | event)
-            # Each state is expanded once and its left moves are distinct, so
-            # every edge is listed once.
-            out[src] = row
-            if slot < 0 and offends[pos]:
-                stop = True
-        if stop or layer == max_layer:
+    last = float("inf") if max_layer is None else max_layer  # the last layer expanded
+    while queue:
+        layer, src, pos, slot = queue.popleft()
+        if layers[src] != layer:  # lowered, and expanded in an earlier layer
+            continue
+        if layer > last:
             break
-        layer += 1
-        # An entry whose layer was lowered has been expanded already.
-        now.extend(entry for entry in later if layers[entry[0]] == layer)
-        if not now:
-            break
-        later = []
+        row = []
+        for event, dst_pos in silent[pos]:
+            key = slot * size + dst_pos
+            dst = ids.get(key)
+            if dst is None:
+                dst = ids[key] = len(keys)
+                keys.append(key)
+                out.append(())
+                layers.append(layer)
+                queue.appendleft((layer, dst, dst_pos, slot))
+            elif layers[dst] > layer:  # found by an observable move, yet in this layer
+                layers[dst] = layer
+                queue.appendleft((layer, dst, dst_pos, slot))
+            row.append(dst << shift | event)
+        moves = steps[slot]
+        for event, sigma, dst_pos in loud[pos]:
+            dst_slot = moves.get(sigma)
+            if dst_slot is None:
+                if not empty_sink:
+                    continue
+                dst_slot = -1
+            key = dst_slot * size + dst_pos
+            dst = ids.get(key)
+            if dst is None:
+                dst = ids[key] = len(keys)
+                keys.append(key)
+                out.append(())
+                layers.append(layer + 1)
+                queue.append((layer + 1, dst, dst_pos, dst_slot))
+                if early and dst_slot < 0:
+                    last = layer
+            row.append(dst << shift | event)
+        # Each state is expanded once and its left moves are distinct, so
+        # every edge is listed once.
+        out[src] = row
+        if slot < 0 and offends[pos]:
+            last = layer
     return CcAutomaton(left, right, events, ids, keys, out, starts, layers)
 
 

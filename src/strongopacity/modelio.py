@@ -38,7 +38,7 @@ import json
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Sequence, Union
 
-from .automaton import _SURROGATE, Event, Nfa, natural_key
+from .automaton import _SURROGATE, Event, Nfa, _ranked, natural_key
 from .composition import CcAutomaton
 from .errors import EmptyModel, InvalidEvent, InvalidState, IoError, ParseError, UnknownReference
 from .observer import Observer, estimate_name
@@ -219,15 +219,6 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _ranked(names: list[str]) -> tuple[list[int], list[str]]:
-    """Per item of ``names``, the rank of its name among the distinct names
-    in natural order, and those distinct names in that order: one natural
-    key per distinct name."""
-    distinct = sorted(set(names), key=natural_key)
-    rank = {name: r for r, name in enumerate(distinct)}
-    return [rank[name] for name in names], distinct
-
-
 def _dot(
     kind: str,
     ranked: tuple[Sequence[int], list[str]],
@@ -294,7 +285,7 @@ def export_graph(structure: Union[Nfa, Observer, CcAutomaton], sink: IO[str]) ->
         text = _dot("observer", _ranked(names), sorted(ids, key=table.estimate), attributes, list(event_rank), edges)
     elif isinstance(structure, CcAutomaton):
         core, initial = structure._core, structure._initial_ids
-        event_rank, events = _ranked([e.name for e in core.events])
+        event_rank, events = structure._event_rank
         ebits, emask = core.ebits, core.emask
         texts = [f"initial={a}, empty={b}" for a in flag for b in flag]  # indexed by 2 * initial + empty
         attributes = [texts[2 * (i in initial) + (key < 0)] for i, key in enumerate(core.keys)]

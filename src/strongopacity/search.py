@@ -33,7 +33,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
 
-from .automaton import Run, natural_key
+from .automaton import Run
 from .composition import CcAutomaton, CcState, CcTransition
 from .observer import _IdMap
 
@@ -146,7 +146,7 @@ def cc_shortest_path(
     hit = [t for t in core.ids_of(targets) if t in dist]
     if not hit:
         return None
-    sort_key, events, ebits, emask = core.sort_key, core.events, core.ebits, core.emask
+    sort_key, event_rank, ebits, emask = core.sort_key, cc._event_rank[0], core.ebits, core.emask
     here = min(hit, key=lambda t: (dist[t], sort_key(t)))
     rows = cc._unc_into if uncontrollable_only else cc.by_target._data
     weights = _weights(cc, _cost_shift(cc), False)
@@ -158,7 +158,7 @@ def cc_shortest_path(
             pred, event = edge >> ebits, edge & emask
             if pred not in dist or dist[pred] + weights[event] != cost:
                 continue
-            tie = (sort_key(pred), natural_key(events[event].name))
+            tie = (sort_key(pred), event_rank[event])
             if best is None or tie < best[0]:
                 best = (tie, pred, event)
         _, pred, event = best

@@ -935,6 +935,21 @@ def test_sorted_transitions_is_natural_order(nfa, data):
             assert Counter(derived.by_source[x]) == Counter((e, d) for s, e, d in edges if s == x)
 
 
+@given(cyclic_nfas())
+@settings(max_examples=60, deadline=None)
+def test_by_target_lists_each_in_edge_once(nfa):
+    assert nfa.by_target.keys() == nfa.states
+    for x in nfa.states:
+        assert Counter(nfa.by_target[x]) == Counter((s, e) for s, e, d in nfa.transitions if d == x)
+
+
+@given(cyclic_nfas())
+@settings(max_examples=60, deadline=None)
+def test_sorted_estimates_is_plain_tuple_order(nfa):
+    obs = subset_construction(nfa)
+    assert obs.sorted_estimates() == sorted(obs.estimates)
+
+
 class TestCachedHash:
     def test_replace_recomputes_the_hash(self):
         state = CcState("1", ("2", "10"))

@@ -14,6 +14,7 @@ from strongopacity import (
     Event,
     InvalidEvent,
     InvalidState,
+    IoError,
     Nfa,
     Observer,
     OpacityError,
@@ -388,6 +389,14 @@ class TestExportGraph:
     def test_unsupported_structure(self):
         with pytest.raises(TypeError):
             export_graph(42, io.StringIO())
+
+    def test_failed_write_is_an_io_error(self, two_initials):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(IoError, match="No space left on device"):
+            export_graph(two_initials, FullDisk())
 
 
 # -- DOT export against the export that sorts names --------------------------
