@@ -1,18 +1,20 @@
 """Concurrent compositions: product automata pairing a concrete run with an
 estimate of matching runs.
 
-One product engine serves all three structures used by the verifiers and
-enforcers; they differ only in operand choice and in whether an undefined
-observer step collapses the estimate to the empty sink:
+One product engine, with one edge rule, serves all three structures used
+by the verifiers and enforcers: an observable move whose observer step is
+undefined leads to the empty estimate. The structures differ only in their
+operands and seeds:
 
 * secret-restart side vs. the multi-initial observer of the non-secret
-  remainder (empty sink on) — decides strong K-step opacity;
-* the system vs. its own observer (sink never needed: the estimate always
-  contains the concrete state) — supplies enforcement's predecessor runs;
-* the system vs. the observer of the deleted-secret-states remainder (empty
-  sink on) — decides strong current-/initial-/infinite-step opacity.
+  remainder — decides strong K-step opacity;
+* the system vs. its own observer — supplies enforcement's predecessor
+  runs; it has no empty-estimate state, since its estimate always contains
+  the left state;
+* the system vs. the observer of the deleted-secret-states remainder —
+  decides strong current-/initial-/infinite-step opacity.
 
-A product state whose estimate has collapsed marks a leaking-secret run; the
+A product state whose estimate is empty marks a leaking-secret run; the
 empty estimate is absorbing.
 
 The product is explored over int keys, a left state's bit in its model's
@@ -413,16 +415,14 @@ def product(
     left: Nfa,
     right: Observer,
     initials: Iterable[CcState],
-    empty_sink: bool,
     *,
     stop_on: Collection[str] | None = None,
     max_layer: int | None = None,
 ) -> CcAutomaton:
     """BFS closure of ``initials`` under the paired-transition rules.
 
-    An observable event moves both sides (the right along the observer's
-    partial map, collapsing to the empty estimate when the map is undefined
-    and ``empty_sink`` holds, and dropping the pair transition otherwise); an
+    An observable event moves both sides, the right along the observer's
+    partial map, to the empty estimate where the map is undefined; an
     unobservable event moves the left side only. Once empty, the right side
     stays empty while the left moves freely.
 
@@ -474,8 +474,8 @@ def product(
 
     observable = left.observable_events
     # slot -> event -> slot. A slot is an estimate's id, or -1 for the empty
-    # estimate, whose row, the last, maps every observable event back to it.
-    steps = table.step + [dict.fromkeys(observable, -1)]
+    # estimate, whose row, the last, is empty: an undefined step leads to it.
+    steps = table.step + [{}]
     events = tuple(CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet)
     index = {e.left_event: i for i, e in enumerate(events)}
     shift = _index_bits(len(events))
@@ -533,11 +533,7 @@ def product(
             row.append(dst << shift | event)
         moves = steps[slot]
         for event, sigma, dst_pos in loud[pos]:
-            dst_slot = moves.get(sigma)
-            if dst_slot is None:
-                if not empty_sink:
-                    continue
-                dst_slot = -1
+            dst_slot = moves.get(sigma, -1)
             key = dst_slot * size + dst_pos
             dst = ids.get(key)
             if dst is None:
@@ -576,7 +572,7 @@ def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
     ``product``'s stop arguments."""
     ghat = initial_secret_subautomaton(nfa)
     if obs is None or not ghat.states:
-        return product(ghat, multi_initial_observer(ghat, []), _Keys(), empty_sink=True, **stop)
+        return product(ghat, multi_initial_observer(ghat, []), _Keys(), **stop)
     right = multi_initial_observer(*nonsecret_subautomaton(nfa, obs))
     # ``nfa``, ``ghat`` and the remainder share one numbering: each secret
     # bit of an estimate is a left position of ``ghat``, paired with the
@@ -596,14 +592,14 @@ def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
                 f"hybrid remainder missing from observer initials: {tuple(table.names(mask & ~secret))}"
             )
         initials.extend((b, slot) for b in _bits(inside))
-    return product(ghat, right, initials, empty_sink=True, **stop)
+    return product(ghat, right, initials, **stop)
 
 
 def cc_full_observer(nfa: Nfa) -> CcAutomaton:
     """The composition of the system with its own observer.
 
-    Along left-feasible words the estimate always contains the left state, so
-    the observer step is always defined and no empty sink is needed.
+    Its estimate always contains its left state, so every observer step
+    along a left move is defined and it has no empty-estimate state.
     """
     nfa = accessible_part(nfa)
     return _cc_full_observer(nfa, subset_construction(nfa))
@@ -612,8 +608,7 @@ def cc_full_observer(nfa: Nfa) -> CcAutomaton:
 def _cc_full_observer(nfa: Nfa, obs: Observer) -> CcAutomaton:
     """``cc_full_observer`` of an accessible ``nfa`` with its observer ``obs``."""
     (slot,) = obs._table.initials
-    position = nfa._numbering[1]
-    return product(nfa, obs, _Keys((position[x0], slot) for x0 in nfa.initial), empty_sink=False)
+    return _seeded(nfa, obs, slot, nfa.initial)
 
 
 def cc_dss(nfa: Nfa, *, secret_only: bool = False) -> CcAutomaton:
@@ -639,6 +634,12 @@ def _cc_dss(nfa: Nfa, *, secret_only: bool = False, **stop) -> CcAutomaton:
         right, slot = subset_construction(dss), 0
     else:
         right, slot = multi_initial_observer(dss, []), -1
-    starts = nfa.initial & nfa.secret if secret_only else nfa.initial
+    return _seeded(nfa, right, slot, nfa.initial & nfa.secret if secret_only else nfa.initial, **stop)
+
+
+def _seeded(nfa: Nfa, right: Observer, slot: int, starts: Iterable[str], **stop) -> CcAutomaton:
+    """The composition of the system ``nfa`` with ``right`` seeded by each
+    state of ``starts`` paired with the estimate ``slot`` of ``right`` (-1
+    for the empty estimate); ``stop`` holds ``product``'s stop arguments."""
     position = nfa._numbering[1]
-    return product(nfa, right, _Keys((position[x0], slot) for x0 in starts), empty_sink=True, **stop)
+    return product(nfa, right, _Keys((position[x0], slot) for x0 in starts), **stop)

@@ -1,10 +1,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from strongopacity import Event, Nfa
 
 MODELS = Path(__file__).parent / "models"
+
+# For ``tools/mutants.py`` only, which selects it with ``--hypothesis-profile``:
+# a failing example is reported as drawn, without minutes of shrinking, and
+# no example database carries a failure from one seed's run into the next.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate, Phase.target), database=None)
 
 
 def build_nfa(states, events, transitions, initial, secret, unobservable=(), uncontrollable=()):

@@ -304,6 +304,11 @@ class TestModelTypes:
         assert run.states() == ("0", "3", "4", "5")
         assert delayed_leak.has_run(run)
         assert not delayed_leak.has_run(Run(start="0", steps=(("b", "5"),)))
+        assert not delayed_leak.has_run(Run("nope"))
+
+    def test_unknown_event_name_rejected(self, delayed_leak):
+        with pytest.raises(InvalidEvent, match=r"^unknown event: 'zz'$"):
+            delayed_leak.event("zz")
 
     def test_partition_flags(self, two_initials):
         assert two_initials.secret_initial == {"1"}

@@ -49,7 +49,7 @@ class TestProductEngine:
         frozen = delayed_leak.replace(transitions=frozenset(), initial=frozenset({"0"}))
         obs = subset_construction(frozen)
         (q0,) = obs.initials
-        cc = product(frozen, obs, [CcState("0", q0)], empty_sink=False)
+        cc = product(frozen, obs, [CcState("0", q0)])
         assert cc.states == {CcState("0", q0)}
         assert cc.transitions == frozenset()
 
@@ -62,7 +62,12 @@ class TestProductEngine:
             )
         )
         with pytest.raises(AlphabetMismatch):
-            product(hidden, obs, [], empty_sink=False)
+            product(hidden, obs, [])
+
+    def test_initial_right_component_must_be_an_estimate(self, delayed_leak):
+        obs = subset_construction(delayed_leak)
+        with pytest.raises(AlphabetMismatch, match="initial right component is not an estimate"):
+            product(delayed_leak, obs, [CcState("0", ("nope",))])
 
     def test_projection_pairing_on_random_walks(self):
         rng = random.Random(7)

@@ -195,10 +195,10 @@ class TestDroppedState:
         obs = subset_construction(acc)
         (q,) = obs.initials
         with pytest.raises(AlphabetMismatch):
-            product(acc, obs, [CcState("9", q)], empty_sink=True)
+            product(acc, obs, [CcState("9", q)])
         ghat = initial_secret_subautomaton(acc)
         with pytest.raises(AlphabetMismatch):
-            product(ghat, multi_initial_observer(ghat, []), [CcState("0", None)], empty_sink=True)
+            product(ghat, multi_initial_observer(ghat, []), [CcState("0", None)])
 
     def test_no_view_holds_it(self, model):
         acc = accessible_part(model)

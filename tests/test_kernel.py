@@ -28,7 +28,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import strongopacity
 from strongopacity import (
@@ -303,7 +303,7 @@ class TestMultiInitialErrors:
             multi_initial_observer(nfa, [{"0"}])
 
 
-def reference_product(left, obs, initials, empty_sink):
+def reference_product(left, obs, initials):
     states, transitions, todo = set(initials), set(), list(initials)
     while todo:
         here = todo.pop()
@@ -312,8 +312,6 @@ def reference_product(left, obs, initials, empty_sink):
                 continue
             if left.is_observable(sigma):
                 right = None if here.right is None else obs.delta.get((here.right, sigma))
-                if here.right is not None and right is None and not empty_sink:
-                    continue
                 event = CcEvent(sigma, sigma)
             else:
                 right, event = here.right, CcEvent(sigma, None)
@@ -325,9 +323,9 @@ def reference_product(left, obs, initials, empty_sink):
     return states, transitions
 
 
-@given(cyclic_nfas(), st.data(), st.booleans())
+@given(cyclic_nfas(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_product_matches_reference(nfa, data, empty_sink):
+def test_product_matches_reference(nfa, data):
     # The observer of a thinned copy, so that some observer steps are undefined.
     kept = set()
     if nfa.transitions:
@@ -337,8 +335,8 @@ def test_product_matches_reference(nfa, data, empty_sink):
     pair = st.tuples(st.sampled_from(sorted(nfa.states)), st.sampled_from(estimates + [None]))
     pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
     initials = [CcState(x, q) for x, q in pairs]
-    cc = product(nfa, obs, initials, empty_sink=empty_sink)
-    states, transitions = reference_product(nfa, obs, initials, empty_sink)
+    cc = product(nfa, obs, initials)
+    states, transitions = reference_product(nfa, obs, initials)
     assert cc.states == states
     assert cc.transitions == transitions
     # Both indexes list every reference edge exactly once, under every state.
@@ -392,12 +390,12 @@ def stop_layer(left, layer, stop_on, max_layer):
     return min(last, math.inf if max_layer is None else max_layer)
 
 
-def check_layered_product(nfa, obs, initials, empty_sink, stop_on, max_layer):
+def check_layered_product(nfa, obs, initials, stop_on, max_layer):
     """``product`` with a stop against the whole reference product: it
     expands exactly the layers up to ``stop_layer``, and lists the states
     those layers reach."""
-    cc = product(nfa, obs, initials, empty_sink=empty_sink, stop_on=stop_on, max_layer=max_layer)
-    states, transitions = reference_product(nfa, obs, initials, empty_sink)
+    cc = product(nfa, obs, initials, stop_on=stop_on, max_layer=max_layer)
+    states, transitions = reference_product(nfa, obs, initials)
     layer = observable_layers(transitions, initials)
     assert layer.keys() == states
     last = stop_layer(nfa, layer, stop_on, max_layer)
@@ -408,7 +406,7 @@ def check_layered_product(nfa, obs, initials, empty_sink, stop_on, max_layer):
     # Every expanded state has its whole-product cost, and the cheapest
     # empty-estimate state, if it lies at most one layer further, its
     # whole-product witness.
-    full = product(nfa, obs, initials, empty_sink=empty_sink)
+    full = product(nfa, obs, initials)
     part_costs, full_costs = cc_observable_costs(cc, initials), cc_observable_costs(full, initials)
     assert all(part_costs[s] == full_costs[s] for s in expanded)
     bad = [s for s in states if s.is_empty and layer[s] <= last + 1]
@@ -422,9 +420,9 @@ def each_stop(nfa):
     return [(on, k) for on in (None, nfa.secret, nfa.states) for k in (None, 0, 1, 2, 3)]
 
 
-@given(cyclic_nfas(), st.data(), st.booleans())
+@given(cyclic_nfas(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_layered_product_stops_after_its_layer(nfa, data, empty_sink):
+def test_layered_product_stops_after_its_layer(nfa, data):
     kept = set()
     if nfa.transitions:
         kept = data.draw(st.sets(st.sampled_from(sorted(nfa.transitions))))
@@ -432,7 +430,7 @@ def test_layered_product_stops_after_its_layer(nfa, data, empty_sink):
     pair = st.tuples(st.sampled_from(sorted(nfa.states)), st.sampled_from(sorted(obs.estimates) + [None]))
     initials = [CcState(x, q) for x, q in data.draw(st.lists(pair, min_size=1, max_size=3))]
     for stop_on, max_layer in each_stop(nfa):
-        check_layered_product(nfa, obs, initials, empty_sink, stop_on, max_layer)
+        check_layered_product(nfa, obs, initials, stop_on, max_layer)
 
 
 def test_layered_product_on_golden_instances():
@@ -445,7 +443,7 @@ def test_layered_product_on_golden_instances():
         obs = subset_construction(dss)
         initials = [CcState(x, q) for x in nfa.initial for q in obs.initials]
         for stop_on, max_layer in each_stop(nfa):
-            check_layered_product(nfa, obs, initials, True, stop_on, max_layer)
+            check_layered_product(nfa, obs, initials, stop_on, max_layer)
 
 
 def test_state_found_by_an_observable_move_moves_back_into_its_layer():
@@ -463,7 +461,7 @@ def test_state_found_by_an_observable_move_moves_back_into_its_layer():
     obs = subset_construction(nfa)
     (q,) = obs.initials
     assert q == ("0", "1", "2") and obs.step(q, "a") == q
-    cc = product(nfa, obs, [CcState("0", q)], empty_sink=True, max_layer=0)
+    cc = product(nfa, obs, [CcState("0", q)], max_layer=0)
     assert {(src.left, event.left_event, dst.left) for src, event, dst in cc.transitions} == {
         ("0", "a", "2"),
         ("0", "u", "1"),
@@ -513,9 +511,9 @@ def drawn_products(nfa, data):
     obs = subset_construction(nfa.replace(transitions=kept))
     pair = st.tuples(st.sampled_from(sorted(nfa.states)), st.sampled_from(sorted(obs.estimates) + [None]))
     initials = [CcState(x, q) for x, q in data.draw(st.lists(pair, min_size=1, max_size=3))]
-    _, transitions = reference_product(nfa, obs, initials, True)
+    _, transitions = reference_product(nfa, obs, initials)
     for stop_on, max_layer in each_stop(nfa):
-        cc = product(nfa, obs, initials, empty_sink=True, stop_on=stop_on, max_layer=max_layer)
+        cc = product(nfa, obs, initials, stop_on=stop_on, max_layer=max_layer)
         yield cc, transitions, initials
 
 
@@ -559,24 +557,47 @@ def test_layered_product_records_each_state_layer(nfa, data):
         assert {cc._core.state(i): n for i, n in enumerate(cc._layer)} == {s: layer[s] for s in cc.states}
 
 
+def check_frontier(cc, bad, budget):
+    """``last_controllable_frontier`` against a forward search of ``cc``."""
+    controllable = {e.name for e in cc.left.alphabet if e.controllable}
+    reached = reference_costs(cc.transitions, cc.initials, controllable, False, False)
+    into_bad = reference_costs(cc.transitions, bad, controllable, True, True)
+    assert last_controllable_frontier(cc, bad, budget) == {
+        (src, event, dst)
+        for src, event, dst in cc.transitions
+        if src in reached
+        and event.left_event in controllable
+        and dst in into_bad
+        and (budget is None or reached[src][0] + event.observable + into_bad[dst][0] <= budget)
+    }
+
+
 @given(cyclic_nfas(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_frontier_without_sources_matches_a_forward_search(nfa, data):
     for cc, _, _ in drawn_products(nfa, data):
-        controllable = {e.name for e in cc.left.alphabet if e.controllable}
         states = sorted(cc.states, key=CcState.sort_key)
         bad = data.draw(st.sets(st.sampled_from(states))) if states else set()
-        budget = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
-        reached = reference_costs(cc.transitions, cc.initials, controllable, False, False)
-        into_bad = reference_costs(cc.transitions, bad, controllable, True, True)
-        assert last_controllable_frontier(cc, bad, budget) == {
-            (src, event, dst)
-            for src, event, dst in cc.transitions
-            if src in reached
-            and event.left_event in controllable
-            and dst in into_bad
-            and (budget is None or reached[src][0] + event.observable + into_bad[dst][0] <= budget)
-        }
+        check_frontier(cc, bad, data.draw(st.sampled_from([None, 0, 1, 2, 3])))
+
+
+def test_frontier_reads_the_layer_a_state_moves_back_into():
+    # (2,∅) is found first by the observable move from (0,∅), for layer 1,
+    # and then by the unobservable path through (1,∅), in layer 0, whatever
+    # the order of the transitions. So (2,∅)'s move into (3,∅) is within a
+    # budget of 1.
+    nfa = Nfa(
+        frozenset("0123"),
+        (Event("a"), Event("b"), Event("u", observable=False)),
+        frozenset({("0", "a", "2"), ("0", "u", "1"), ("1", "u", "2"), ("2", "b", "3")}),
+        frozenset({"0"}),
+    )
+    cc = product(nfa, subset_construction(nfa), [CcState("0", None)])
+    assert (CcState("2", None), CcEvent("b", "b"), CcState("3", None)) in last_controllable_frontier(
+        cc, [CcState("3", None)], 1
+    )
+    for budget in (None, 0, 1, 2):
+        check_frontier(cc, [CcState("3", None)], budget)
 
 
 VIEWS = ("states", "transitions", "initials", "empty_states", "secret_initials", "edges", "by_source", "by_target")
@@ -630,7 +651,7 @@ def foreign_states(nfa, obs):
     every pair, and two states that no composition of them has; a caller
     removes its own states."""
     pairs = [CcState(x, q) for x in sorted(nfa.states) for q in sorted(obs.estimates) + [None]]
-    return set(product(nfa, obs, pairs, empty_sink=True).states) | {
+    return set(product(nfa, obs, pairs).states) | {
         CcState("nowhere", None),
         CcState(sorted(nfa.states)[0], ("nowhere",)),
     }
@@ -654,7 +675,7 @@ def test_views_on_golden_instances():
         initials = [CcState(x, q) for x in nfa.initial for q in obs.initials]
         aliens = foreign_states(nfa, obs)
         for stop_on, max_layer in each_stop(nfa):
-            cc = product(nfa, obs, initials, empty_sink=True, stop_on=stop_on, max_layer=max_layer)
+            cc = product(nfa, obs, initials, stop_on=stop_on, max_layer=max_layer)
             check_views(cc, initials, aliens - set(cc.states))
 
 
@@ -760,8 +781,8 @@ def test_scso_waits_for_a_secret_offender_behind_a_non_secret_one():
     assert verify_inf_sso(nfa).witness.steps[-1][1] == "(5,∅)"
     obs = subset_construction(dss_subautomaton(nfa))
     seed = [CcState("0", q0) for q0 in obs.initials]
-    secret_stop = product(nfa, obs, seed, empty_sink=True, stop_on=nfa.secret)
-    all_stop = product(nfa, obs, seed, empty_sink=True, stop_on=nfa.states)
+    secret_stop = product(nfa, obs, seed, stop_on=nfa.secret)
+    all_stop = product(nfa, obs, seed, stop_on=nfa.states)
     assert secret_stop.by_source[CcState("5", None)] != ()
     assert all_stop.by_source[CcState("5", None)] == ()
     assert CcState("6", None) not in all_stop.states
@@ -805,6 +826,7 @@ def reference_enforce_k_sso(nfa, k):
             return Impossible(Run(head.start, head.steps + suffix.to_left_run().steps))
         frontier = last_controllable_frontier(cc, theta, budget=k) | last_controllable_frontier(ccobs, marked)
         cut = {(s.left, e.left_event, d.left) for s, e, d in frontier} & current.transitions
+        assert cut, "a reference round cut nothing"  # as the enforcer's own check, so no round repeats
         disabled |= cut
         current = disable_transitions(current, cut)
 
@@ -823,6 +845,7 @@ def reference_enforce_siso(nfa):
             return Impossible(offending.to_left_run())
         omega = {t for t in last_controllable_frontier(cc, bad) if t[0] in costs}
         cut = {(s.left, e.left_event, d.left) for s, e, d in omega} & current.transitions
+        assert cut, "a reference round cut nothing"  # as the enforcer's own check, so no round repeats
         disabled |= cut
         current = disable_transitions(current, cut)
 
@@ -852,7 +875,23 @@ def check_enforcers_match_whole_compositions(nfa):
     assert outcome_text(enforce_siso(nfa)) == outcome_text(reference_enforce_siso(nfa))
 
 
+# In the secret-restart composition, (2,{1,2}) is found first by the
+# observable move from (0,{1,2}), for layer 1, and then by the unobservable
+# path through (1,{1,2}), in layer 0, whatever the order of the transitions.
+# So its move into (9,∅) leaks within one step, and K = 1 must cut it.
+LOWERED_LEAK = Nfa(
+    frozenset({"0", "1", "2", "9", "10"}),
+    tuple(Event(e) for e in OBSERVABLE) + tuple(Event(e, observable=False) for e in UNOBSERVABLE),
+    frozenset(
+        {("0", "u", "1"), ("1", "u", "2"), ("2", "u", "1"), ("0", "a", "2"), ("2", "a", "1"), ("2", "b", "9"), ("9", "u", "10")}
+    ),
+    frozenset({"0"}),
+    frozenset({"0", "9"}),
+)
+
+
 @given(cyclic_nfas(), st.sets(st.sampled_from(OBSERVABLE + UNOBSERVABLE)))
+@example(LOWERED_LEAK, set())
 @settings(max_examples=150, deadline=None)
 def test_enforcers_match_the_whole_compositions(nfa, uncontrollable):
     alphabet = tuple(dataclasses.replace(e, controllable=e.name not in uncontrollable) for e in nfa.alphabet)

@@ -469,7 +469,7 @@ def check_dot_as_name_sorted(nfa, seeds, pairs):
     structures = [nfa, subset_construction(nfa), multi_initial_observer(nfa, seeds)]
     compositions = [cc_hat(nfa), cc_full_observer(nfa), cc_dss(nfa)]
     obs = structures[1]
-    compositions.append(product(nfa, obs, [CcState(x, q) for x, q in pairs if q is None or q in obs.estimates], True))
+    compositions.append(product(nfa, obs, [CcState(x, q) for x, q in pairs if q is None or q in obs.estimates]))
     for structure in structures + compositions:
         sink = io.StringIO()
         export_graph(structure, sink)

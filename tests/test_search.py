@@ -75,7 +75,7 @@ def test_witness_tie_breaks_match_a_public_view_reference(nfa, data):
     pair = st.tuples(st.sampled_from(sorted(nfa.states)), st.sampled_from(sorted(obs.estimates) + [None]))
     initials = [CcState(x, q) for x, q in data.draw(st.lists(pair, min_size=1, max_size=3))]
     for stop_on, max_layer in each_stop(nfa):
-        check_paths(product(nfa, obs, initials, empty_sink=True, stop_on=stop_on, max_layer=max_layer), data)
+        check_paths(product(nfa, obs, initials, stop_on=stop_on, max_layer=max_layer), data)
 
 
 def test_tie_breaks_where_natural_and_plain_orders_differ():

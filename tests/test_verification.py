@@ -83,7 +83,7 @@ CHAIN = build_nfa([str(i) for i in range(17)], ["a"], [(str(i), "a", str(i + 1))
 K_TAKERS = {
     "verify_k_sso": verify_k_sso,
     "enforce_k_sso": enforce_k_sso,
-    "product": lambda nfa, k: product(nfa, subset_construction(nfa), [], empty_sink=True, max_layer=k),
+    "product": lambda nfa, k: product(nfa, subset_construction(nfa), [], max_layer=k),
     "observational_reach_within": lambda nfa, k: observational_reach_within(cc_hat(nfa), k),
     "last_controllable_frontier": lambda nfa, k: last_controllable_frontier(cc_hat(nfa), [], budget=k),
     # The oracle's doors; all but ``oracle_k_sso`` take ``k`` as the enumeration cap.
