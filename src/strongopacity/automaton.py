@@ -3,6 +3,11 @@
 States are opaque string tokens; the library never parses meaning out of them.
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
+The one state the package keeps between calls is the composition module's
+operand memo (``composition._operands``): the accessible part, observers and
+subautomata of the last model handed to a verifier, an enforcer or a
+composition constructor, so at most one model stays alive after a call. A
+thread that races another on it only misses and builds them again.
 
 The adjacency indexes (``by_source``/``by_target``) are unordered. Order is
 applied only where something is output or a tie is broken: ``natural_key``,

@@ -21,8 +21,8 @@ import os
 import sys
 from typing import Sequence
 
-from .automaton import Nfa, Run, accessible_part
-from .composition import cc_dss, cc_full_observer, cc_hat
+from .automaton import Nfa, Run
+from .composition import _operands, cc_dss, cc_full_observer, cc_hat
 from .enforcement import (
     Enforced,
     EnforcementOutcome,
@@ -109,7 +109,7 @@ def _checked_k(parser: argparse.ArgumentParser, args, model: Nfa) -> int:
     # The bound is 0 with no accessible secret state and at least
     # 2^|X∖X_S| - 1 with one: only a K above that needs the exact bound,
     # which builds the secret-restart subautomaton.
-    acc = accessible_part(model)
+    acc = _operands(model).acc  # the bundle the verifier or enforcer reads next
     if args.k > (2 ** len(acc.states - acc.secret) - 1 if acc.secret else 0):
         bound = effective_k_bound(acc)
         if args.k > bound:

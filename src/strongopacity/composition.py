@@ -53,6 +53,16 @@ and the K-step enforcer give it a last layer to expand: K, or the layer of
 the first offending empty-estimate state (the layer that finds it, when
 every empty-estimate state offends). The result is then a partial
 composition whose unexpanded states, the next layer, have no out-edges.
+
+A system's operands, its accessible part, that part's observer, the
+deleted-secret-states observer and the secret-restart operands, are held
+in one bundle (``_Operands``), each built on first use by the public
+builders. ``_operands`` keeps the bundle of the last model object handed
+in, in one module slot, and hands it out again for that model or its
+accessible part, so the notions checked back to back on one model build
+each operand once. After a call the slot keeps at most one model alive,
+with its operands. Compositions are not kept: their stops differ per
+notion and per K.
 """
 
 from __future__ import annotations
@@ -553,6 +563,84 @@ def product(
     return CcAutomaton(left, right, events, ids, keys, out, starts, layers)
 
 
+class _Operands:
+    """The operands of one system's compositions, each built on first use
+    with the public builders: ``acc``, its accessible part; ``observer``,
+    the observer of that part; ``dss``, the deleted-secret-states observer
+    with its seed slot; ``restart``, the secret-restart operands. Every
+    notion reads the ones it needs from the bundle that ``_operands`` keeps."""
+
+    def __init__(self, acc: Nfa) -> None:
+        self.acc = acc
+
+    @cached_property
+    def observer(self) -> Observer:
+        return subset_construction(self.acc)
+
+    @cached_property
+    def dss(self) -> tuple[Observer, int]:
+        """The observer of the deleted-secret-states remainder and the slot
+        of its one initial estimate (0), or, when the remainder has no
+        initial state, the empty observer and the empty estimate (-1)."""
+        dss = dss_subautomaton(self.acc)
+        if dss.initial:
+            return subset_construction(dss), 0
+        return multi_initial_observer(dss, []), -1
+
+    @cached_property
+    def restart(self) -> tuple[Nfa, Observer, _Keys]:
+        """The secret-restart side, the multi-initial observer of the
+        non-secret remainder and the initial keys that ``cc_hat`` seeds
+        ``product`` with."""
+        nfa = self.acc
+        ghat = initial_secret_subautomaton(nfa)
+        if not ghat.states:  # no secret state
+            return ghat, multi_initial_observer(ghat, []), _Keys()
+        obs = self.observer
+        right = multi_initial_observer(*nonsecret_subautomaton(nfa, obs))
+        # ``nfa``, ``ghat`` and the remainder share one numbering: each secret
+        # bit of an estimate is a left position of ``ghat``, paired with the
+        # initial id of the estimate's non-secret remainder.
+        table, rtable = obs._table, right._table
+        secret = table.mask_of(nfa.secret)
+        slots = {rtable.masks[j]: j for j in rtable.initials}
+        slots[0] = -1  # no remainder: the empty estimate
+        initials = _Keys()
+        for mask in table.masks:
+            inside = mask & secret
+            if not inside:
+                continue
+            slot = slots.get(mask & ~secret)
+            if slot is None:
+                raise InternalInvariantError(
+                    f"hybrid remainder missing from observer initials: {tuple(table.names(mask & ~secret))}"
+                )
+            initials.extend((b, slot) for b in _bits(inside))
+        return ghat, right, initials
+
+
+_last: tuple[Nfa, _Operands] | None = None  # the last model handed to ``_operands``, with its bundle
+
+
+def _operands(nfa: Nfa, *, accessible: bool = False) -> _Operands:
+    """The operand bundle of ``nfa``, which is accessible when
+    ``accessible`` is set (its accessible part is then ``nfa`` itself).
+
+    Only the bundle of the last model handed in is kept, and handed out
+    again for that model or its accessible part: back-to-back calls on one
+    model build each operand once, and no more than one model stays alive
+    after a call. The slot is read once and replaced whole, so a thread
+    that races another can only miss. The key is identity, not equality:
+    two equal automata can carry different numberings."""
+    global _last
+    last = _last
+    if last is not None and (last[0] is nfa or last[1].acc is nfa):
+        return last[1]
+    ops = _Operands(nfa if accessible else accessible_part(nfa))
+    _last = (nfa, ops)
+    return ops
+
+
 def cc_hat(nfa: Nfa) -> CcAutomaton:
     """The composition of the secret-restart side with the multi-initial
     observer of the non-secret remainder.
@@ -561,38 +649,13 @@ def cc_hat(nfa: Nfa) -> CcAutomaton:
     with that estimate's non-secret part (the empty estimate when there is
     none). No such estimate means an empty composition.
     """
-    nfa = accessible_part(nfa)
-    return _cc_hat(nfa, subset_construction(nfa) if nfa.secret else None)
+    return _cc_hat(_operands(nfa))
 
 
-def _cc_hat(nfa: Nfa, obs: Observer | None, **stop) -> CcAutomaton:
-    """``cc_hat`` of an accessible ``nfa`` whose observer ``obs`` the caller
-    already holds. ``obs`` may be None when ``nfa`` has no secret state (an
-    accessible automaton without initial states has none). ``stop`` holds
+def _cc_hat(ops: _Operands, **stop) -> CcAutomaton:
+    """``cc_hat`` of the system whose operands are ``ops``; ``stop`` holds
     ``product``'s stop arguments."""
-    ghat = initial_secret_subautomaton(nfa)
-    if obs is None or not ghat.states:
-        return product(ghat, multi_initial_observer(ghat, []), _Keys(), **stop)
-    right = multi_initial_observer(*nonsecret_subautomaton(nfa, obs))
-    # ``nfa``, ``ghat`` and the remainder share one numbering: each secret
-    # bit of an estimate is a left position of ``ghat``, paired with the
-    # initial id of the estimate's non-secret remainder.
-    table, rtable = obs._table, right._table
-    secret = table.mask_of(nfa.secret)
-    slots = {rtable.masks[j]: j for j in rtable.initials}
-    slots[0] = -1  # no remainder: the empty estimate
-    initials = _Keys()
-    for mask in table.masks:
-        inside = mask & secret
-        if not inside:
-            continue
-        slot = slots.get(mask & ~secret)
-        if slot is None:
-            raise InternalInvariantError(
-                f"hybrid remainder missing from observer initials: {tuple(table.names(mask & ~secret))}"
-            )
-        initials.extend((b, slot) for b in _bits(inside))
-    return product(ghat, right, initials, **stop)
+    return product(*ops.restart, **stop)
 
 
 def cc_full_observer(nfa: Nfa) -> CcAutomaton:
@@ -601,14 +664,14 @@ def cc_full_observer(nfa: Nfa) -> CcAutomaton:
     Its estimate always contains its left state, so every observer step
     along a left move is defined and it has no empty-estimate state.
     """
-    nfa = accessible_part(nfa)
-    return _cc_full_observer(nfa, subset_construction(nfa))
+    return _cc_full_observer(_operands(nfa))
 
 
-def _cc_full_observer(nfa: Nfa, obs: Observer) -> CcAutomaton:
-    """``cc_full_observer`` of an accessible ``nfa`` with its observer ``obs``."""
+def _cc_full_observer(ops: _Operands) -> CcAutomaton:
+    """``cc_full_observer`` of the system whose operands are ``ops``."""
+    obs = ops.observer
     (slot,) = obs._table.initials
-    return _seeded(nfa, obs, slot, nfa.initial)
+    return _seeded(ops.acc, obs, slot, ops.acc.initial)
 
 
 def cc_dss(nfa: Nfa, *, secret_only: bool = False) -> CcAutomaton:
@@ -621,20 +684,14 @@ def cc_dss(nfa: Nfa, *, secret_only: bool = False) -> CcAutomaton:
     ``secret_only`` only the secret initial pairs seed it: that part is all
     that initial-state opacity reads.
     """
-    return _cc_dss(accessible_part(nfa), secret_only=secret_only)
+    return _cc_dss(_operands(nfa), secret_only=secret_only)
 
 
-def _cc_dss(nfa: Nfa, *, secret_only: bool = False, **stop) -> CcAutomaton:
-    """``cc_dss`` of an accessible ``nfa``; ``stop`` holds ``product``'s
-    stop arguments."""
-    dss = dss_subautomaton(nfa)
-    # The remainder's one initial estimate (slot 0), or the empty estimate
-    # (slot -1) when it has none.
-    if dss.initial:
-        right, slot = subset_construction(dss), 0
-    else:
-        right, slot = multi_initial_observer(dss, []), -1
-    return _seeded(nfa, right, slot, nfa.initial & nfa.secret if secret_only else nfa.initial, **stop)
+def _cc_dss(ops: _Operands, *, secret_only: bool = False, **stop) -> CcAutomaton:
+    """``cc_dss`` of the system whose operands are ``ops``; ``stop`` holds
+    ``product``'s stop arguments."""
+    nfa = ops.acc
+    return _seeded(nfa, *ops.dss, nfa.initial & nfa.secret if secret_only else nfa.initial, **stop)
 
 
 def _seeded(nfa: Nfa, right: Observer, slot: int, starts: Iterable[str], **stop) -> CcAutomaton:

@@ -20,7 +20,9 @@ Those two answers come from the round of the composition: the K-step round
 (``_k_step_round``) on the secret-restart composition, or the
 deleted-secret-states round (``_dss_round``) for scso, siso and inf-sso.
 The loop alone keeps the round bound, drops what a cut names outside the
-current subsystem, and raises when a round makes no progress.
+current subsystem, and raises when a round makes no progress. A round
+reads its subsystem's operands from ``composition._operands``, so the first
+round reuses those that an earlier call on the same model built.
 
 Disabling can turn previously matched runs into leaking ones, which is exactly
 why the loop rebuilds and repeats; every round removes at least one
@@ -61,10 +63,12 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .automaton import Nfa, Run, Transition, _check_k, accessible_part, disable_transitions
-from .composition import CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, _Core, cc_dss
+from .automaton import Nfa, Run, Transition, _check_k, disable_transitions
+from .composition import (
+    CcAutomaton, CcState, CcTransition, _cc_full_observer, _cc_hat, _Core, _operands, _Operands, cc_dss,
+)
 from .errors import InternalInvariantError
-from .observer import Observer, _IdSet, subset_construction
+from .observer import _IdSet
 from .search import _cost_shift, cc_observable_costs, cc_shortest_path
 from .verification import _RULES, INF_SSO, K_SSO, SCSO, SISO, _offenders
 
@@ -146,21 +150,21 @@ def _enforce(nfa: Nfa, notion: str, k: int | None = None) -> EnforcementOutcome:
     the round of that composition answers Impossible or the transitions to
     disable."""
     rule = _RULES[notion]
-    current = accessible_part(nfa)
+    current = _operands(nfa).acc
     disabled: set[Transition] = set()
     for _ in range(len(current.controllable_transitions) + 2):
         if rule.dss:
             cc = cc_dss(current, secret_only=rule.secret_only)
         else:
-            obs = subset_construction(current) if current.secret else None
+            ops = _operands(current, accessible=True)
             # Observable cost never falls along a path, so every state that
             # this round reads (the offenders, their predecessors, the
             # frontier, the Impossible suffix) lies within layer K.
-            cc = _cc_hat(current, obs, max_layer=k)
+            cc = _cc_hat(ops, max_layer=k)
         bad = _offenders(cc, rule, k)
         if not bad:
             return Enforced(frozenset(disabled), current)
-        cut = _dss_round(cc, bad) if rule.dss else _k_step_round(current, obs, cc, bad, k)
+        cut = _dss_round(cc, bad) if rule.dss else _k_step_round(ops, cc, bad, k)
         if isinstance(cut, Impossible):
             return cut
         if not cut:
@@ -170,9 +174,10 @@ def _enforce(nfa: Nfa, notion: str, k: int | None = None) -> EnforcementOutcome:
     raise InternalInvariantError("enforcement loop exceeded its round bound")
 
 
-def _k_step_round(current: Nfa, obs: Observer, cc: CcAutomaton, theta: _IdSet, k: int) -> Impossible | set[Transition]:
-    """A K-step round on the secret-restart composition ``cc`` of
-    ``current`` up to layer K, whose offenders ``theta`` are found."""
+def _k_step_round(ops: _Operands, cc: CcAutomaton, theta: _IdSet, k: int) -> Impossible | set[Transition]:
+    """A K-step round on the secret-restart composition ``cc``, up to layer
+    K, of the subsystem whose operands are ``ops``, with its offenders
+    ``theta`` found."""
     # Initial pairs from which an offending state is reachable by a run
     # with no controllable transition and observable length within K.
     back = cc_observable_costs(cc, theta, uncontrollable_only=True, backward=True)._data
@@ -180,9 +185,9 @@ def _k_step_round(current: Nfa, obs: Observer, cc: CcAutomaton, theta: _IdSet, k
     leaky = {_pair(cc._core, i): i for i in cc.initials._ids if i in back and back[i] >> shift <= k}
     cut = set(map(cc._core.left_transition, _frontier(cc, back, budget=k)))
     if leaky:  # only a leaky initial needs the system/observer composition
-        ccobs = _cc_full_observer(current, obs)
+        ccobs = _cc_full_observer(ops)
         # The predecessor states: a leaky pair's left bit and remainder.
-        core, keep = ccobs._core, ~obs._table.mask_of(current.secret)
+        core, keep = ccobs._core, ~ops.observer._table.mask_of(ops.acc.secret)
         marked = ccobs._subset(i for i in range(len(core.keys)) if _pair(core, i, keep) in leaky)
         if not marked:
             raise InternalInvariantError("no predecessor states correspond to a leaking initial")

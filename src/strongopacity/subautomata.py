@@ -10,8 +10,12 @@
 
 Each is one walk of its parent's ``by_source`` (``automaton._restrict``) and
 keeps the parent's edge tuples and its root model's numbering, so a state
-has one bit in the system and in each subautomaton. Each enforcement round
-rebuilds these from scratch; there is no incremental re-extraction.
+has one bit in the system and in each subautomaton. The compositions
+build them once per model: the composition module's operand bundle
+(``composition._Operands``) holds the deleted-secret-states observer and
+the secret-restart operands of the last model handed in, and no earlier
+one. Each enforcement round cuts a new subsystem, so it builds them afresh;
+there is no incremental re-extraction.
 """
 
 from __future__ import annotations

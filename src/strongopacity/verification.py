@@ -19,7 +19,11 @@ K-step extra, the current-state pre-check on the observer (a system that
 already reveals a secret at distance zero fails every K). K needs no cap:
 the secret-restart composition has at most |X̂|·2^|X\\X_S| states, so none
 lies further than ``effective_k_bound``, and runtime never depends on the
-numeric K. Enforcement reads the same rules.
+numeric K. Enforcement reads the same rules. Every check reads its
+operands (the accessible part, its observer, the deleted-secret-states
+observer, the secret-restart operands) from the bundle that
+``composition._operands`` keeps for the last model handed in, so the
+notions checked back to back on one model build each of them once.
 
 Negative verdicts carry one shortest leaking run (observable length first,
 then transition count, ties by state-name order). The current-state witness
@@ -48,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import Nfa, Run, _check_k, accessible_part
-from .composition import CcAutomaton, CcState, _cc_dss, _cc_hat
-from .observer import Observer, _IdSet, estimate_name, subset_construction
+from .composition import CcAutomaton, CcState, _cc_dss, _cc_hat, _operands
+from .observer import Observer, _IdSet, estimate_name
 from .search import cc_shortest_path
 from .subautomata import initial_secret_subautomaton
 
@@ -157,10 +161,11 @@ def _cso_witness(obs: Observer, secret: frozenset[str]) -> Run | None:
 
 def verify_cso(nfa: Nfa) -> Verdict:
     """Current-state opacity: no reachable estimate may be entirely secret."""
-    acc = accessible_part(nfa)
+    ops = _operands(nfa)
+    acc = ops.acc
     if not acc.initial:
         return Verdict(True, CSO)
-    witness = _cso_witness(subset_construction(acc), acc.secret)
+    witness = _cso_witness(ops.observer, acc.secret)
     return Verdict(witness is None, CSO, witness=witness)
 
 
@@ -168,18 +173,18 @@ def _verdict(nfa: Nfa, notion: str, k: int | None = None) -> Verdict:
     """The verdict of ``notion`` (at ``k`` for k-sso) under its rule, from
     the composition built up to its first offender or layer ``k``."""
     rule = _RULES[notion]
-    acc = accessible_part(nfa)
+    ops = _operands(nfa)
+    acc = ops.acc
     if not acc.initial:
         return Verdict(True, notion, k)
     stop = {"stop_on": getattr(acc, rule.offending), "max_layer": k}
     if rule.dss:
-        cc = _cc_dss(acc, secret_only=rule.secret_only, **stop)
+        cc = _cc_dss(ops, secret_only=rule.secret_only, **stop)
     else:
-        obs = subset_construction(acc)
-        witness = _cso_witness(obs, acc.secret)
+        witness = _cso_witness(ops.observer, acc.secret)
         if witness is not None:
             return Verdict(False, notion, k, witness=witness)
-        cc = _cc_hat(acc, obs, **stop)
+        cc = _cc_hat(ops, **stop)
     bad = _offenders(cc, rule, k)
     witness = cc_shortest_path(cc, cc.initials, bad).to_run() if bad else None
     return Verdict(witness is None, notion, k, witness=witness)

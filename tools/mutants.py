@@ -17,9 +17,11 @@ Standard library only. Run from anywhere in a checkout::
 
     python3 tools/mutants.py
 
-It prints one line per mutation, ``killed`` or ``survived`` with the first
-failing test under each seed, and exits 1 when one survives (2 when the
-unmutated copy fails or an anchor does not occur exactly once).
+It prints the seconds the unmutated copy took, then one line per
+mutation, ``killed`` or ``survived`` with the first failing test under each
+seed and its seconds, then the whole gate's seconds. It exits 1 when a
+mutation survives (2 when the unmutated copy fails or an anchor does not
+occur exactly once).
 """
 
 import os
@@ -28,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +95,15 @@ MUTATIONS = [
         "                new = True\n",
         ["tests/test_cli.py"],
     ),
+    (
+        # The operand memo takes every model for the one it holds, so a
+        # later model reads the first model's observers.
+        "memo-key",
+        "composition.py",
+        "    if last is not None and (last[0] is nfa or last[1].acc is nfa):\n",
+        "    if last is not None:\n",
+        ["tests/test_operands.py"],
+    ),
 ]
 
 
@@ -126,6 +138,7 @@ def main() -> int:
             print(f"{name}: its anchor occurs {count} times in {module}, not once", file=sys.stderr)
             return 2
     files = sorted({f for *_, tests in MUTATIONS for f in tests})
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         copy_tree(tree)
@@ -134,8 +147,10 @@ def main() -> int:
             if status != "passed":
                 print(f"unmutated copy under seed {seed}: {status} {detail}", file=sys.stderr)
                 return 2
+    print(f"{'passed':8} {'unmutated':16} seeds {', '.join(map(str, SEEDS))} ({time.perf_counter() - start:.1f} s)", flush=True)
     survivors = 0
     for name, module, anchor, replacement, tests in MUTATIONS:
+        began = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             tree = Path(tmp)
             copy_tree(tree)
@@ -145,7 +160,9 @@ def main() -> int:
         killed = all(status == "failed" for _, status, _ in results)
         survivors += not killed
         detail = "; ".join(f"seed {seed}: {status} {detail}".rstrip() for seed, status, detail in results)
-        print(f"{'killed' if killed else 'survived':8} {name:16} {detail}", flush=True)
+        seconds = time.perf_counter() - began
+        print(f"{'killed' if killed else 'survived':8} {name:16} {detail} ({seconds:.1f} s)", flush=True)
+    print(f"gate: {time.perf_counter() - start:.1f} s", flush=True)
     return 1 if survivors else 0
 
 
