@@ -1,8 +1,11 @@
 """Verification and enforcement of strong state-based opacity for
 partially-observed nondeterministic finite automata.
 
-Everything is immutable and every operation is a pure function, so all of the
-API is safe for concurrent use.
+Every value is immutable and every answer depends only on the arguments, so
+all of the API is safe for concurrent use. The one state kept between calls
+is the operand memo of ``composition``: the accessible part, observers and
+subautomata of the last model that a verifier, an enforcer or
+``effective_k_bound`` was called on.
 """
 
 from .automaton import (

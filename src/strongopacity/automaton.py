@@ -1,13 +1,14 @@
 """Partially-observed, partially-controllable NFAs and their elementary operations.
 
 States are opaque string tokens; the library never parses meaning out of them.
-All values are immutable after construction and every operation is a pure
-function of its inputs, so everything here is safe to share across threads.
-The one state the package keeps between calls is the composition module's
-operand memo (``composition._operands``): the accessible part, observers and
-subautomata of the last model handed to a verifier, an enforcer or a
-composition constructor, so at most one model stays alive after a call. A
-thread that races another on it only misses and builds them again.
+All values are immutable after construction and every operation of this
+module is a pure function of its inputs, so everything here is safe to
+share across threads. The one state the package keeps between calls is the composition
+module's operand memo (``composition._operands``): the accessible part,
+observers and subautomata of the last model a verifier, an enforcer or
+``effective_k_bound`` was called on (a composition constructor reads it but
+never takes it), so at most one model stays alive after a call. A thread
+that races another on it only misses and builds them again.
 
 The adjacency indexes (``by_source``/``by_target``) are unordered. Order is
 applied only where something is output or a tie is broken: ``natural_key``,
@@ -111,6 +112,14 @@ def sort_states(states: Iterable[str]) -> list[str]:
     return names
 
 
+def _state_names(names: Iterable[str], field: str) -> Iterable[str]:
+    """``names``, a collection of state names; a bare string, which would
+    be read as its characters, is an ``InvalidState`` naming ``field``."""
+    if isinstance(names, str):
+        raise InvalidState(f"{field} must be a collection of state names, not the string {names!r}")
+    return names
+
+
 def _check_k(k, name: str = "K") -> None:
     """Reject a step bound that is not a non-negative int (a bool is not one)."""
     if isinstance(k, bool) or not isinstance(k, int):
@@ -177,8 +186,9 @@ class Nfa:
 
     The constructor validates library input: a name that is not a string, an
     event flag that is not a bool, a transition that is not a triple, a
-    duplicate event, a lone surrogate, an undeclared endpoint or event, or a
-    marked state outside ``states`` raises ``InvalidState``/``InvalidEvent``.
+    duplicate event, a lone surrogate, an undeclared endpoint or event, a
+    marked state outside ``states``, or a bare string given for ``states``,
+    ``initial`` or ``secret`` raises ``InvalidState``/``InvalidEvent``.
     ``parse_model`` checks documents and derived automata are restrictions
     of a checked parent; those two build through ``_trusted`` without
     checking again.
@@ -191,10 +201,9 @@ class Nfa:
     secret: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
+        for field in ("states", "initial", "secret"):
+            object.__setattr__(self, field, frozenset(_state_names(getattr(self, field), field)))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "secret", frozenset(self.secret))
         alphabet = tuple(self.alphabet)
         for x in self.states:
             if not isinstance(x, str):
@@ -468,7 +477,7 @@ def unobservable_reach(nfa: Nfa, sources: Iterable[str]) -> frozenset[str]:
     """Least fixed point of ``sources`` under unobservable transitions."""
     order, position = nfa._numbering
     mask = 0
-    for x in sources:
+    for x in _state_names(sources, "sources"):
         if x not in nfa.states:
             raise InvalidState(f"not a state: {x!r}")
         mask |= nfa._dense.reach[position[x]]

@@ -22,7 +22,7 @@ import sys
 from typing import Sequence
 
 from .automaton import Nfa, Run
-from .composition import _operands, cc_dss, cc_full_observer, cc_hat
+from .composition import cc_dss, cc_full_observer, cc_hat
 from .enforcement import (
     Enforced,
     EnforcementOutcome,
@@ -106,18 +106,13 @@ def _checked_k(parser: argparse.ArgumentParser, args, model: Nfa) -> int:
         parser.error("--k is required for --notion k-sso")
     if args.k < 0:
         parser.error("--k must be non-negative")
-    # The bound is 0 with no accessible secret state and at least
-    # 2^|X∖X_S| - 1 with one: only a K above that needs the exact bound,
-    # which builds the secret-restart subautomaton.
-    acc = _operands(model).acc  # the bundle the verifier or enforcer reads next
-    if args.k > (2 ** len(acc.states - acc.secret) - 1 if acc.secret else 0):
-        bound = effective_k_bound(acc)
-        if args.k > bound:
-            print(
-                f"notice: K={args.k} exceeds the effective bound {bound}; "
-                "beyond the bound the verdict no longer changes",
-                file=sys.stderr,
-            )
+    bound = effective_k_bound(model)
+    if args.k > bound:
+        print(
+            f"notice: K={args.k} exceeds the effective bound {bound}; "
+            "beyond the bound the verdict no longer changes",
+            file=sys.stderr,
+        )
     return args.k
 
 

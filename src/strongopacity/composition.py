@@ -57,12 +57,15 @@ composition whose unexpanded states, the next layer, have no out-edges.
 A system's operands, its accessible part, that part's observer, the
 deleted-secret-states observer and the secret-restart operands, are held
 in one bundle (``_Operands``), each built on first use by the public
-builders. ``_operands`` keeps the bundle of the last model object handed
-in, in one module slot, and hands it out again for that model or its
-accessible part, so the notions checked back to back on one model build
-each operand once. After a call the slot keeps at most one model alive,
-with its operands. Compositions are not kept: their stops differ per
-notion and per K.
+builders. One module slot holds the bundle of one model, under one rule:
+the doors a user calls on a model (the verifiers, the enforcers,
+``verification.effective_k_bound``) hold it through ``_operands``, and
+the public constructors borrow through ``_borrowed``, which hands out the
+held bundle for the held model or its accessible part and otherwise a
+bundle that the slot never holds. So the notions checked back to back on
+one model build each operand once, and after a call the slot keeps at
+most one model alive, with its operands. Compositions are not kept:
+their stops differ per notion and per K.
 """
 
 from __future__ import annotations
@@ -475,6 +478,8 @@ def product(
     else:
         starts = []
         for s in initials:
+            if not isinstance(s, CcState):
+                raise InvalidState(f"not a composition state: {s!r}")
             if s.left not in left.states:
                 raise AlphabetMismatch(f"initial left component is not a left state: {s.left!r}")
             slot = -1 if s.right is None else table.id(s.right)
@@ -567,8 +572,8 @@ class _Operands:
     """The operands of one system's compositions, each built on first use
     with the public builders: ``acc``, its accessible part; ``observer``,
     the observer of that part; ``dss``, the deleted-secret-states observer
-    with its seed slot; ``restart``, the secret-restart operands. Every
-    notion reads the ones it needs from the bundle that ``_operands`` keeps."""
+    with its seed slot; ``ghat``, the secret-restart side; ``restart``, the
+    secret-restart operands."""
 
     def __init__(self, acc: Nfa) -> None:
         self.acc = acc
@@ -588,12 +593,15 @@ class _Operands:
         return multi_initial_observer(dss, []), -1
 
     @cached_property
+    def ghat(self) -> Nfa:
+        return initial_secret_subautomaton(self.acc)
+
+    @cached_property
     def restart(self) -> tuple[Nfa, Observer, _Keys]:
         """The secret-restart side, the multi-initial observer of the
         non-secret remainder and the initial keys that ``cc_hat`` seeds
         ``product`` with."""
-        nfa = self.acc
-        ghat = initial_secret_subautomaton(nfa)
+        nfa, ghat = self.acc, self.ghat
         if not ghat.states:  # no secret state
             return ghat, multi_initial_observer(ghat, []), _Keys()
         obs = self.observer
@@ -619,25 +627,31 @@ class _Operands:
         return ghat, right, initials
 
 
-_last: tuple[Nfa, _Operands] | None = None  # the last model handed to ``_operands``, with its bundle
+_last: tuple[Nfa, _Operands] | None = None  # the model that the slot holds, with its bundle
 
 
-def _operands(nfa: Nfa, *, accessible: bool = False) -> _Operands:
-    """The operand bundle of ``nfa``, which is accessible when
-    ``accessible`` is set (its accessible part is then ``nfa`` itself).
+def _borrowed(nfa: Nfa) -> _Operands:
+    """The held bundle when ``nfa`` is the held model or its accessible
+    part, else a new bundle of ``nfa`` that the slot does not hold.
 
-    Only the bundle of the last model handed in is kept, and handed out
-    again for that model or its accessible part: back-to-back calls on one
-    model build each operand once, and no more than one model stays alive
-    after a call. The slot is read once and replaced whole, so a thread
-    that races another can only miss. The key is identity, not equality:
-    two equal automata can carry different numberings."""
-    global _last
+    The slot is read once, so a thread that races another can only miss.
+    The key is identity, not equality: two equal automata can carry
+    different numberings."""
     last = _last
     if last is not None and (last[0] is nfa or last[1].acc is nfa):
         return last[1]
-    ops = _Operands(nfa if accessible else accessible_part(nfa))
-    _last = (nfa, ops)
+    return _Operands(accessible_part(nfa))
+
+
+def _operands(nfa: Nfa) -> _Operands:
+    """The bundle of ``nfa``, which the slot holds from then on, in place of
+    any other model's: back-to-back calls on one model build each operand
+    once, and no more than one model stays alive after a call. The slot is
+    replaced whole, with a model and its own bundle."""
+    global _last
+    ops, last = _borrowed(nfa), _last
+    if last is None or last[1] is not ops:
+        _last = (nfa, ops)
     return ops
 
 
@@ -649,7 +663,7 @@ def cc_hat(nfa: Nfa) -> CcAutomaton:
     with that estimate's non-secret part (the empty estimate when there is
     none). No such estimate means an empty composition.
     """
-    return _cc_hat(_operands(nfa))
+    return _cc_hat(_borrowed(nfa))
 
 
 def _cc_hat(ops: _Operands, **stop) -> CcAutomaton:
@@ -664,7 +678,7 @@ def cc_full_observer(nfa: Nfa) -> CcAutomaton:
     Its estimate always contains its left state, so every observer step
     along a left move is defined and it has no empty-estimate state.
     """
-    return _cc_full_observer(_operands(nfa))
+    return _cc_full_observer(_borrowed(nfa))
 
 
 def _cc_full_observer(ops: _Operands) -> CcAutomaton:
@@ -684,7 +698,7 @@ def cc_dss(nfa: Nfa, *, secret_only: bool = False) -> CcAutomaton:
     ``secret_only`` only the secret initial pairs seed it: that part is all
     that initial-state opacity reads.
     """
-    return _cc_dss(_operands(nfa), secret_only=secret_only)
+    return _cc_dss(_borrowed(nfa), secret_only=secret_only)
 
 
 def _cc_dss(ops: _Operands, *, secret_only: bool = False, **stop) -> CcAutomaton:

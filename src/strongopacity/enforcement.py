@@ -20,9 +20,13 @@ Those two answers come from the round of the composition: the K-step round
 (``_k_step_round``) on the secret-restart composition, or the
 deleted-secret-states round (``_dss_round``) for scso, siso and inf-sso.
 The loop alone keeps the round bound, drops what a cut names outside the
-current subsystem, and raises when a round makes no progress. A round
-reads its subsystem's operands from ``composition._operands``, so the first
-round reuses those that an earlier call on the same model built.
+current subsystem, and raises when a round makes no progress. The loop
+carries the current subsystem's operand bundle: the first round reads the
+one that ``composition._operands`` holds for the model, so it reuses those
+that an earlier call on the same model built, and each later round a new
+bundle of the cut subsystem, which the slot never holds: a cut subsystem
+is accessible by construction, and after the enforcer the slot still holds
+the model.
 
 Disabling can turn previously matched runs into leaking ones, which is exactly
 why the loop rebuilds and repeats; every round removes at least one
@@ -150,27 +154,26 @@ def _enforce(nfa: Nfa, notion: str, k: int | None = None) -> EnforcementOutcome:
     the round of that composition answers Impossible or the transitions to
     disable."""
     rule = _RULES[notion]
-    current = _operands(nfa).acc
+    ops = _operands(nfa)
     disabled: set[Transition] = set()
-    for _ in range(len(current.controllable_transitions) + 2):
+    for _ in range(len(ops.acc.controllable_transitions) + 2):
         if rule.dss:
-            cc = cc_dss(current, secret_only=rule.secret_only)
+            cc = cc_dss(ops.acc, secret_only=rule.secret_only)
         else:
-            ops = _operands(current, accessible=True)
             # Observable cost never falls along a path, so every state that
             # this round reads (the offenders, their predecessors, the
             # frontier, the Impossible suffix) lies within layer K.
             cc = _cc_hat(ops, max_layer=k)
         bad = _offenders(cc, rule, k)
         if not bad:
-            return Enforced(frozenset(disabled), current)
+            return Enforced(frozenset(disabled), ops.acc)
         cut = _dss_round(cc, bad) if rule.dss else _k_step_round(ops, cc, bad, k)
         if isinstance(cut, Impossible):
             return cut
         if not cut:
             raise InternalInvariantError("enforcement round made no progress")
         disabled |= cut
-        current = disable_transitions(current, cut)
+        ops = _Operands(disable_transitions(ops.acc, cut))
     raise InternalInvariantError("enforcement loop exceeded its round bound")
 
 

@@ -34,7 +34,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .automaton import Event, Nfa, _bits, natural_key
+from .automaton import Event, Nfa, _bits, _state_names, natural_key
 from .errors import EmptyEstimate, EmptyInitial, InternalInvariantError, InvalidState
 
 #: Canonical estimate: naturally-sorted tuple of state ids.
@@ -261,16 +261,17 @@ def subset_construction(nfa: Nfa) -> Observer:
 def multi_initial_observer(nfa: Nfa, seeds: Iterable[Iterable[str]]) -> Observer:
     """Subset construction started from several initial estimates at once.
 
-    Each seed must be a nonempty subset of the states, already closed under
-    unobservable reach; closure is asserted rather than repaired, since a
-    violation means the caller's construction is wrong. Seeds that are subsets
-    of one another are deliberately not merged. The distinct seeds get the
-    estimate ids 0, 1, ... in the order given.
+    Each seed must be a nonempty subset of the states (a collection of
+    names, not a bare string), already closed under unobservable reach;
+    closure is asserted rather than repaired, since a violation means the
+    caller's construction is wrong. Seeds that are subsets of one another
+    are deliberately not merged. The distinct seeds get the estimate ids 0,
+    1, ... in the order given.
     """
     position = nfa._numbering[1]
     starts: dict[int, None] = {}  # distinct seed masks, in first-seen order
     for seed in seeds:
-        members = set(seed)
+        members = set(_state_names(seed, "observer seed"))
         if not members:
             raise EmptyEstimate("empty observer seed")
         mask = closed = 0

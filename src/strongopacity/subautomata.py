@@ -13,9 +13,11 @@ keeps the parent's edge tuples and its root model's numbering, so a state
 has one bit in the system and in each subautomaton. The compositions
 build them once per model: the composition module's operand bundle
 (``composition._Operands``) holds the deleted-secret-states observer and
-the secret-restart operands of the last model handed in, and no earlier
-one. Each enforcement round cuts a new subsystem, so it builds them afresh;
-there is no incremental re-extraction.
+the secret-restart operands, and its one slot holds the bundle of the last
+model a verifier, an enforcer or the K bound was called on, and no earlier
+one. Each enforcement round after the first cuts a new subsystem and
+carries a new bundle of it, which builds them afresh; there is no
+incremental re-extraction.
 """
 
 from __future__ import annotations

@@ -19,11 +19,12 @@ K-step extra, the current-state pre-check on the observer (a system that
 already reveals a secret at distance zero fails every K). K needs no cap:
 the secret-restart composition has at most |X̂|·2^|X\\X_S| states, so none
 lies further than ``effective_k_bound``, and runtime never depends on the
-numeric K. Enforcement reads the same rules. Every check reads its
-operands (the accessible part, its observer, the deleted-secret-states
-observer, the secret-restart operands) from the bundle that
-``composition._operands`` keeps for the last model handed in, so the
-notions checked back to back on one model build each of them once.
+numeric K. Enforcement reads the same rules. Every check, and
+``effective_k_bound``, reads its operands (the accessible part, its
+observer, the deleted-secret-states observer, the secret-restart operands)
+from the bundle that ``composition._operands`` holds for the model it is
+given, so the notions checked back to back on one model build each of
+them once.
 
 Negative verdicts carry one shortest leaking run (observable length first,
 then transition count, ties by state-name order). The current-state witness
@@ -51,11 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import Nfa, Run, _check_k, accessible_part
+from .automaton import Nfa, Run, _check_k
 from .composition import CcAutomaton, CcState, _cc_dss, _cc_hat, _operands
 from .observer import Observer, _IdSet, estimate_name
 from .search import cc_shortest_path
-from .subautomata import initial_secret_subautomaton
 
 K_SSO = "k-sso"
 CSO = "cso"
@@ -106,9 +106,8 @@ def _offenders(cc: CcAutomaton, rule: _Rule, k: int | None) -> _IdSet:
 
 def effective_k_bound(nfa: Nfa) -> int:
     """The step bound beyond which the K-step verdict can no longer change."""
-    acc = accessible_part(nfa)
-    ghat = initial_secret_subautomaton(acc)
-    return max(0, len(ghat.states) * 2 ** len(acc.states - acc.secret) - 1)
+    ops = _operands(nfa)
+    return max(0, len(ops.ghat.states) * 2 ** len(ops.acc.states - ops.acc.secret) - 1)
 
 
 def observational_reach_within(cc: CcAutomaton, budget: int) -> dict[CcState, int]:

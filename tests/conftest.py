@@ -10,7 +10,11 @@ MODELS = Path(__file__).parent / "models"
 # For ``tools/mutants.py`` only, which selects it with ``--hypothesis-profile``:
 # a failing example is reported as drawn, without minutes of shrinking, and
 # no example database carries a failure from one seed's run into the next.
-settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate, Phase.target), database=None)
+# The gate runs several test processes at once, so an example that is slow
+# only because it shares the CPU must not fail on a deadline.
+settings.register_profile(
+    "mutants", phases=(Phase.explicit, Phase.generate, Phase.target), database=None, deadline=None
+)
 
 
 def build_nfa(states, events, transitions, initial, secret, unobservable=(), uncontrollable=()):

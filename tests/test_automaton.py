@@ -155,6 +155,12 @@ class TestUnobservableReach:
         with pytest.raises(InvalidState):
             unobservable_reach(delayed_leak, {"99"})
 
+    def test_bare_string_sources_rejected(self):
+        # A string would be read as its characters: "10" as "1" and "0".
+        nfa = build_nfa(["0", "1", "10"], ["a"], [], ["10"], [])
+        with pytest.raises(InvalidState, match="^sources must be a collection of state names"):
+            unobservable_reach(nfa, "10")
+
     def test_monotone_idempotent_extensive(self, delayed_leak):
         small = unobservable_reach(delayed_leak, {"0"})
         large = unobservable_reach(delayed_leak, {"0", "1"})
@@ -283,6 +289,16 @@ class TestModelTypes:
         event = Event("a", **flags)
         with pytest.raises(InvalidEvent, match=re.escape(f"event flags must be True or False: {event!r}")):
             Nfa(frozenset({"x"}), (event,), frozenset(), frozenset({"x"}))
+
+    @pytest.mark.parametrize("field", ["states", "initial", "secret"])
+    def test_bare_string_state_field_rejected(self, field):
+        # A string would be read as its characters: "10" as "1" and "0".
+        fields = dict(states={"0", "1", "10"}, alphabet=(Event("a"),), transitions=(), initial={"10"}, secret={"10"})
+        message = f"^{field} must be a collection of state names, not the string '10'$"
+        with pytest.raises(InvalidState, match=message):
+            Nfa(**dict(fields, **{field: "10"}))
+        with pytest.raises(InvalidState, match=message):
+            Nfa(**fields).replace(**{field: "10"})
 
     def test_transition_that_is_not_a_triple_rejected(self):
         with pytest.raises(InvalidState, match=r"^transition must be a \(source, event, target\) triple"):

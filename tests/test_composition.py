@@ -5,6 +5,7 @@ import pytest
 from strongopacity import (
     AlphabetMismatch,
     CcState,
+    InvalidState,
     cc_dss,
     cc_full_observer,
     cc_hat,
@@ -68,6 +69,11 @@ class TestProductEngine:
         obs = subset_construction(delayed_leak)
         with pytest.raises(AlphabetMismatch, match="initial right component is not an estimate"):
             product(delayed_leak, obs, [CcState("0", ("nope",))])
+
+    def test_initial_must_be_a_composition_state(self, delayed_leak):
+        obs = subset_construction(delayed_leak)
+        with pytest.raises(InvalidState, match=r"^not a composition state: \('0', None\)$"):
+            product(delayed_leak, obs, [("0", None)])
 
     def test_projection_pairing_on_random_walks(self):
         rng = random.Random(7)

@@ -46,7 +46,7 @@ from strongopacity import (
 )
 from strongopacity.automaton import natural_key
 from strongopacity.cli import run_cli
-from strongopacity.composition import _cc_dss, _cc_hat, _operands
+from strongopacity.composition import _cc_dss, _cc_hat, _Operands
 
 from conftest import delayed_leak_nfa, two_initials_nfa
 from corpus import random_cyclic_nfa
@@ -112,7 +112,7 @@ def answers(nfa: Nfa) -> list:
     obs = subset_construction(nfa) if nfa.initial else None
     if obs is not None:
         out += [set(obs.estimates), dict(obs.delta), set(obs.initials), dot(obs)]
-    ops = _operands(nfa, accessible=True)
+    ops = _Operands(nfa)
     stops = [{}, {"max_layer": 0}, {"max_layer": 1}, {"stop_on": nfa.states}, {"stop_on": nfa.secret}]
     for stop in stops:
         for cc in (_cc_hat(ops, **stop), _cc_dss(ops, **stop), _cc_dss(ops, secret_only=True, **stop)):

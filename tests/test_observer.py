@@ -7,6 +7,7 @@ from strongopacity import (
     EmptyInitial,
     EstimateClass,
     InternalInvariantError,
+    InvalidState,
     classify_estimates,
     multi_initial_observer,
     natural_projection,
@@ -164,6 +165,12 @@ class TestMultiInitialObserver:
         nfa = build_nfa(["x", "y"], ["a"], [("x", "a", "y")], ["x"], [])
         obs = multi_initial_observer(nfa, [{"x"}, {"x", "y"}])
         assert obs.initials == {("x",), ("x", "y")}
+
+    def test_bare_string_seed_rejected(self):
+        # A string would be read as its characters: "10" as "1" and "0".
+        nfa = build_nfa(["0", "1", "10"], ["a"], [], ["10"], [])
+        with pytest.raises(InvalidState, match="^observer seed must be a collection of state names"):
+            multi_initial_observer(nfa, ["10"])
 
     def test_empty_seed_rejected(self, two_initials):
         with pytest.raises(EmptyEstimate):

@@ -1,20 +1,24 @@
 """The operand memo: every notion reads a model's observers and
-subautomata from one bundle (``composition._operands``), which keeps only
-the last model handed in.
+subautomata from one bundle, and one slot holds the bundle of one model.
+The verifiers, the enforcers and ``effective_k_bound`` hold the model they
+are given (``composition._operands``); the composition constructors borrow
+(``composition._borrowed``) and never take the slot.
 
 Calls on one model object, in any order and interleaved with calls on
 another model, answer as calls on a fresh copy do; the memo keeps no
-earlier model alive; and threads get the serial answers.
+earlier model alive; an enforcer leaves the slot holding its model, not a
+cut subsystem; and threads get the serial answers.
 """
 
 import weakref
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from strongopacity import composition
+from strongopacity import composition, effective_k_bound, verify_scso
 
-from conftest import delayed_leak_nfa, two_initials_nfa
+from conftest import build_nfa, delayed_leak_nfa, two_initials_nfa
 from test_kernel import cyclic_nfas
 from thread_check import CALLS, check
 
@@ -48,3 +52,41 @@ def test_the_memo_keeps_at_most_one_model():
 def test_threads_get_the_serial_answers():
     calls, problems = check()
     assert calls and problems == []
+
+
+def every_enforcer_cuts_nfa():
+    """Six states that every enforcer of ``CALLS`` cuts, so that each runs
+    a round on a cut subsystem."""
+    return build_nfa(
+        states=["0", "1", "3", "5", "7", "8"],
+        events=["a", "b", "u"],
+        transitions=[
+            ("0", "b", "1"),
+            ("1", "a", "7"),
+            ("1", "u", "3"),
+            ("3", "a", "5"),
+            ("3", "b", "8"),
+            ("5", "b", "7"),
+            ("7", "b", "1"),
+            ("8", "a", "0"),
+            ("8", "a", "3"),
+        ],
+        initial=["0", "7"],
+        secret=["5", "7"],
+        unobservable=["u"],
+    )
+
+
+@pytest.mark.parametrize("name", [name for name in CALLS if name.startswith("enforce")])
+def test_the_slot_holds_the_model_a_door_was_called_on(name):
+    model, other = every_enforcer_cuts_nfa(), two_initials_nfa()
+    outcome = CALLS[name](model)
+    assert outcome.disabled  # a later round ran on a cut subsystem
+    assert composition._last[0] is model
+    for constructor in ("cc_hat", "cc_dss", "cc_full_observer"):
+        CALLS[constructor](other)  # borrows: the slot never holds ``other``
+        assert composition._last[0] is model, constructor
+    verify_scso(outcome.subsystem)
+    assert composition._last[0] is outcome.subsystem
+    effective_k_bound(other)
+    assert composition._last[0] is other

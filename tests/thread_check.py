@@ -1,10 +1,13 @@
 """Threads that call every verifier, enforcer and composition constructor on
 their models get the answers that serial calls get.
 
-The composition module keeps the operands of the last model handed in
-(``composition._operands``), so threads that share one model share its
-bundle, and threads with their own models replace each other's. Standard
-library only, so it also runs on an interpreter without pytest::
+The composition module's one slot holds the operands of the last model a
+verifier, an enforcer or the K bound was called on (``composition._operands``),
+and the composition constructors borrow them (``composition._borrowed``):
+threads that share one model share its bundle, and threads with their own
+models replace each other's in the slot, or build a bundle the slot never
+holds. Standard library only, so it also runs on an interpreter without
+pytest::
 
     PYTHONPATH=src python3 tests/thread_check.py
 
@@ -20,6 +23,7 @@ from strongopacity import (
     cc_dss,
     cc_full_observer,
     cc_hat,
+    effective_k_bound,
     enforce_inf_sso,
     enforce_k_sso,
     enforce_scso,
@@ -51,6 +55,7 @@ CALLS = {
     "cc_hat": lambda nfa: cc_hat(nfa).sorted_transitions(),
     "cc_dss": lambda nfa: cc_dss(nfa).sorted_transitions(),
     "cc_full_observer": lambda nfa: cc_full_observer(nfa).sorted_transitions(),
+    "effective_k_bound": effective_k_bound,
 }
 
 

@@ -5,23 +5,28 @@ Each mutation replaces one exact piece of text in one module of
 ``src/strongopacity``. The anchor text must occur exactly once, so a
 refactor that moves or rewrites a mutated line fails the gate loudly
 instead of leaving the fault unchecked; such a change updates the table
-below along with the line. Every run works on a fresh copy of ``src``,
-``tests`` and ``pyproject.toml`` in a temporary directory and runs the
-mutation's test files with ``-x -q -p no:cacheprovider`` once per
-Hypothesis seed in ``SEEDS``, under the ``mutants`` Hypothesis profile
-(no shrinking, no example database; see ``tests/conftest.py``). The
-unmutated copy must first pass every listed file under each seed. A
-mutation is killed when the run under every seed fails a test.
+below along with the line. The unmutated copy and every mutation get a
+fresh copy of ``src``, ``tests`` and ``pyproject.toml`` in a temporary
+directory, and each runs its test files with ``-x -q -p no:cacheprovider``
+once per Hypothesis seed in ``SEEDS``, under the ``mutants`` Hypothesis
+profile (no shrinking, no example database, no deadline; see
+``tests/conftest.py``). The unmutated copy must pass every listed file
+under each seed. A mutation is killed when the run under every seed fails
+a test.
+
+The pytest runs, the unmutated copy's first, run as concurrent
+subprocesses, at most ``WORKERS`` at a time; the lines are printed in
+table order as their runs finish.
 
 Standard library only. Run from anywhere in a checkout::
 
     python3 tools/mutants.py
 
-It prints the seconds the unmutated copy took, then one line per
-mutation, ``killed`` or ``survived`` with the first failing test under each
-seed and its seconds, then the whole gate's seconds. It exits 1 when a
-mutation survives (2 when the unmutated copy fails or an anchor does not
-occur exactly once).
+It prints a line for the unmutated copy, then one line per mutation,
+``killed`` or ``survived`` with the first failing test under each seed,
+each line with the seconds its runs took together, then the whole gate's
+seconds. It exits 1 when a mutation survives (2 when the unmutated copy
+fails or an anchor does not occur exactly once).
 """
 
 import os
@@ -31,11 +36,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
 TIMEOUT = 600  # seconds per pytest run
+WORKERS = min(os.cpu_count() or 1, 4)  # pytest runs at a time
 
 # (name, module, anchor text, replacement, test files)
 MUTATIONS = [
@@ -104,6 +111,17 @@ MUTATIONS = [
         "    if last is not None:\n",
         ["tests/test_operands.py"],
     ),
+    (
+        # A composition constructor seats the model it borrows for in the
+        # operand slot, in place of the model a verifier or enforcer holds.
+        "borrow-holds",
+        "composition.py",
+        "    return _Operands(accessible_part(nfa))\n",
+        "    ops = _Operands(accessible_part(nfa))\n"
+        '    globals()["_last"] = (nfa, ops)\n'
+        "    return ops\n",
+        ["tests/test_operands.py"],
+    ),
 ]
 
 
@@ -131,6 +149,12 @@ def run_tests(tree: Path, files: list[str], seed: int) -> tuple[str, str]:
     return "error", f"pytest exited {done.returncode}"
 
 
+def timed_run(tree: Path, files: list[str], seed: int) -> tuple[str, str, float]:
+    """``run_tests`` and the run's seconds."""
+    began = time.perf_counter()
+    return (*run_tests(tree, files, seed), time.perf_counter() - began)
+
+
 def main() -> int:
     for name, module, anchor, _, _ in MUTATIONS:
         count = (ROOT / "src" / "strongopacity" / module).read_text(encoding="utf-8").count(anchor)
@@ -139,29 +163,34 @@ def main() -> int:
             return 2
     files = sorted({f for *_, tests in MUTATIONS for f in tests})
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp)
-        copy_tree(tree)
-        for seed in SEEDS:
-            status, detail = run_tests(tree, files, seed)
-            if status != "passed":
-                print(f"unmutated copy under seed {seed}: {status} {detail}", file=sys.stderr)
-                return 2
-    print(f"{'passed':8} {'unmutated':16} seeds {', '.join(map(str, SEEDS))} ({time.perf_counter() - start:.1f} s)", flush=True)
-    survivors = 0
-    for name, module, anchor, replacement, tests in MUTATIONS:
-        began = time.perf_counter()
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = Path(tmp)
+    # The unmutated copy first, then the table: (name, module, anchor,
+    # replacement, test files), with no replacement for the unmutated copy.
+    rows = [("unmutated", None, None, None, files)] + MUTATIONS
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
+        runs = []
+        for i, (name, module, anchor, replacement, tests) in enumerate(rows):
+            tree = Path(tmp) / str(i)
             copy_tree(tree)
-            path = tree / "src" / "strongopacity" / module
-            path.write_text(path.read_text(encoding="utf-8").replace(anchor, replacement), encoding="utf-8")
-            results = [(seed, *run_tests(tree, tests, seed)) for seed in SEEDS]
-        killed = all(status == "failed" for _, status, _ in results)
-        survivors += not killed
-        detail = "; ".join(f"seed {seed}: {status} {detail}".rstrip() for seed, status, detail in results)
-        seconds = time.perf_counter() - began
-        print(f"{'killed' if killed else 'survived':8} {name:16} {detail} ({seconds:.1f} s)", flush=True)
+            if module is not None:
+                path = tree / "src" / "strongopacity" / module
+                path.write_text(path.read_text(encoding="utf-8").replace(anchor, replacement), encoding="utf-8")
+            runs.append([pool.submit(timed_run, tree, tests, seed) for seed in SEEDS])
+        survivors = 0
+        for (name, module, *_), futures in zip(rows, runs):
+            results = [(seed, *future.result()) for seed, future in zip(SEEDS, futures)]
+            seconds = sum(r[3] for r in results)
+            if module is None:
+                for seed, status, detail, _ in results:
+                    if status != "passed":
+                        print(f"unmutated copy under seed {seed}: {status} {detail}", file=sys.stderr)
+                        pool.shutdown(cancel_futures=True)
+                        return 2
+                print(f"{'passed':8} {name:16} seeds {', '.join(map(str, SEEDS))} ({seconds:.1f} s)", flush=True)
+                continue
+            killed = all(status == "failed" for _, status, _, _ in results)
+            survivors += not killed
+            detail = "; ".join(f"seed {seed}: {status} {detail}".rstrip() for seed, status, detail, _ in results)
+            print(f"{'killed' if killed else 'survived':8} {name:16} {detail} ({seconds:.1f} s)", flush=True)
     print(f"gate: {time.perf_counter() - start:.1f} s", flush=True)
     return 1 if survivors else 0
 
