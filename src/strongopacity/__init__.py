@@ -3,9 +3,9 @@ partially-observed nondeterministic finite automata.
 
 Every value is immutable and every answer depends only on the arguments, so
 all of the API is safe for concurrent use. The one state kept between calls
-is the operand memo of ``composition``: the accessible part, observers and
-subautomata of the last model that a verifier, an enforcer or
-``effective_k_bound`` was called on.
+is the operand memo of ``composition``: the accessible part, observers,
+subautomata and whole compositions of the last model that a verifier, an
+enforcer or ``effective_k_bound`` was called on.
 """
 
 from .automaton import (

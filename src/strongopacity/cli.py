@@ -22,7 +22,7 @@ import sys
 from typing import Sequence
 
 from .automaton import Nfa, Run
-from .composition import cc_dss, cc_full_observer, cc_hat
+from .composition import _release, cc_dss, cc_full_observer, cc_hat
 from .enforcement import (
     Enforced,
     EnforcementOutcome,
@@ -206,6 +206,10 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except (OpacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        # Each command parses its model afresh, so no later command can hit
+        # the operand slot: emptying it frees this command's model.
+        _release()
     return USAGE_ERROR
 
 

@@ -64,8 +64,15 @@ the public constructors borrow through ``_borrowed``, which hands out the
 held bundle for the held model or its accessible part and otherwise a
 bundle that the slot never holds. So the notions checked back to back on
 one model build each operand once, and after a call the slot keeps at
-most one model alive, with its operands. Compositions are not kept:
-their stops differ per notion and per K.
+most one model alive, with its operands; ``_release`` empties it.
+
+A bundle also keeps each whole composition built on it, one asked for with
+no stop set: the secret-restart composition, the deleted-secret-states
+composition seeded by every initial pair and by the secret ones only, and
+the system/observer composition (``_kept``). It never keeps a stopped one,
+whose stop differs per notion and per K. So the enforcers called on one
+model share the whole compositions of their first rounds, with their lazy
+views.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
-from .automaton import Nfa, _bits, _check_k, _ranked, accessible_part, natural_key
+from .automaton import Nfa, _bits, _check_k, _ranked, _state_names, accessible_part, natural_key
 from .errors import AlphabetMismatch, InternalInvariantError, InvalidState
 from .observer import (
     Estimate,
@@ -455,7 +462,8 @@ def product(
     The search ends at the first live entry past the last layer: ``max_layer``
     (none by default), or the current layer once an empty-estimate state
     offends. It offends when it is expanded and its left state is in
-    ``stop_on``, or, when ``stop_on`` holds every left state, as soon as an
+    ``stop_on`` (a collection of state names, not a bare string), or, when
+    ``stop_on`` holds every left state, as soon as an
     observable move finds it: an unobservable move into an empty-estimate
     state then comes from another one, so the cheapest one has its exact
     cost and every in-edge a cheapest path can end with. The states found
@@ -465,6 +473,7 @@ def product(
     """
     if max_layer is not None:
         _check_k(max_layer, "max_layer")
+    stop_on = _state_names(stop_on, "stop_on")
     right_names = {e.name for e in right.events}
     if not right_names <= left.observable_events:
         raise AlphabetMismatch(
@@ -573,10 +582,14 @@ class _Operands:
     with the public builders: ``acc``, its accessible part; ``observer``,
     the observer of that part; ``dss``, the deleted-secret-states observer
     with its seed slot; ``ghat``, the secret-restart side; ``restart``, the
-    secret-restart operands."""
+    secret-restart operands; ``whole``, the whole compositions built on
+    them, by name (see ``_kept``): "hat" (``cc_hat``), "full"
+    (``cc_full_observer``), "dss" and "siso" (``cc_dss`` seeded by every
+    initial pair and by the secret ones)."""
 
     def __init__(self, acc: Nfa) -> None:
         self.acc = acc
+        self.whole: dict[str, CcAutomaton] = {}
 
     @cached_property
     def observer(self) -> Observer:
@@ -655,6 +668,13 @@ def _operands(nfa: Nfa) -> _Operands:
     return ops
 
 
+def _release() -> None:
+    """Empty the slot, so that the model it holds, and its bundle, can go:
+    for a caller that knows no later call will be on that model object."""
+    global _last
+    _last = None
+
+
 def cc_hat(nfa: Nfa) -> CcAutomaton:
     """The composition of the secret-restart side with the multi-initial
     observer of the non-secret remainder.
@@ -669,7 +689,7 @@ def cc_hat(nfa: Nfa) -> CcAutomaton:
 def _cc_hat(ops: _Operands, **stop) -> CcAutomaton:
     """``cc_hat`` of the system whose operands are ``ops``; ``stop`` holds
     ``product``'s stop arguments."""
-    return product(*ops.restart, **stop)
+    return _kept(ops, "hat", *ops.restart, stop)
 
 
 def cc_full_observer(nfa: Nfa) -> CcAutomaton:
@@ -685,7 +705,7 @@ def _cc_full_observer(ops: _Operands) -> CcAutomaton:
     """``cc_full_observer`` of the system whose operands are ``ops``."""
     obs = ops.observer
     (slot,) = obs._table.initials
-    return _seeded(ops.acc, obs, slot, ops.acc.initial)
+    return _kept(ops, "full", ops.acc, obs, _seeds(ops.acc, slot, ops.acc.initial), {})
 
 
 def cc_dss(nfa: Nfa, *, secret_only: bool = False) -> CcAutomaton:
@@ -704,13 +724,26 @@ def cc_dss(nfa: Nfa, *, secret_only: bool = False) -> CcAutomaton:
 def _cc_dss(ops: _Operands, *, secret_only: bool = False, **stop) -> CcAutomaton:
     """``cc_dss`` of the system whose operands are ``ops``; ``stop`` holds
     ``product``'s stop arguments."""
-    nfa = ops.acc
-    return _seeded(nfa, *ops.dss, nfa.initial & nfa.secret if secret_only else nfa.initial, **stop)
+    nfa, (right, slot) = ops.acc, ops.dss
+    starts = nfa.initial & nfa.secret if secret_only else nfa.initial
+    return _kept(ops, "siso" if secret_only else "dss", nfa, right, _seeds(nfa, slot, starts), stop)
 
 
-def _seeded(nfa: Nfa, right: Observer, slot: int, starts: Iterable[str], **stop) -> CcAutomaton:
-    """The composition of the system ``nfa`` with ``right`` seeded by each
-    state of ``starts`` paired with the estimate ``slot`` of ``right`` (-1
-    for the empty estimate); ``stop`` holds ``product``'s stop arguments."""
+def _seeds(nfa: Nfa, slot: int, starts: Iterable[str]) -> _Keys:
+    """The initial keys pairing each state of ``starts`` with the estimate
+    ``slot`` (-1 for the empty estimate)."""
     position = nfa._numbering[1]
-    return product(nfa, right, _Keys((position[x0], slot) for x0 in starts), **stop)
+    return _Keys((position[x0], slot) for x0 in starts)
+
+
+def _kept(ops: _Operands, name: str, left: Nfa, right: Observer, initials: _Keys, stop: dict) -> CcAutomaton:
+    """``product(left, right, initials, **stop)``. A whole composition, one
+    asked for with no stop set, is built once per bundle and kept in
+    ``ops.whole`` under ``name``; a stopped one is never kept. Of two
+    threads that build the same whole one, both get the one kept first."""
+    if any(value is not None for value in stop.values()):
+        return product(left, right, initials, **stop)
+    cc = ops.whole.get(name)
+    if cc is None:
+        cc = ops.whole.setdefault(name, product(left, right, initials))
+    return cc

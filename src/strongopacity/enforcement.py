@@ -26,7 +26,11 @@ one that ``composition._operands`` holds for the model, so it reuses those
 that an earlier call on the same model built, and each later round a new
 bundle of the cut subsystem, which the slot never holds: a cut subsystem
 is accessible by construction, and after the enforcer the slot still holds
-the model.
+the model. The held bundle also keeps each whole composition built on it:
+a first deleted-secret-states round reads the composition that an earlier
+enforcer on the model built (``cc_dss`` finds it in the bundle), and a
+first K-step round the system/observer composition, while its
+secret-restart composition, stopped at layer K, is built anew.
 
 Disabling can turn previously matched runs into leaking ones, which is exactly
 why the loop rebuilds and repeats; every round removes at least one

@@ -75,6 +75,12 @@ class TestProductEngine:
         with pytest.raises(InvalidState, match=r"^not a composition state: \('0', None\)$"):
             product(delayed_leak, obs, [("0", None)])
 
+    def test_bare_string_stop_on_rejected(self, delayed_leak):
+        # Read by substring, "12" would hold the state "1".
+        obs = subset_construction(delayed_leak)
+        with pytest.raises(InvalidState, match="stop_on must be a collection of state names"):
+            product(delayed_leak, obs, [], stop_on="12")
+
     def test_projection_pairing_on_random_walks(self):
         rng = random.Random(7)
         for nfa in corpus(20260801, 25):

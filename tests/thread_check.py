@@ -4,10 +4,10 @@ their models get the answers that serial calls get.
 The composition module's one slot holds the operands of the last model a
 verifier, an enforcer or the K bound was called on (``composition._operands``),
 and the composition constructors borrow them (``composition._borrowed``):
-threads that share one model share its bundle, and threads with their own
-models replace each other's in the slot, or build a bundle the slot never
-holds. Standard library only, so it also runs on an interpreter without
-pytest::
+threads that share one model share its bundle, with the whole compositions
+it keeps, and threads with their own models replace each other's in the
+slot, or build a bundle the slot never holds. Standard library only, so it
+also runs on an interpreter without pytest::
 
     PYTHONPATH=src python3 tests/thread_check.py
 
@@ -54,6 +54,7 @@ CALLS = {
     "enforce_inf_sso": enforce_inf_sso,
     "cc_hat": lambda nfa: cc_hat(nfa).sorted_transitions(),
     "cc_dss": lambda nfa: cc_dss(nfa).sorted_transitions(),
+    "cc_dss(secret_only)": lambda nfa: cc_dss(nfa, secret_only=True).sorted_transitions(),
     "cc_full_observer": lambda nfa: cc_full_observer(nfa).sorted_transitions(),
     "effective_k_bound": effective_k_bound,
 }

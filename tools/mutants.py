@@ -122,6 +122,25 @@ MUTATIONS = [
         "    return ops\n",
         ["tests/test_operands.py"],
     ),
+    (
+        # The kept deleted-secret-states composition ignores its seeding:
+        # the one seeded by the secret initial pairs only and the one seeded
+        # by every initial pair are one entry.
+        "whole-seeding",
+        "composition.py",
+        '"siso" if secret_only else "dss"',
+        '"dss"',
+        ["tests/test_operands.py"],
+    ),
+    (
+        # A stopped composition is kept in the bundle, so a later whole one
+        # of the same name reads it.
+        "whole-stopped",
+        "composition.py",
+        "        return product(left, right, initials, **stop)\n",
+        "        return ops.whole.setdefault(name, product(left, right, initials, **stop))\n",
+        ["tests/test_operands.py"],
+    ),
 ]
 
 
