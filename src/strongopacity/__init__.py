@@ -4,8 +4,9 @@ partially-observed nondeterministic finite automata.
 Every value is immutable and every answer depends only on the arguments, so
 all of the API is safe for concurrent use. The one state kept between calls
 is the operand memo of ``composition``: the accessible part, observers,
-subautomata and whole compositions of the last model that a verifier, an
-enforcer or ``effective_k_bound`` was called on.
+subautomata and compositions (each the one built furthest so far) of the
+last model that a verifier, an enforcer or ``effective_k_bound`` was called
+on.
 """
 
 from .automaton import (

@@ -29,7 +29,9 @@ subautomata) comes from one walk of its parent's ``by_source`` (``_restrict``),
 inherits the reached entries and shares its root model's numbering: a state
 has one bit in a model, in everything derived from it and in their observers
 and compositions. Its index rows are root-sized but filled for its own
-states only, and a name handed in is checked against ``states``.
+states only, and a name handed in is checked against ``states``. It reaches
+every state from its own initial ones, so ``accessible_part`` returns it as
+it is, with no walk.
 
 Each input is validated once. The public ``Nfa(...)`` constructor and
 ``Nfa.replace`` are the door for library input and check every field.
@@ -199,6 +201,8 @@ class Nfa:
     transitions: frozenset[Transition]
     initial: frozenset[str]
     secret: frozenset[str] = frozenset()
+    # Set on what ``_restrict`` returns: every state is reached from ``initial``.
+    _accessible = False
 
     def __post_init__(self):
         for field in ("states", "initial", "secret"):
@@ -489,7 +493,9 @@ def _restrict(nfa: Nfa, initial: frozenset[str], edges: dict[str, tuple[tuple[st
     (some states, each with some of its out-edges), reaches from ``initial``;
     ``nfa`` itself when that drops nothing. One walk builds it: the reached
     entries become its ``by_source``, and it shares ``nfa``'s numbering, so
-    neither is built again."""
+    neither is built again. It is marked ``_accessible``: it reaches all its
+    states from its own initial ones, so ``accessible_part`` returns it
+    with no walk."""
     alive = set(initial)
     todo = list(alive)
     while todo:
@@ -498,6 +504,7 @@ def _restrict(nfa: Nfa, initial: frozenset[str], edges: dict[str, tuple[tuple[st
                 alive.add(dst)
                 todo.append(dst)
     if len(alive) == len(nfa.states) and edges is nfa.by_source and initial == nfa.initial:
+        object.__setattr__(nfa, "_accessible", True)
         return nfa
     if len(alive) < len(nfa.states):
         edges = {x: edges[x] for x in alive}
@@ -508,11 +515,15 @@ def _restrict(nfa: Nfa, initial: frozenset[str], edges: dict[str, tuple[tuple[st
     child = Nfa._trusted(alive, nfa.alphabet, transitions, initial, nfa.secret & alive)
     object.__setattr__(child, "by_source", edges)
     object.__setattr__(child, "_numbering", nfa._numbering)
+    object.__setattr__(child, "_accessible", True)
     return child
 
 
 def accessible_part(nfa: Nfa) -> Nfa:
-    """The sub-NFA induced by states reachable from the initial set."""
+    """The sub-NFA induced by states reachable from the initial set: ``nfa``
+    itself, with no walk, when ``_restrict`` built or returned it."""
+    if nfa._accessible:
+        return nfa
     return _restrict(nfa, nfa.initial, nfa.by_source)
 
 

@@ -46,13 +46,14 @@ the witness tie-breaks of ``search`` read one order of states,
 place in the natural order of the numbering, standing in for its natural
 key.
 
-``product`` is the only builder of a composition: a 0-1 BFS over one
-queue that expands the states in observable-layer order and records each
-state's layer. The public constructors explore every layer; the verifiers
-and the K-step enforcer give it a last layer to expand: K, or the layer of
-the first offending empty-estimate state (the layer that finds it, when
-every empty-estimate state offends). The result is then a partial
-composition whose unexpanded states, the next layer, have no out-edges.
+``product`` builds a composition: a 0-1 BFS over one queue that expands
+the states in observable-layer order and records each state's layer. The
+public constructors explore every layer; the verifiers and the K-step
+enforcer give it a last layer to expand: K, or the layer of the first
+offending empty-estimate state (the layer that finds it, when every
+empty-estimate state offends). The result is then a partial composition
+whose unexpanded states, the next layer, have no out-edges; it keeps its
+queue, so ``_grown``, the BFS's loop, can expand it on to a later stop.
 
 A system's operands, its accessible part, that part's observer, the
 deleted-secret-states observer and the secret-restart operands, are held
@@ -66,17 +67,24 @@ bundle that the slot never holds. So the notions checked back to back on
 one model build each operand once, and after a call the slot keeps at
 most one model alive, with its operands; ``_release`` empties it.
 
-A bundle also keeps each whole composition built on it, one asked for with
-no stop set: the secret-restart composition, the deleted-secret-states
-composition seeded by every initial pair and by the secret ones only, and
-the system/observer composition (``_kept``). It never keeps a stopped one,
-whose stop differs per notion and per K. So the enforcers called on one
-model share the whole compositions of their first rounds, with their lazy
-views.
+A bundle also keeps, per composition built on it (the secret-restart
+composition, the deleted-secret-states composition seeded by every initial
+pair and by the secret ones only, and the system/observer composition),
+the one built furthest so far, whole or stopped (``_kept``). It answers a
+request whose stop falls within the layers it expanded; any other request
+expands a copy of it on from where it stopped (``_grown``), which then
+takes its place, so no kept list is changed in place. A composition
+expanded at least to a request's stop gives that request the answers the
+whole one gives (see ``verification`` and ``enforcement``). So the notions
+and the K checked on one model build each layer of a composition once:
+K = 3 goes on from K = 1's layers, inf-sso reads the prefix scso built,
+and the enforcers share the compositions of their first rounds, with
+their lazy views.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from collections.abc import Mapping
 from collections.abc import Set as AbstractSet
@@ -320,17 +328,25 @@ class CcAutomaton:
     it hands it out, once per state. Keeps references to its operands so
     downstream code can interrogate controllability and secrecy of the left
     components.
+
+    A stopped composition also keeps what ``_grown`` needs to go on:
+    ``_queue``, the entries it did not expand, and ``_reach``, the last
+    layer it expanded. A complete one keeps no queue, and its ``_reach`` is
+    infinite.
     """
 
-    def __init__(self, left: Nfa, right: Observer, events, ids, keys, out, initials, layer) -> None:
+    def __init__(self, left: Nfa, right: Observer, events, ids, keys, out, initials, layer, queue=None, reach=float("inf")) -> None:
         """The composition whose int core ``product`` found: ``events``,
-        ``ids``, ``keys`` and ``out`` as in ``_Core``, the initial state ids
-        and each state's observable layer."""
+        ``ids``, ``keys`` and ``out`` as in ``_Core``, the initial state ids,
+        each state's observable layer, and, for a stopped build, its queue
+        and the last layer it expanded."""
         self.left, self.right = left, right
         self.events: frozenset[CcEvent] = frozenset(events)
         self._core = _Core(left, right, events, ids, keys, out)
         self._initial_ids = frozenset(initials)
         self._layer: list[int] = layer
+        self._queue: deque | None = queue
+        self._reach: float = reach
 
     def _subset(self, ids: Iterable[int]) -> _IdSet:
         return _IdSet(self._core.state, self._core.id, frozenset(ids))
@@ -469,7 +485,11 @@ def product(
     cost and every in-edge a cheapest path can end with. The states found
     but not expanded are listed with no out-edges, so every state of the
     layers expanded has its cost and its in-edges from cheaper states
-    exactly as in the complete closure.
+    exactly as in the complete closure. A stopped composition keeps its
+    queue, with the entry popped at the stop put back, and the last layer
+    it expanded, so ``_grown`` can go on from there; the queue's order does
+    not depend on the stop, so it expands as a build with the later stop
+    would.
     """
     if max_layer is not None:
         _check_k(max_layer, "max_layer")
@@ -495,14 +515,34 @@ def product(
             if slot is None:
                 raise AlphabetMismatch(f"initial right component is not an estimate: {s.right}")
             starts.append((position[s.left], slot))
+    ids: dict[int, int] = {}
+    keys: list[int] = []
+    queue: deque[tuple[int, int, int, int]] = deque()
+    for pos, slot in starts:
+        key = slot * size + pos
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+            queue.append((0, ids[key], pos, slot))
+    n = len(keys)
+    events = tuple(CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet)
+    seeded = CcAutomaton(left, right, events, ids, keys, [()] * n, range(n), [0] * n, queue, -1)
+    return _grown(seeded, stop_on, max_layer)
 
+
+def _grown(cc: CcAutomaton, stop_on: Collection[str] | None = None, max_layer: int | None = None) -> CcAutomaton:
+    """``cc``, a stopped composition, expanded on from where it stopped
+    under ``product``'s stop arguments, in copies of its lists: ``cc``
+    itself, and any composition handed out before, stays as it was."""
+    left, core = cc.left, cc._core
+    order, position = left._numbering
+    size = len(order)
     observable = left.observable_events
     # slot -> event -> slot. A slot is an estimate's id, or -1 for the empty
     # estimate, whose row, the last, is empty: an undefined step leads to it.
-    steps = table.step + [{}]
-    events = tuple(CcEvent(e.name, e.name if e.observable else None) for e in left.alphabet)
+    steps = cc.right._table.step + [{}]
+    events, shift = core.events, core.ebits
     index = {e.left_event: i for i, e in enumerate(events)}
-    shift = _index_bits(len(events))
     # Per left position: the unobservable moves, as (event, target
     # position), and the observable ones, as (event, event name, target
     # position); an event is an index into ``events``. Only the left
@@ -520,27 +560,20 @@ def product(
                 quiet.append((index[sigma], position[dst]))
         offends[pos] = stop_on is not None and x in stop_on
     early = stop_on is not None and all(x in stop_on for x in left.states)  # every empty state offends
-    ids: dict[int, int] = {}  # key -> id, of every state found
-    keys: list[int] = []  # id -> key
-    out: list = []  # id -> packed out-edges, () until expanded
-    layers: list[int] = []  # id -> layer, lowered when an unobservable move finds a state sooner
-    queue: deque[tuple[int, int, int, int]] = deque()  # (layer, id, position, slot)
-    for pos, slot in starts:
-        key = slot * size + pos
-        if key not in ids:
-            ids[key] = len(keys)
-            keys.append(key)
-            out.append(())
-            layers.append(0)
-            queue.append((0, ids[key], pos, slot))
-    starts = list(range(len(keys)))
+    ids: dict[int, int] = dict(core.ids)  # key -> id, of every state found
+    keys: list[int] = list(core.keys)  # id -> key
+    out: list = list(core.out)  # id -> packed out-edges, () until expanded
+    layers: list[int] = list(cc._layer)  # id -> layer, lowered when an unobservable move finds a state sooner
+    queue: deque[tuple[int, int, int, int]] = deque(cc._queue)  # (layer, id, position, slot)
     last = float("inf") if max_layer is None else max_layer  # the last layer expanded
     while queue:
-        layer, src, pos, slot = queue.popleft()
+        entry = queue.popleft()
+        layer, src, pos, slot = entry
         if layers[src] != layer:  # lowered, and expanded in an earlier layer
             continue
         if layer > last:
-            break
+            queue.appendleft(entry)
+            return CcAutomaton(left, cc.right, events, ids, keys, out, cc._initial_ids, layers, queue, layer - 1)
         row = []
         for event, dst_pos in silent[pos]:
             key = slot * size + dst_pos
@@ -574,7 +607,7 @@ def product(
         out[src] = row
         if slot < 0 and offends[pos]:
             last = layer
-    return CcAutomaton(left, right, events, ids, keys, out, starts, layers)
+    return CcAutomaton(left, cc.right, events, ids, keys, out, cc._initial_ids, layers)
 
 
 class _Operands:
@@ -582,14 +615,15 @@ class _Operands:
     with the public builders: ``acc``, its accessible part; ``observer``,
     the observer of that part; ``dss``, the deleted-secret-states observer
     with its seed slot; ``ghat``, the secret-restart side; ``restart``, the
-    secret-restart operands; ``whole``, the whole compositions built on
+    secret-restart operands; ``kept``, the compositions built furthest on
     them, by name (see ``_kept``): "hat" (``cc_hat``), "full"
     (``cc_full_observer``), "dss" and "siso" (``cc_dss`` seeded by every
     initial pair and by the secret ones)."""
 
     def __init__(self, acc: Nfa) -> None:
         self.acc = acc
-        self.whole: dict[str, CcAutomaton] = {}
+        self.kept: dict[str, CcAutomaton] = {}
+        self.keeping = threading.Lock()  # held to compare and replace an entry of ``kept``
 
     @cached_property
     def observer(self) -> Observer:
@@ -737,13 +771,46 @@ def _seeds(nfa: Nfa, slot: int, starts: Iterable[str]) -> _Keys:
 
 
 def _kept(ops: _Operands, name: str, left: Nfa, right: Observer, initials: _Keys, stop: dict) -> CcAutomaton:
-    """``product(left, right, initials, **stop)``. A whole composition, one
-    asked for with no stop set, is built once per bundle and kept in
-    ``ops.whole`` under ``name``; a stopped one is never kept. Of two
-    threads that build the same whole one, both get the one kept first."""
-    if any(value is not None for value in stop.values()):
-        return product(left, right, initials, **stop)
-    cc = ops.whole.get(name)
-    if cc is None:
-        cc = ops.whole.setdefault(name, product(left, right, initials))
+    """``product(left, right, initials, **stop)``, or a composition that
+    gives its answers: ``ops.kept`` holds under ``name`` the composition
+    built furthest so far, whole or stopped. It answers a request whose
+    stop falls within the layers it expanded (``_covers``); otherwise a copy
+    of it is expanded on (``_grown``) and replaces it, unless another
+    thread has meanwhile kept one that reaches as far. Threads that race
+    build a layer twice at worst, and each gets its own answer."""
+    kept = ops.kept.get(name)
+    if kept is None:
+        cc = product(left, right, initials, **stop)
+    elif _covers(kept, **stop):
+        return kept
+    else:
+        cc = _grown(kept, **stop)
+    with ops.keeping:
+        kept = ops.kept.get(name)
+        if kept is None or kept._reach < cc._reach:
+            ops.kept[name] = cc
     return cc
+
+
+def _covers(cc: CcAutomaton, stop_on: Collection[str] | None = None, max_layer: int | None = None) -> bool:
+    """Whether ``cc`` expanded every layer that ``product`` with these stop
+    arguments expands. Its last layer is ``max_layer`` or, when lower, the
+    layer of the first offending empty-estimate state: with ``stop_on``
+    holding every left state, the least layer of an empty-estimate state
+    less one (at least 0), found by the observable move into it; otherwise
+    the least expanded layer holding an empty-estimate state whose left
+    state is in ``stop_on``. Every state of the layers ``cc`` expanded, and
+    every empty-estimate state one observable move beyond, is listed with
+    its final layer, so ``cc`` finds that layer when it lies within them."""
+    if cc._queue is None:
+        return True
+    stop = float("inf") if max_layer is None else max_layer
+    if stop_on is not None:
+        layer, left_of = cc._layer, cc._core.left_of
+        empty = cc.empty_states._ids
+        if all(x in stop_on for x in cc.left.states):
+            found = [max(layer[i] - 1, 0) for i in empty]
+        else:
+            found = [layer[i] for i in empty if layer[i] <= cc._reach and left_of(i) in stop_on]
+        stop = min([stop, *found])
+    return stop <= cc._reach

@@ -26,11 +26,13 @@ one that ``composition._operands`` holds for the model, so it reuses those
 that an earlier call on the same model built, and each later round a new
 bundle of the cut subsystem, which the slot never holds: a cut subsystem
 is accessible by construction, and after the enforcer the slot still holds
-the model. The held bundle also keeps each whole composition built on it:
-a first deleted-secret-states round reads the composition that an earlier
-enforcer on the model built (``cc_dss`` finds it in the bundle), and a
-first K-step round the system/observer composition, while its
-secret-restart composition, stopped at layer K, is built anew.
+the model. The held bundle also keeps each composition built furthest on
+it (``composition._kept``): a first deleted-secret-states round reads the
+composition that an earlier enforcer on the model built (``cc_dss`` finds
+it in the bundle) or expands on the prefix that a verifier built, and a
+first K-step round reads the system/observer composition and the
+secret-restart composition that an earlier K or verifier expanded to layer
+K or beyond, or expands that one on to layer K.
 
 Disabling can turn previously matched runs into leaking ones, which is exactly
 why the loop rebuilds and repeats; every round removes at least one
@@ -42,7 +44,8 @@ the siso round the deleted-secret-states composition from the secret initial
 pairs. The first part holds every predecessor of the states it expands
 (observable cost never falls along a path), the second every successor of
 its sources, so the offenders, the costs, the frontier and the witness are
-those of the whole composition.
+those of the whole composition, and so are those of any composition
+expanded further.
 
 A round runs no search for reachability or layers: ``product`` reaches every
 state it lists from the initials and records each state's observable layer,

@@ -40,7 +40,12 @@ the first layer holding a secret one, whose cheapest path may end with an
 unobservable move from a non-secret empty-estimate state of the same layer.
 Every state cheaper than the cheapest offending one is then expanded, so
 its cost and its in-edges are exact, and the search on the partial
-composition gives the verdict and the witness the whole one gives.
+composition gives the verdict and the witness the whole one gives. So does
+any composition expanded further: the bundle keeps the composition built
+furthest (``composition._kept``), which answers a check whose stop it
+already passed and is otherwise expanded on in a copy. So k-sso at K = 3
+goes on from the layers that K = 1 built, and inf-sso, which never stops
+later than scso, reads the prefix that scso built.
 
 The offending states are picked by state number, from the layer ``product``
 records for each state and from the left state of each number, so

@@ -17,6 +17,7 @@ from strongopacity import (
     natural_projection,
     unobservable_reach,
 )
+from strongopacity import automaton
 from strongopacity.automaton import natural_key, sort_states
 from strongopacity.subautomata import dss_subautomaton
 
@@ -217,6 +218,13 @@ class TestDisableTransitions:
         )
         assert {"7", "9"} & sub.states == set()
         assert sub.states == {"0", "1", "2", "3", "4", "6", "8"}
+
+    def test_a_derived_automaton_is_its_own_accessible_part(self, two_initials, monkeypatch):
+        sub = disable_transitions(two_initials, {("4", "a", "7"), ("3", "a", "5"), ("4", "a", "5")})
+        dss = dss_subautomaton(two_initials)
+        monkeypatch.setattr(automaton, "_restrict", None)  # no walk
+        assert accessible_part(sub) is sub
+        assert accessible_part(dss) is dss
 
     def test_uncontrollable_cut_rejected(self, two_initials):
         with pytest.raises(UncontrollableCut):

@@ -7,11 +7,14 @@ are given (``composition._operands``); the composition constructors borrow
 Calls on one model object, in any order and interleaved with calls on
 another model, answer as calls on a fresh copy do; the memo keeps no
 earlier model alive, and the CLI none after a command; an enforcer leaves
-the slot holding its model, not a cut subsystem; a held bundle keeps each
-whole composition, one per seeding, and never a stopped one; and threads
-get the serial answers.
+the slot holding its model, not a cut subsystem; a held bundle keeps, per
+composition and seeding, the one built furthest, whole or stopped, and a
+later stop expands a copy of it on, building each layer once and changing
+no composition handed out before; requests with any stops, in any order,
+answer as fresh stopped builds do; and threads get the serial answers.
 """
 
+import random
 import weakref
 
 import hypothesis.strategies as st
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 from strongopacity import (
+    accessible_part,
     cc_dss,
     cc_full_observer,
     cc_hat,
@@ -29,10 +33,14 @@ from strongopacity import (
     enforce_scso,
     serialize_model,
     verify_inf_sso,
+    verify_k_sso,
     verify_scso,
+    verify_siso,
 )
+from strongopacity.search import cc_shortest_path
 
 from conftest import build_nfa, delayed_leak_nfa, two_initials_nfa
+from corpus import random_cyclic_nfa
 from test_kernel import cyclic_nfas
 from thread_check import CALLS, check
 
@@ -132,21 +140,163 @@ def test_enforcers_on_one_model_build_their_first_round_once(monkeypatch):
     assert sum(left is acc for left in lefts) == 1  # every later round is on a cut subsystem
 
 
-def test_a_stopped_composition_is_never_kept(monkeypatch):
-    model, stopped = every_enforcer_cuts_nfa(), []
+def chain_nfa(length=5):
+    """A secret chain and its non-secret twin, one ``a`` per layer, until
+    the secret end's ``b`` leaks at layer ``length``: the secret-restart
+    composition holds one state per layer."""
+    s, n = [f"s{i}" for i in range(length)], [f"n{i}" for i in range(length)]
+    transitions = [(x, "a", y) for chain in (s, n) for x, y in zip(chain, chain[1:])] + [(s[-1], "b", s[-1])]
+    return build_nfa(states=s + n, events=["a", "b"], transitions=transitions, initial=[s[0], n[0]], secret=[s[0]])
+
+
+def expanded(cc):
+    """The keys of the states ``cc`` expanded: an expanded state's row of
+    out-edges is a list, an unexpanded one's the empty tuple."""
+    return [key for key, row in zip(cc._core.keys, cc._core.out) if isinstance(row, list)]
+
+
+def spy_expansions(monkeypatch):
+    """Record, for each expansion of a composition (``composition._grown``,
+    which ``product`` runs too), the keys of the states it expanded."""
+    calls, grown = [], composition._grown
+
+    def spied(cc, *args, **stop):
+        result, before = grown(cc, *args, **stop), set(expanded(cc))
+        calls.append([key for key in expanded(result) if key not in before])
+        return result
+
+    monkeypatch.setattr(composition, "_grown", spied)
+    return calls
+
+
+def test_k_sso_at_3_goes_on_from_the_layers_of_k_1(monkeypatch):
+    model = chain_nfa()
+    calls = spy_expansions(monkeypatch)
+    assert verify_k_sso(model, 1).opaque and verify_k_sso(model, 3).opaque
+    hat = composition._operands(model).kept["hat"]
+    assert hat._reach == 3 and [len(keys) for keys in calls] == [2, 2]  # layers 0-1, then 2-3
+    keys = [key for expansion in calls for key in expansion]
+    assert sorted(keys) == sorted(set(keys)) == sorted(expanded(hat))
+    assert [hat._layer[hat._core.ids[key]] for key in keys] == [0, 1, 2, 3]
+
+
+def test_inf_sso_reads_the_prefix_that_scso_built(monkeypatch):
+    model = every_enforcer_cuts_nfa()
+    expected = fresh(verify_inf_sso, model)
+    assert not verify_scso(model).opaque
+    kept = composition._operands(model).kept["dss"]
+    assert kept._queue is not None  # stopped
+    calls = spy_expansions(monkeypatch)
+    assert verify_inf_sso(model) == expected
+    assert calls == [] and composition._operands(model).kept["dss"] is kept
+
+
+def test_scso_extends_the_prefix_that_inf_sso_built(monkeypatch):
+    model = every_enforcer_cuts_nfa()
+    expected = fresh(verify_scso, model)
+    assert not verify_inf_sso(model).opaque
+    prefix = composition._operands(model).kept["dss"]
+    calls = spy_expansions(monkeypatch)
+    assert verify_scso(model) == expected
+    extended = composition._operands(model).kept["dss"]
+    assert len(calls) == 1 and calls[0] and not set(calls[0]) & set(expanded(prefix))
+    assert prefix._reach < extended._reach < float("inf")
+    assert extended._core.keys[: len(prefix._core.keys)] == prefix._core.keys  # numbered as one build
+
+
+@pytest.mark.parametrize(
+    "stopped, build",
+    [
+        (lambda nfa: verify_k_sso(nfa, 1), cc_hat),
+        (verify_inf_sso, cc_dss),
+        (verify_scso, cc_dss),
+        (verify_siso, lambda nfa: cc_dss(nfa, secret_only=True)),
+    ],
+)
+@pytest.mark.parametrize("model", [chain_nfa, every_enforcer_cuts_nfa, delayed_leak_nfa, two_initials_nfa])
+def test_a_kept_prefix_extended_to_whole_is_the_whole_composition(model, stopped, build):
+    model = model()
+    stopped(model)
+    assert build(model).sorted_transitions() == fresh(lambda nfa: build(nfa).sorted_transitions(), model)
+
+
+def test_a_composition_handed_out_is_unchanged_by_a_later_extension():
+    model = chain_nfa()
+    ops = composition._operands(model)
+    first = composition._cc_hat(ops, max_layer=1)
+    seen = (first.sorted_transitions(), list(first._layer), list(first._queue), first._reach)
+    assert composition._cc_hat(ops, max_layer=3)._reach == 3 and composition._cc_hat(ops)._queue is None
+    assert (first.sorted_transitions(), list(first._layer), list(first._queue), first._reach) == seen
+    assert ops.kept["hat"] is cc_hat(model) is not first
+
+
+def test_a_stopped_composition_is_kept_and_extended(monkeypatch):
+    model, built = every_enforcer_cuts_nfa(), []
     product = composition.product
 
     def spied(*args, **stop):
-        cc = product(*args, **stop)
-        if stop:
-            stopped.append(cc)
-        return cc
+        built.append(product(*args, **stop))
+        return built[-1]
 
     monkeypatch.setattr(composition, "product", spied)
     assert not verify_inf_sso(model).opaque
-    whole = cc_dss(model)
+    (stopped,) = built
+    assert composition._operands(model).kept["dss"] is stopped and stopped._queue is not None
+    whole = cc_dss(model)  # goes on from the verifier's prefix, with no new build
+    assert len(built) == 1 and whole._queue is None and len(stopped.states) < len(whole.states)
+    assert composition._operands(model).kept["dss"] is whole
     assert whole.sorted_transitions() == fresh(lambda nfa: cc_dss(nfa).sorted_transitions(), model)
-    assert [len(cc.states) < len(whole.states) for cc in stopped] == [True]  # the verifier stopped early
+
+
+def answer(cc, stop_on, max_layer):
+    """The witness to the empty-estimate states whose left state is in
+    ``stop_on`` (every one when None), within layer ``max_layer``: the
+    verdict is whether there is one."""
+    layer, left_of = cc._layer, cc._core.left_of
+    bad = cc._subset(
+        i
+        for i in cc.empty_states._ids
+        if (max_layer is None or layer[i] <= max_layer) and (stop_on is None or left_of(i) in stop_on)
+    )
+    return cc_shortest_path(cc, cc.initials, bad).to_run() if bad else None
+
+
+@st.composite
+def stopped_requests(draw, nfa):
+    """A composition name and ``product``'s stop arguments."""
+    name = draw(st.sampled_from(["hat", "dss", "siso"]))
+    stop_on = draw(
+        st.one_of(
+            st.none(),
+            st.just(nfa.states),
+            st.just(nfa.secret),
+            st.frozensets(st.sampled_from(sorted(nfa.states))),
+        )
+    )
+    return name, stop_on, draw(st.one_of(st.none(), st.integers(0, 4)))
+
+
+# ``cyclic_nfas()`` mostly draws compositions of one or two layers; the
+# corpus models run deeper, so a later stop goes on from an earlier one.
+deep_nfas = st.integers(0, 2**32).map(lambda seed: random_cyclic_nfa(random.Random(seed)))
+
+
+@given(st.one_of(cyclic_nfas(), deep_nfas), st.data())
+@settings(max_examples=60, deadline=None)
+def test_requests_in_any_order_answer_as_fresh_stopped_builds(nfa, data):
+    acc = accessible_part(nfa)
+    ops = composition._Operands(acc)
+    right, slot = ops.dss
+    operands = {
+        "hat": ops.restart,
+        "dss": (acc, right, composition._seeds(acc, slot, acc.initial)),
+        "siso": (acc, right, composition._seeds(acc, slot, acc.initial & acc.secret)),
+    }
+    for name, stop_on, max_layer in data.draw(st.lists(stopped_requests(acc), min_size=1, max_size=5)):
+        stop = {"stop_on": stop_on, "max_layer": max_layer}
+        kept = composition._kept(ops, name, *operands[name], stop)
+        expected = composition.product(*operands[name], **stop)
+        assert answer(kept, stop_on, max_layer) == answer(expected, stop_on, max_layer), (name, stop)
 
 
 def test_the_cli_keeps_no_model_after_a_command(tmp_path, monkeypatch, capsys):

@@ -4,10 +4,12 @@ their models get the answers that serial calls get.
 The composition module's one slot holds the operands of the last model a
 verifier, an enforcer or the K bound was called on (``composition._operands``),
 and the composition constructors borrow them (``composition._borrowed``):
-threads that share one model share its bundle, with the whole compositions
-it keeps, and threads with their own models replace each other's in the
-slot, or build a bundle the slot never holds. Standard library only, so it
-also runs on an interpreter without pytest::
+threads that share one model share its bundle, with the composition of
+each kind built furthest so far, which they race to extend (K = 3 goes on
+from K = 1's layers, inf-sso reads scso's prefix), and threads with their
+own models replace each other's in the slot, or build a bundle the slot
+never holds. Standard library only, so it also runs on an interpreter
+without pytest::
 
     PYTHONPATH=src python3 tests/thread_check.py
 
@@ -43,7 +45,9 @@ from corpus import random_cyclic_nfa
 CALLS = {
     "verify_cso": verify_cso,
     "verify_k_sso(0)": lambda nfa: verify_k_sso(nfa, 0),
+    "verify_k_sso(1)": lambda nfa: verify_k_sso(nfa, 1),
     "verify_k_sso(2)": lambda nfa: verify_k_sso(nfa, 2),
+    "verify_k_sso(3)": lambda nfa: verify_k_sso(nfa, 3),
     "verify_scso": verify_scso,
     "verify_siso": verify_siso,
     "verify_inf_sso": verify_inf_sso,

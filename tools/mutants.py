@@ -133,12 +133,25 @@ MUTATIONS = [
         ["tests/test_operands.py"],
     ),
     (
-        # A stopped composition is kept in the bundle, so a later whole one
-        # of the same name reads it.
-        "whole-stopped",
+        # The kept composition answers every request, however far its stop:
+        # K = 3 reads the layers that K = 1 built.
+        "prefix-covers",
         "composition.py",
-        "        return product(left, right, initials, **stop)\n",
-        "        return ops.whole.setdefault(name, product(left, right, initials, **stop))\n",
+        "    elif _covers(kept, **stop):\n",
+        "    elif True:\n",
+        ["tests/test_operands.py"],
+    ),
+    (
+        # An extension grows the kept composition's lists in place, so a
+        # composition handed out earlier changes under its holder.
+        "prefix-shared",
+        "composition.py",
+        "    ids: dict[int, int] = dict(core.ids)  # key -> id, of every state found\n"
+        "    keys: list[int] = list(core.keys)  # id -> key\n"
+        "    out: list = list(core.out)  # id -> packed out-edges, () until expanded\n"
+        "    layers: list[int] = list(cc._layer)  # id -> layer, lowered when an unobservable move finds a state sooner\n"
+        "    queue: deque[tuple[int, int, int, int]] = deque(cc._queue)  # (layer, id, position, slot)\n",
+        "    ids, keys, out, layers, queue = core.ids, core.keys, core.out, cc._layer, cc._queue\n",
         ["tests/test_operands.py"],
     ),
 ]
