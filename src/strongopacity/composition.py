@@ -50,10 +50,10 @@ key.
 the states in observable-layer order and records each state's layer. The
 public constructors explore every layer; the verifiers and the K-step
 enforcer give it a last layer to expand: K, or the layer of the first
-offending empty-estimate state (the layer that finds it, when every
-empty-estimate state offends). The result is then a partial composition
+offending empty-estimate state. The BFS's loop, ``_grown``, states the one
+rule for where a build stops. A stopped build is a partial composition
 whose unexpanded states, the next layer, have no out-edges; it keeps its
-queue, so ``_grown``, the BFS's loop, can expand it on to a later stop.
+queue, so ``_grown`` can expand it on to a later stop.
 
 A system's operands, its accessible part, that part's observer, the
 deleted-secret-states observer and the secret-restart operands, are held
@@ -70,16 +70,17 @@ most one model alive, with its operands; ``_release`` empties it.
 A bundle also keeps, per composition built on it (the secret-restart
 composition, the deleted-secret-states composition seeded by every initial
 pair and by the secret ones only, and the system/observer composition),
-the one built furthest so far, whole or stopped (``_kept``). It answers a
-request whose stop falls within the layers it expanded; any other request
-expands a copy of it on from where it stopped (``_grown``), which then
-takes its place, so no kept list is changed in place. A composition
-expanded at least to a request's stop gives that request the answers the
-whole one gives (see ``verification`` and ``enforcement``). So the notions
-and the K checked on one model build each layer of a composition once:
-K = 3 goes on from K = 1's layers, inf-sso reads the prefix scso built,
-and the enforcers share the compositions of their first rounds, with
-their lazy views.
+the one built furthest so far, whole or stopped (``_kept``), and hands
+every later request to ``_grown``. By its one stop rule, the kept
+composition itself answers a request whose stop falls within the layers
+it expanded; for any other request ``_grown`` expands a copy of it on
+from where it stopped, which then takes its place, so no kept list is
+changed in place. A composition expanded at least to a request's stop
+gives that request the answers the whole one gives (see ``verification``
+and ``enforcement``). So the notions and the K checked on one model
+build each layer of a composition once: K = 3 goes on from K = 1's
+layers, inf-sso reads the prefix scso built, and the enforcers share the
+compositions of their first rounds, with their lazy views.
 """
 
 from __future__ import annotations
@@ -475,21 +476,12 @@ def product(
     back, in the next; a state found both ways in one layer is lowered and
     queued again at the front, and its entry at the back is skipped.
 
-    The search ends at the first live entry past the last layer: ``max_layer``
-    (none by default), or the current layer once an empty-estimate state
-    offends. It offends when it is expanded and its left state is in
-    ``stop_on`` (a collection of state names, not a bare string), or, when
-    ``stop_on`` holds every left state, as soon as an
-    observable move finds it: an unobservable move into an empty-estimate
-    state then comes from another one, so the cheapest one has its exact
-    cost and every in-edge a cheapest path can end with. The states found
-    but not expanded are listed with no out-edges, so every state of the
-    layers expanded has its cost and its in-edges from cheaper states
-    exactly as in the complete closure. A stopped composition keeps its
-    queue, with the entry popped at the stop put back, and the last layer
-    it expanded, so ``_grown`` can go on from there; the queue's order does
-    not depend on the stop, so it expands as a build with the later stop
-    would.
+    The search stops after the last layer that ``max_layer`` (none by
+    default) and ``stop_on`` (a collection of state names, not a bare
+    string: the left states whose empty-estimate states offend) give under
+    the one stop rule, stated in ``_grown``, the search's loop. A stopped
+    composition lists the states found but not expanded with no out-edges,
+    and keeps what ``_grown`` needs to go on from there.
     """
     if max_layer is not None:
         _check_k(max_layer, "max_layer")
@@ -531,12 +523,48 @@ def product(
 
 
 def _grown(cc: CcAutomaton, stop_on: Collection[str] | None = None, max_layer: int | None = None) -> CcAutomaton:
-    """``cc``, a stopped composition, expanded on from where it stopped
-    under ``product``'s stop arguments, in copies of its lists: ``cc``
-    itself, and any composition handed out before, stays as it was."""
+    """``cc`` expanded on from where it stopped, under ``product``'s stop
+    arguments: ``cc`` itself when it already expanded that far, otherwise a
+    new composition built in copies of its lists, so ``cc``, and any
+    composition handed out before, stays as it was.
+
+    This is the one stop rule, for a build from fresh seeds and for a kept
+    prefix alike. The search ends at the first live entry past the last
+    layer: ``max_layer`` (none by default), or the current layer once an
+    empty-estimate state offends. It offends when it is expanded and its
+    left state is in ``stop_on``, or, when ``stop_on`` holds every left
+    state, as soon as an observable move finds it: an unobservable move
+    into an empty-estimate state then comes from another one, so the
+    cheapest one has its exact cost and every in-edge a cheapest path can
+    end with. The states found but not expanded are listed with no
+    out-edges, so every state of the layers expanded has its cost and its
+    in-edges from cheaper states exactly as in the complete closure.
+
+    Before the loop, the last layer is read from the offenders ``cc``
+    already lists: with ``stop_on`` holding every left state, the least
+    layer of an empty-estimate state less one (at least 0); otherwise the
+    least expanded layer holding an empty-estimate state whose left state
+    is in ``stop_on``. Every state of the layers ``cc`` expanded, and every
+    empty-estimate state one observable move beyond, is listed with its
+    final layer, so this finds the last layer whenever it lies within them,
+    and then ``cc`` is the answer. A stopped result keeps its queue, with
+    the entry popped at the stop put back, and the last layer it expanded;
+    the queue's order does not depend on the stop, so going on from it
+    expands as a build with the later stop would."""
     left, core = cc.left, cc._core
     order, position = left._numbering
     size = len(order)
+    offends = [stop_on is not None and x in stop_on for x in order]
+    early = stop_on is not None and all(offends[position[x]] for x in left.states)  # every empty state offends
+    last = float("inf") if max_layer is None else max_layer  # the last layer expanded
+    for i in cc.empty_states._ids:  # the offenders already listed
+        layer = cc._layer[i]
+        if early:
+            last = min(last, max(layer - 1, 0))
+        elif layer <= cc._reach and offends[core.keys[i] % size]:
+            last = min(last, layer)
+    if last <= cc._reach:
+        return cc
     observable = left.observable_events
     # slot -> event -> slot. A slot is an estimate's id, or -1 for the empty
     # estimate, whose row, the last, is empty: an undefined step leads to it.
@@ -549,7 +577,6 @@ def _grown(cc: CcAutomaton, stop_on: Collection[str] | None = None, max_layer: i
     # automaton's own positions are filled.
     silent: list = [None] * len(order)
     loud: list = [None] * len(order)
-    offends = [False] * len(order)
     for x, pairs in left.by_source.items():
         pos = position[x]
         silent[pos], loud[pos] = quiet, moves = [], []
@@ -558,14 +585,11 @@ def _grown(cc: CcAutomaton, stop_on: Collection[str] | None = None, max_layer: i
                 moves.append((index[sigma], sigma, position[dst]))
             else:
                 quiet.append((index[sigma], position[dst]))
-        offends[pos] = stop_on is not None and x in stop_on
-    early = stop_on is not None and all(x in stop_on for x in left.states)  # every empty state offends
     ids: dict[int, int] = dict(core.ids)  # key -> id, of every state found
     keys: list[int] = list(core.keys)  # id -> key
     out: list = list(core.out)  # id -> packed out-edges, () until expanded
     layers: list[int] = list(cc._layer)  # id -> layer, lowered when an unobservable move finds a state sooner
     queue: deque[tuple[int, int, int, int]] = deque(cc._queue)  # (layer, id, position, slot)
-    last = float("inf") if max_layer is None else max_layer  # the last layer expanded
     while queue:
         entry = queue.popleft()
         layer, src, pos, slot = entry
@@ -773,44 +797,16 @@ def _seeds(nfa: Nfa, slot: int, starts: Iterable[str]) -> _Keys:
 def _kept(ops: _Operands, name: str, left: Nfa, right: Observer, initials: _Keys, stop: dict) -> CcAutomaton:
     """``product(left, right, initials, **stop)``, or a composition that
     gives its answers: ``ops.kept`` holds under ``name`` the composition
-    built furthest so far, whole or stopped. It answers a request whose
-    stop falls within the layers it expanded (``_covers``); otherwise a copy
-    of it is expanded on (``_grown``) and replaces it, unless another
-    thread has meanwhile kept one that reaches as far. Threads that race
-    build a layer twice at worst, and each gets its own answer."""
+    built furthest so far, whole or stopped, and ``_grown`` answers a later
+    request from it, with the kept one itself or with a copy expanded on,
+    which replaces it unless another thread has meanwhile kept one that
+    reaches as far. Threads that race build a layer twice at worst, and
+    each gets its own answer."""
     kept = ops.kept.get(name)
-    if kept is None:
-        cc = product(left, right, initials, **stop)
-    elif _covers(kept, **stop):
-        return kept
-    else:
-        cc = _grown(kept, **stop)
-    with ops.keeping:
-        kept = ops.kept.get(name)
-        if kept is None or kept._reach < cc._reach:
-            ops.kept[name] = cc
+    cc = product(left, right, initials, **stop) if kept is None else _grown(kept, **stop)
+    if cc is not kept:
+        with ops.keeping:
+            kept = ops.kept.get(name)
+            if kept is None or kept._reach < cc._reach:
+                ops.kept[name] = cc
     return cc
-
-
-def _covers(cc: CcAutomaton, stop_on: Collection[str] | None = None, max_layer: int | None = None) -> bool:
-    """Whether ``cc`` expanded every layer that ``product`` with these stop
-    arguments expands. Its last layer is ``max_layer`` or, when lower, the
-    layer of the first offending empty-estimate state: with ``stop_on``
-    holding every left state, the least layer of an empty-estimate state
-    less one (at least 0), found by the observable move into it; otherwise
-    the least expanded layer holding an empty-estimate state whose left
-    state is in ``stop_on``. Every state of the layers ``cc`` expanded, and
-    every empty-estimate state one observable move beyond, is listed with
-    its final layer, so ``cc`` finds that layer when it lies within them."""
-    if cc._queue is None:
-        return True
-    stop = float("inf") if max_layer is None else max_layer
-    if stop_on is not None:
-        layer, left_of = cc._layer, cc._core.left_of
-        empty = cc.empty_states._ids
-        if all(x in stop_on for x in cc.left.states):
-            found = [max(layer[i] - 1, 0) for i in empty]
-        else:
-            found = [layer[i] for i in empty if layer[i] <= cc._reach and left_of(i) in stop_on]
-        stop = min([stop, *found])
-    return stop <= cc._reach

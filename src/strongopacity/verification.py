@@ -42,10 +42,11 @@ Every state cheaper than the cheapest offending one is then expanded, so
 its cost and its in-edges are exact, and the search on the partial
 composition gives the verdict and the witness the whole one gives. So does
 any composition expanded further: the bundle keeps the composition built
-furthest (``composition._kept``), which answers a check whose stop it
-already passed and is otherwise expanded on in a copy. So k-sso at K = 3
-goes on from the layers that K = 1 built, and inf-sso, which never stops
-later than scso, reads the prefix that scso built.
+furthest (``composition._kept``), and the build's own stop rule
+(``composition._grown``) answers a later check with it as it is when the
+check stops within its layers, or else expands a copy of it on. So k-sso
+at K = 3 goes on from the layers that K = 1 built, and inf-sso, which
+never stops later than scso, reads the prefix that scso built.
 
 The offending states are picked by state number, from the layer ``product``
 records for each state and from the left state of each number, so

@@ -11,7 +11,9 @@ the slot holding its model, not a cut subsystem; a held bundle keeps, per
 composition and seeding, the one built furthest, whole or stopped, and a
 later stop expands a copy of it on, building each layer once and changing
 no composition handed out before; requests with any stops, in any order,
-answer as fresh stopped builds do; and threads get the serial answers.
+answer as fresh stopped builds do, with the kept composition itself exactly
+when a fresh build stops within its layers; and threads get the serial
+answers.
 """
 
 import random
@@ -188,7 +190,7 @@ def test_inf_sso_reads_the_prefix_that_scso_built(monkeypatch):
     assert kept._queue is not None  # stopped
     calls = spy_expansions(monkeypatch)
     assert verify_inf_sso(model) == expected
-    assert calls == [] and composition._operands(model).kept["dss"] is kept
+    assert calls == [[]] and composition._operands(model).kept["dss"] is kept  # one call, no state expanded
 
 
 def test_scso_extends_the_prefix_that_inf_sso_built(monkeypatch):
@@ -294,9 +296,16 @@ def test_requests_in_any_order_answer_as_fresh_stopped_builds(nfa, data):
     }
     for name, stop_on, max_layer in data.draw(st.lists(stopped_requests(acc), min_size=1, max_size=5)):
         stop = {"stop_on": stop_on, "max_layer": max_layer}
+        before = ops.kept.get(name)
         kept = composition._kept(ops, name, *operands[name], stop)
         expected = composition.product(*operands[name], **stop)
         assert answer(kept, stop_on, max_layer) == answer(expected, stop_on, max_layer), (name, stop)
+        # No needless copy and no missed extension: the kept composition
+        # answers exactly the requests a fresh build stops within.
+        if before is not None and expected._reach <= before._reach:
+            assert kept is before, (name, stop)
+        else:
+            assert kept is not before and kept._reach == expected._reach and ops.kept[name] is kept, (name, stop)
 
 
 def test_the_cli_keeps_no_model_after_a_command(tmp_path, monkeypatch, capsys):

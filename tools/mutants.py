@@ -137,8 +137,17 @@ MUTATIONS = [
         # K = 3 reads the layers that K = 1 built.
         "prefix-covers",
         "composition.py",
-        "    elif _covers(kept, **stop):\n",
-        "    elif True:\n",
+        "    if last <= cc._reach:\n",
+        "    if cc._reach >= 0:\n",
+        ["tests/test_operands.py"],
+    ),
+    (
+        # The stop read before the loop ignores the offenders a kept prefix
+        # already lists, so a request that stops within it expands it on.
+        "prefix-offenders",
+        "composition.py",
+        "    for i in cc.empty_states._ids:  # the offenders already listed\n",
+        "    for i in ():\n",
         ["tests/test_operands.py"],
     ),
     (
