@@ -9,6 +9,14 @@ Subcommands:
 
 Exit codes: 0 = opaque/enforced, 1 = not opaque/impossible, 2 = usage or
 model error. Output is deterministic for a fixed input.
+
+Each command runs with the cyclic garbage collector paused. What a command
+builds (the parsed model, observers, compositions, their indexes) holds no
+reference cycle and is freed by reference counting when the command
+returns, so the collector's passes over it while it grows find nothing to
+free. When the last running command ends, by a return or an exception, the
+collector is back in the state it was in before the first one began. The
+library functions leave the collector alone.
 """
 
 from __future__ import annotations
@@ -17,8 +25,10 @@ import argparse
 import contextlib
 import decimal
 import functools
+import gc
 import os
 import sys
+import threading
 from typing import Sequence
 
 from .automaton import Nfa, Run
@@ -168,6 +178,37 @@ def _print_outcome(outcome: EnforcementOutcome, args, model: Nfa) -> int:
     return 1
 
 
+class _PausedCollector(contextlib.ContextDecorator):
+    """A context, and a decorator, that pauses the cyclic garbage collector
+    while at least one thread is inside it. The first to enter records
+    whether the collector was on and turns it off; the last to leave turns
+    it back on only if it was. Saving and restoring per entry would race:
+    an entry that reads "off" while another still holds the pause would
+    leave it off for good."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._was_on = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._inside:
+                self._was_on = gc.isenabled()
+                gc.disable()
+            self._inside += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._inside -= 1
+            if not self._inside and self._was_on:
+                gc.enable()
+
+
+_collector_paused = _PausedCollector()
+
+
+@_collector_paused
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
     parser = build_parser()

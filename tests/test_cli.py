@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -357,6 +359,141 @@ class TestParserReuse:
         assert run_captured(argv)[0] == 1
         monkeypatch.setattr(cli, "verify_scso", lambda model: Verdict(True, "scso"))
         assert run_captured(argv) == (0, "OPAQUE\n", "")
+
+
+def every_command(model: str, out: str) -> list[list[str]]:
+    """Every command kind on ``model``: verify and enforce for each notion,
+    the export of each structure (to ``out``) and the bound."""
+    argvs = []
+    for command in ("verify", "enforce"):
+        for notion in ("k-sso", "cso", "scso", "siso", "inf-sso"):
+            k = ["--k", "2"] if notion == "k-sso" else []
+            argvs.append([command, "--notion", notion, *k, model])
+    for structure in ("observer", "cc-hat", "cc-obs", "cc-dss"):
+        argvs.append(["export", "--structure", structure, model, "--out", out])
+    return argvs + [["bound", model]]
+
+
+ALL_MODELS = sorted(str(path) for path in MODELS.glob("*.json"))
+
+
+class _ThreadStreams:
+    """A stream that sends each thread's writes to that thread's own buffer,
+    so threads running commands at once each read back their own output."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def fresh(self) -> io.StringIO:
+        self._local.buffer = io.StringIO()
+        return self._local.buffer
+
+    def write(self, text: str) -> int:
+        return self._local.buffer.write(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestCollectorPause:
+    """``run_cli`` pauses the cyclic collector for a command and puts it back
+    as it was, which is safe only while a command leaves no cyclic garbage."""
+
+    def test_commands_leave_no_cyclic_garbage(self, tmp_path):
+        out = str(tmp_path / "structure.dot")
+        for argv in every_command(DELAYED, out):  # first parses and imports
+            run_captured(argv)
+        for model in ALL_MODELS:
+            for argv in every_command(model, out):
+                gc.collect()
+                code = run_captured(argv)[0]
+                assert code in (0, 1), argv
+                assert gc.collect() == 0, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--notion", "cso", "--k", "2", DELAYED],
+            ["bogus", DELAYED],
+            ["verify", "--notion", "k-sso", "--k", "-1", DELAYED],
+        ],
+        ids=["k-with-cso", "unknown-command", "negative-k"],
+    )
+    def test_usage_error_cycles_are_collected_after(self, argv):
+        # argparse's exit leaves a few objects in a cycle: the collector,
+        # back on after the command, frees them.
+        gc.collect()
+        assert run_captured(argv)[0] == 2
+        assert gc.isenabled()
+        gc.collect()
+        assert gc.collect() == 0 and gc.garbage == []
+
+    def test_on_before_is_on_after(self):
+        assert gc.isenabled()
+        assert run_captured(["verify", "--notion", "scso", TWO_INITIALS])[0] == 1
+        assert gc.isenabled()
+
+    def test_off_before_stays_off(self):
+        gc.disable()
+        try:
+            assert run_captured(["verify", "--notion", "scso", TWO_INITIALS])[0] == 1
+            assert run_captured(["bogus"])[0] == 2
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_on_after_an_uncaught_exception(self, monkeypatch):
+        def broken(model):
+            raise RuntimeError("broken verifier")
+
+        monkeypatch.setattr(cli, "verify_scso", broken)
+        with pytest.raises(RuntimeError, match="broken verifier"):
+            run_captured(["verify", "--notion", "scso", TWO_INITIALS])
+        assert gc.isenabled()
+
+    def test_threads_restore_it_and_answer_as_serial_calls(self, monkeypatch):
+        argvs = [
+            argv
+            for model in ALL_MODELS
+            for argv in (
+                ["verify", "--notion", "scso", model],
+                ["verify", "--notion", "k-sso", "--k", "1", model],
+                ["enforce", "--notion", "inf-sso", model],
+                ["bound", model],
+            )
+        ]
+        # Each thread's stdout and stderr go to one buffer of its own.
+        serial = [(code, out + err) for code, out, err in map(run_captured, argvs)]
+        streams = _ThreadStreams()
+        monkeypatch.setattr(sys, "stdout", streams)
+        monkeypatch.setattr(sys, "stderr", streams)
+        problems: list[str] = []
+
+        def work(i: int) -> None:
+            for j in range(len(argvs)):
+                n = (j + 5 * i) % len(argvs)
+                buffer = streams.fresh()
+                try:
+                    answer = (run_cli(argvs[n]), buffer.getvalue())
+                except Exception as exc:  # reported, not lost in the thread
+                    problems.append(f"thread {i}: {argvs[n]} raised {exc!r}")
+                    continue
+                if answer != serial[n]:
+                    problems.append(f"thread {i}: {argvs[n]} answered {answer!r}")
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so commands interleave
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert gc.isenabled()
 
 
 ZERO_PADDED = str(MODELS / "zero_padded.json")

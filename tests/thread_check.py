@@ -17,6 +17,7 @@ It prints one line and exits 1 when a threaded answer differs or a call
 raises. ``tests/test_operands.py`` runs the same check.
 """
 
+import gc
 import random
 import sys
 import threading
@@ -73,7 +74,8 @@ def threaded_mismatches(models: list, rounds: int, timeout: float = 120) -> list
     so that two threads share it), each calling every entry of ``CALLS``
     ``rounds`` times, starting one name later each round. Returns a line
     for each answer that differs from the serial one, each call that
-    raised and each thread still running after ``timeout`` seconds."""
+    raised and each thread still running after ``timeout`` seconds, and
+    one if the cyclic collector is off once they have joined."""
     serial = [answers(nfa) for nfa in models]
     names = list(CALLS)
     problems: list[str] = []
@@ -98,6 +100,8 @@ def threaded_mismatches(models: list, rounds: int, timeout: float = 120) -> list
     finally:
         sys.setswitchinterval(interval)
     problems += [f"thread {i} did not finish" for i, thread in enumerate(threads) if thread.is_alive()]
+    if not gc.isenabled():  # the library leaves the cyclic collector alone
+        problems.append("the cyclic collector is off after the threads joined")
     return problems
 
 

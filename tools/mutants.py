@@ -163,6 +163,23 @@ MUTATIONS = [
         "    ids, keys, out, layers, queue = core.ids, core.keys, core.out, cc._layer, cc._queue\n",
         ["tests/test_operands.py"],
     ),
+    (
+        # A CLI command leaves the cyclic collector off for good.
+        "collector-off",
+        "cli.py",
+        "                gc.enable()\n",
+        "                pass\n",
+        ["tests/test_cli.py"],
+    ),
+    (
+        # A CLI command turns the cyclic collector on even when it was off
+        # before the command.
+        "collector-forced-on",
+        "cli.py",
+        "            if not self._inside and self._was_on:\n",
+        "            if not self._inside:\n",
+        ["tests/test_cli.py"],
+    ),
 ]
 
 
@@ -226,12 +243,12 @@ def main() -> int:
                         print(f"unmutated copy under seed {seed}: {status} {detail}", file=sys.stderr)
                         pool.shutdown(cancel_futures=True)
                         return 2
-                print(f"{'passed':8} {name:16} seeds {', '.join(map(str, SEEDS))} ({seconds:.1f} s)", flush=True)
+                print(f"{'passed':8} {name:19} seeds {', '.join(map(str, SEEDS))} ({seconds:.1f} s)", flush=True)
                 continue
             killed = all(status == "failed" for _, status, _, _ in results)
             survivors += not killed
             detail = "; ".join(f"seed {seed}: {status} {detail}".rstrip() for seed, status, detail, _ in results)
-            print(f"{'killed' if killed else 'survived':8} {name:16} {detail} ({seconds:.1f} s)", flush=True)
+            print(f"{'killed' if killed else 'survived':8} {name:19} {detail} ({seconds:.1f} s)", flush=True)
     print(f"gate: {time.perf_counter() - start:.1f} s", flush=True)
     return 1 if survivors else 0
 
